@@ -47,13 +47,13 @@ def test_rounds_pass_their_checks(name):
     inputs = wl.setup(workload, 3)
     reference = wl.run_round(workload, inputs, 3, logs=True)
     assert wl.check_reference_round(workload, inputs, reference) == [
-        [] for _ in range(1 + len(workload.replays))
+        [] for _ in range(workload.train_calls + len(workload.replays))
     ]
     again = wl.run_round(workload, inputs, 3)
     assert all(not errors for errors in wl.check_repeat_round(reference, again))
 
 
-@pytest.mark.parametrize("name", ["stream-long", "context-wide"])
+@pytest.mark.parametrize("name", ["stream-long", "suite-mixed"])
 def test_perturbed_posterior_fails_the_check(name):
     workload = tiny(wl.WORKLOADS[name])
     inputs = wl.setup(workload, 5)

@@ -7,7 +7,8 @@ congruent routing problem, in a random orientation), the arm accuracy
 profiles, and for ``suite-mixed`` which clusters gain weight at the drift
 point.  The program sees only the generated scenario.
 
-A round is one pass of a workload: one ``fit_offline_router`` call, then the
+A round is one pass of a workload: its ``fit_offline_router`` calls (the
+same training, repeated so that ``train_s`` gets enough samples), then the
 workload's ``run_replay`` calls, each a closed loop of route -> reward ->
 update with one caller.  Every call is one operation; it fails if it raises
 or if its output check fails.
@@ -45,14 +46,14 @@ POSTERIOR_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Replay:
-    """One run_replay call: a router spec and where its prior comes from."""
+    """One run_replay call: a router spec and whether it gets the trained prior."""
 
     router: str
-    prior: str | None = None  # None, "centres" or "trained"
+    trained_prior: bool = False
 
     @property
     def prior_mode(self) -> str:
-        return "injected" if self.router == "thompson" and self.prior else "zero"
+        return "injected" if self.router == "thompson" and self.trained_prior else "zero"
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class Workload:
     offline_pairs: int
     replays: tuple[Replay, ...]
     drift: bool = False
+    # fit_offline_router calls per round, each one train_s sample: where
+    # training is short next to the replays, one call would give too few
+    train_calls: int = 1
 
     @property
     def stream_pairs(self) -> int:
@@ -78,13 +82,7 @@ WORKLOADS = {
             n_steps=200,
             offline_pairs=256,
             replays=(Replay("thompson"),),
-        ),
-        Workload(
-            name="context-wide",
-            d=256,
-            n_steps=40,
-            offline_pairs=32,
-            replays=(Replay("thompson", prior="centres"),),
+            train_calls=2,
         ),
         Workload(
             name="suite-mixed",
@@ -93,10 +91,10 @@ WORKLOADS = {
             offline_pairs=500,
             drift=True,
             replays=(
-                Replay("thompson", prior="trained"),
-                Replay("weighted:0.5", prior="trained"),
+                Replay("thompson", trained_prior=True),
+                Replay("weighted:0.5", trained_prior=True),
                 Replay("linucb"),
-                Replay("offline", prior="trained"),
+                Replay("offline", trained_prior=True),
                 Replay("majority"),
                 Replay("random"),
             ),
@@ -105,8 +103,8 @@ WORKLOADS = {
 }
 
 
-def make_scenario(workload: Workload, seed: int) -> tuple[SimScenario, np.ndarray]:
-    """The workload's scenario for ``seed`` and its (N, d) cluster centres."""
+def make_scenario(workload: Workload, seed: int) -> SimScenario:
+    """The workload's scenario for ``seed``."""
     rng = np.random.default_rng(seed)
     frame, _ = np.linalg.qr(rng.standard_normal((workload.d, N_ARMS + 1)))
     shared, own = frame[:, 0], frame[:, 1:].T
@@ -127,7 +125,7 @@ def make_scenario(workload: Workload, seed: int) -> tuple[SimScenario, np.ndarra
             "mixture_after": [float(w) for w in light / light.sum()],
             "drift_step": workload.n_steps // 2,
         }
-    scenario = SimScenario(
+    return SimScenario(
         n_arms=N_ARMS,
         clusters=[Cluster(c, centres[c], CLUSTER_SPREAD) for c in range(N_ARMS)],
         arm_profiles=profiles,
@@ -137,7 +135,6 @@ def make_scenario(workload: Workload, seed: int) -> tuple[SimScenario, np.ndarra
         offline_pairs=workload.offline_pairs,
         **drift,
     )
-    return scenario, centres
 
 
 @dataclass
@@ -145,14 +142,11 @@ class Inputs:
     """What set-up hands to the timed region."""
 
     dataset: object
-    centres_prior: np.ndarray
 
 
 def setup(workload: Workload, seed: int) -> Inputs:
-    """Scenario generation and the scenario-built prior (each arm's centre)."""
-    scenario, centres = make_scenario(workload, seed)
-    dataset = sim.generate_scenario(scenario, seed)
-    return Inputs(dataset=dataset, centres_prior=centres.copy())
+    """Scenario generation."""
+    return Inputs(dataset=sim.generate_scenario(make_scenario(workload, seed), seed))
 
 
 def replay_config(replay: Replay, seed: int, prior: np.ndarray | None) -> ReplayConfig:
@@ -179,41 +173,49 @@ class ReplayOutcome:
 
 
 @dataclass
+class Training:
+    """One fit_offline_router call."""
+
+    seconds: float
+    result: object = None
+    error: str | None = None
+
+
+@dataclass
 class RoundResult:
-    train_seconds: float
-    train_result: object = None
-    train_error: str | None = None
+    trainings: list[Training] = field(default_factory=list)
     replays: list[ReplayOutcome] = field(default_factory=list)
 
     @property
-    def replay_seconds(self) -> float:
-        return sum(r.seconds for r in self.replays)
+    def seconds(self) -> float:
+        return sum(t.seconds for t in self.trainings) + sum(r.seconds for r in self.replays)
 
 
 def run_round(workload: Workload, inputs: Inputs, seed: int, logs: bool = False) -> RoundResult:
     """Train, then replay every router; times each call, catches any error.
 
+    The replays take the first training's router as their trained prior.
     With ``logs`` the replays keep their decision and reward logs for the
     closed-form posterior check.
     """
     dataset = inputs.dataset
-    t0 = time.perf_counter()
-    try:
-        trained = sim.fit_offline_router(dataset, seed=seed)
-        error = None
-    except Exception as exc:  # a failed operation is counted, never dropped
-        trained, error = None, f"{type(exc).__name__}: {exc}"
-    result = RoundResult(time.perf_counter() - t0, trained, error)
+    result = RoundResult()
+    for _ in range(workload.train_calls):
+        t0 = time.perf_counter()
+        try:
+            training = Training(0.0, sim.fit_offline_router(dataset, seed=seed))
+        except Exception as exc:  # a failed operation is counted, never dropped
+            training = Training(0.0, error=f"{type(exc).__name__}: {exc}")
+        training.seconds = time.perf_counter() - t0
+        result.trainings.append(training)
+    trained = result.trainings[0].result
 
     for replay in workload.replays:
-        if replay.prior == "centres":
-            prior = inputs.centres_prior
-        elif replay.prior == "trained":
-            prior = None if trained is None else trained.model.bt_embeddings.copy()
-        else:
-            prior = None
+        prior = None
+        if replay.trained_prior and trained is not None:
+            prior = trained.model.bt_embeddings.copy()
         outcome = ReplayOutcome(replay, 0.0, prior=prior)
-        if replay.prior and prior is None:
+        if replay.trained_prior and prior is None:
             outcome.error = "no trained prior: training failed"
             result.replays.append(outcome)
             continue
@@ -323,7 +325,7 @@ def check_training(train_result) -> list[str]:
 def check_reference_round(workload: Workload, inputs: Inputs, result: RoundResult) -> list[list[str]]:
     """Full checks of the logged round: one error list per operation."""
     dataset = inputs.dataset
-    ops = [[result.train_error] if result.train_error else check_training(result.train_result)]
+    ops = [[t.error] if t.error else check_training(t.result) for t in result.trainings]
     for outcome in result.replays:
         if outcome.error:
             ops.append([outcome.error])
@@ -355,14 +357,17 @@ def _same_state(a, b) -> bool:
 
 def check_repeat_round(reference: RoundResult, result: RoundResult) -> list[list[str]]:
     """A timed round must reproduce the checked round bit for bit."""
-    if result.train_error:
-        ops = [[result.train_error]]
-    elif reference.train_result is None or not np.array_equal(
-        result.train_result.model.bt_embeddings, reference.train_result.model.bt_embeddings
-    ):
-        ops = [["training differs from the checked round"]]
-    else:
-        ops = [[]]
+    want = reference.trainings[0].result
+    ops = []
+    for training in result.trainings:
+        if training.error:
+            ops.append([training.error])
+        elif want is None or not np.array_equal(
+            training.result.model.bt_embeddings, want.model.bt_embeddings
+        ):
+            ops.append(["training differs from the checked round"])
+        else:
+            ops.append([])
     for ref, outcome in zip(reference.replays, result.replays):
         if outcome.error:
             ops.append([outcome.error])
