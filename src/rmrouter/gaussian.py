@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import ConfigError, DimError, NonPSDError, NumericalError
+from .errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 
 POSTERIOR_FORMAT_VERSION = 1
 
@@ -140,6 +140,8 @@ class ObservationBatch:
             raise DimError(
                 f"{self.contexts.shape[0]} contexts but {self.rewards.shape[0]} rewards"
             )
+        if not (np.isfinite(self.rewards).all() and np.isfinite(self.contexts).all()):
+            raise InputError("observation contexts and rewards must be finite")
 
     @classmethod
     def empty(cls, d: int) -> "ObservationBatch":

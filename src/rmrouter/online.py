@@ -19,6 +19,7 @@ alternates route -> observe strictly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -197,6 +198,21 @@ def route_batch(
     ]
 
 
+def _decisions_by_id(
+    decisions: Sequence[RoutingDecision], rewards: Mapping[str, float]
+) -> dict[str, RoutingDecision]:
+    """Index a batch's decisions by pair_id; every pair_id once, every reward known."""
+    by_id = {dec.pair_id: dec for dec in decisions}
+    if len(by_id) != len(decisions):
+        counts = Counter(dec.pair_id for dec in decisions)
+        repeated = sorted(pair_id for pair_id, n in counts.items() if n > 1)
+        raise InputError(f"duplicate pair_id(s) in one batch: {repeated[:3]}")
+    unknown = set(rewards) - set(by_id)
+    if unknown:
+        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
+    return by_id
+
+
 def observe_feedback(
     state: OnlineRouterState,
     decisions: Sequence[RoutingDecision],
@@ -205,12 +221,9 @@ def observe_feedback(
     """Batch-update the arms chosen in ``decisions`` with their rewards.
 
     Arms that received no pair keep their exact posterior objects.  Every
-    rewarded pair_id must appear among the decisions.
+    rewarded pair_id must appear among the decisions, and no pair_id twice.
     """
-    by_id = {dec.pair_id: dec for dec in decisions}
-    unknown = set(rewards) - set(by_id)
-    if unknown:
-        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
+    by_id = _decisions_by_id(decisions, rewards)
     grouped: dict[int, list[RoutingDecision]] = {}
     for pair_id, dec in by_id.items():
         if pair_id in rewards:
@@ -322,10 +335,7 @@ def update_linucb(
     decisions: Sequence[RoutingDecision],
     rewards: Mapping[str, float],
 ) -> LinUcbState:
-    by_id = {dec.pair_id: dec for dec in decisions}
-    unknown = set(rewards) - set(by_id)
-    if unknown:
-        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
+    by_id = _decisions_by_id(decisions, rewards)
     a_new = [a.copy() for a in state.a_matrices]
     b_new = [b.copy() for b in state.b_vectors]
     for pair_id, reward in rewards.items():

@@ -9,9 +9,10 @@ loss of all models, or of a random subset of them.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -67,41 +68,69 @@ def batch_baseline_rewards(losses: Sequence[PairLoss]) -> dict[str, float]:
     return {pl.pair_id: mean - pl.loss for pl in losses}
 
 
-@dataclass
 class RewardHistory:
-    """Append-only record of past centered rewards used for quantile scaling.
+    """Record of past centered rewards used for quantile scaling.
+
+    Values are kept twice as float64 arrays: in insertion order (for
+    ``capacity`` eviction and :attr:`values`) and sorted (for
+    :meth:`quantile_bounds`).  Appending a step of B values to a history of H
+    costs O(H + B log B); reading the bounds costs O(1).
 
     Single writer: within a step, quantile reads must happen before the
     step's own rewards are appended (see :func:`normalize_step_rewards`).
     """
 
-    values: list[float] = field(default_factory=list)
-    capacity: int | None = None
-    degenerate_events: int = 0
+    def __init__(self, values: Iterable[float] = (), capacity: int | None = None) -> None:
+        self.capacity = capacity
+        self.degenerate_events = 0
+        self._order = np.empty(0, dtype=np.float64)
+        self._sorted = self._order
+        self.extend(values)
+
+    @property
+    def values(self) -> list[float]:
+        """The retained values, oldest first (a copy)."""
+        return self._order.tolist()
+
+    @property
+    def sorted_values(self) -> np.ndarray:
+        """The retained values in ascending order (a read-only view)."""
+        view = self._sorted.view()
+        view.flags.writeable = False
+        return view
 
     def append(self, value: float) -> None:
-        value = float(value)
-        if not np.isfinite(value):
-            raise InputError("reward history values must be finite")
-        self.values.append(value)
-        if self.capacity is not None and len(self.values) > self.capacity:
-            del self.values[: len(self.values) - self.capacity]
+        self.extend((value,))
 
-    def extend(self, values) -> None:
-        for value in values:
-            self.append(value)
+    def extend(self, values: Iterable[float]) -> None:
+        """Validate a whole step, then merge it in; either all values land or none."""
+        new = np.fromiter(values, dtype=np.float64)
+        if not np.isfinite(new).all():
+            raise InputError("reward history values must be finite")
+        new_sorted = np.sort(new)
+        self._sorted = np.insert(
+            self._sorted, np.searchsorted(self._sorted, new_sorted), new_sorted
+        )
+        self._order = np.concatenate((self._order, new))
+        excess = 0 if self.capacity is None else len(self._order) - self.capacity
+        if excess > 0:
+            evicted = np.sort(self._order[:excess])
+            self._order = self._order[excess:].copy()
+            # the j-th copy of a repeated value sits j slots after its first match
+            first = np.searchsorted(evicted, evicted)
+            slots = np.searchsorted(self._sorted, evicted) + np.arange(excess) - first
+            self._sorted = np.delete(self._sorted, slots)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self._order.shape[0]
 
     def quantile_bounds(self) -> tuple[float, float]:
         """(20th, 80th) percentiles by linear interpolation of order statistics."""
-        if not self.values:
+        if not len(self):
             raise InputError("reward history is empty")
-        ordered = np.sort(np.asarray(self.values, dtype=np.float64))
         return (
-            _percentile_sorted(ordered, QUANTILE_LO),
-            _percentile_sorted(ordered, QUANTILE_HI),
+            _percentile_sorted(self._sorted, QUANTILE_LO),
+            _percentile_sorted(self._sorted, QUANTILE_HI),
         )
 
 
@@ -114,6 +143,36 @@ def _percentile_sorted(ordered: np.ndarray, q: float) -> float:
     return float(ordered[lo] + (ordered[hi] - ordered[lo]) * frac)
 
 
+def _scaling_bounds(
+    history: RewardHistory, warmup_min: int
+) -> tuple[float, float] | None:
+    """The history's bounds, or None while warming up; counts and warns if degenerate."""
+    if len(history) < warmup_min:
+        return None
+    bounds = history.quantile_bounds()
+    if bounds[0] == bounds[1]:
+        history.degenerate_events += 1
+        warnings.warn(
+            "degenerate reward quantiles (q_lo == q_hi); returning 0.5",
+            DegenerateQuantilesWarning,
+            stacklevel=3,
+        )
+    return bounds
+
+
+def _scale(r: float, bounds: tuple[float, float] | None) -> float:
+    if bounds is None:
+        return min(1.0, max(0.0, (r + 1.0) / 2.0))
+    q_lo, q_hi = bounds
+    if q_hi == q_lo:
+        return 0.5
+    if r < q_lo:
+        return 0.0
+    if r > q_hi:
+        return 1.0
+    return (r - q_lo) / (q_hi - q_lo)
+
+
 def quantile_normalize(
     r: float, history: RewardHistory, warmup_min: int = DEFAULT_WARMUP_MIN
 ) -> float:
@@ -122,23 +181,7 @@ def quantile_normalize(
     With fewer than ``warmup_min`` historical values the percentiles are not
     trusted yet and the reward passes through clamp((r + 1) / 2, 0, 1).
     """
-    r = float(r)
-    if len(history) < warmup_min:
-        return min(1.0, max(0.0, (r + 1.0) / 2.0))
-    q_lo, q_hi = history.quantile_bounds()
-    if q_hi == q_lo:
-        history.degenerate_events += 1
-        warnings.warn(
-            "degenerate reward quantiles (q_lo == q_hi); returning 0.5",
-            DegenerateQuantilesWarning,
-            stacklevel=2,
-        )
-        return 0.5
-    if r < q_lo:
-        return 0.0
-    if r > q_hi:
-        return 1.0
-    return (r - q_lo) / (q_hi - q_lo)
+    return _scale(float(r), _scaling_bounds(history, warmup_min))
 
 
 def normalize_step_rewards(
@@ -149,17 +192,17 @@ def normalize_step_rewards(
     """Normalize one step's rewards against strictly-past history, then record them.
 
     Every reward in ``raw`` is scaled with the history as it stood before this
-    step; only afterwards are the raw values appended.  Returns the normalized
-    map and the (q_lo, q_hi) bounds used, or None while warming up.
+    step; only afterwards are the raw values appended.  A non-finite reward
+    raises :class:`InputError` before anything is warned, counted or recorded.
+    Returns the normalized map and the (q_lo, q_hi) bounds used, or None while
+    warming up.
     """
-    bounds: tuple[float, float] | None = None
-    if len(history) >= warmup_min:
-        bounds = history.quantile_bounds()
-    normalized = {
-        pair_id: quantile_normalize(value, history, warmup_min=warmup_min)
-        for pair_id, value in raw.items()
-    }
-    history.extend(raw.values())
+    values = [float(value) for value in raw.values()]
+    if not all(math.isfinite(value) for value in values):
+        raise InputError("step rewards must be finite")
+    bounds = _scaling_bounds(history, warmup_min)
+    normalized = {pair_id: _scale(value, bounds) for pair_id, value in zip(raw, values)}
+    history.extend(values)
     return normalized, bounds
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmrouter.errors import ConfigError, DimError, NonPSDError, NumericalError
+from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 from rmrouter.gaussian import (
     ArmPosterior,
     ObservationBatch,
@@ -170,6 +170,12 @@ class TestPosteriorUpdate:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimError):
             ObservationBatch([[1.0], [2.0]], [1.0])
+
+    def test_non_finite_observations_rejected(self):
+        with pytest.raises(InputError):
+            ObservationBatch([[1.0]], [float("nan")])
+        with pytest.raises(InputError):
+            ObservationBatch([[float("inf")]], [1.0])
 
 
 class TestSerialization:

@@ -174,6 +174,25 @@ class TestObserveFeedback:
         with pytest.raises(InputError):
             observe_feedback(state, decisions, {"mystery": 1.0})
 
+    def test_duplicate_pair_id_rejected(self):
+        state = init_router(3, 1)
+        scores = np.array([1.0, 0.0, 0.0])
+        decisions = [
+            RoutingDecision("a", 0, scores, np.array([1.0])),
+            RoutingDecision("a", 0, scores, np.array([1.0])),
+            RoutingDecision("b", 0, scores, np.array([1.0])),
+        ]
+        with pytest.raises(InputError, match="duplicate"):
+            observe_feedback(state, decisions, {"a": 1.0, "b": 0.5})
+        with pytest.raises(InputError, match="duplicate"):
+            update_linucb(init_linucb(3, 1), decisions, {"a": 1.0, "b": 0.5})
+
+    def test_non_finite_reward_rejected(self):
+        state = init_router(2, 1)
+        decisions = [RoutingDecision("b", 0, np.array([1.0, 0.0]), np.array([1.0]))]
+        with pytest.raises(InputError):
+            observe_feedback(state, decisions, {"b": float("nan")})
+
 
 class TestLinUcb:
     def test_fresh_state_ties_to_arm_zero(self):

@@ -1,8 +1,12 @@
 import itertools
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.rewards import (
@@ -162,6 +166,90 @@ class TestStepNormalization:
         normalized, bounds = normalize_step_rewards({"x": 0.0}, history)
         assert bounds is None
         assert normalized["x"] == 0.5
+
+    def test_non_finite_step_leaves_history_unchanged(self):
+        history = RewardHistory(values=[1.0] * 40)  # degenerate: would warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError):
+                normalize_step_rewards({"x": 0.3, "y": math.nan, "z": 0.1}, history)
+        assert len(history) == 40
+        assert history.degenerate_events == 0
+
+    def test_non_finite_extend_is_atomic(self):
+        history = RewardHistory(values=[0.0, 1.0])
+        with pytest.raises(InputError):
+            history.extend([2.0, math.inf])
+        assert history.values == [0.0, 1.0]
+        assert list(history.sorted_values) == [0.0, 1.0]
+
+    def test_degenerate_step_warns_and_counts_once(self):
+        history = RewardHistory(values=[1.0] * 40)
+        raw = {f"p{i}": float(i) for i in range(5)}
+        with pytest.warns(DegenerateQuantilesWarning) as record:
+            normalized, bounds = normalize_step_rewards(raw, history)
+        assert len(record) == 1
+        assert history.degenerate_events == 1
+        assert bounds == (1.0, 1.0)
+        assert set(normalized.values()) == {0.5}
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# small value pools force ties and repeated values
+reward_values = st.one_of(
+    st.sampled_from([-1.0, -0.25, 0.0, 0.5, 2.0]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+steps = st.lists(st.lists(reward_values, max_size=12), min_size=1, max_size=12)
+
+
+class TestRewardHistoryProperties:
+    @settings(deadline=None)
+    @given(steps=steps, capacity=st.one_of(st.none(), st.integers(1, 30)))
+    def test_sorted_array_tracks_values(self, steps, capacity):
+        history = RewardHistory(capacity=capacity)
+        kept: list[float] = []
+        for step in steps:
+            history.extend(step)
+            kept.extend(step)
+            if capacity is not None:
+                kept = kept[-capacity:]
+            assert history.values == kept
+            assert np.array_equal(history.sorted_values, np.sort(np.asarray(kept)))
+
+    @settings(deadline=None)
+    @given(steps=steps, capacity=st.one_of(st.none(), st.integers(1, 30)))
+    def test_bounds_match_sort_oracle(self, steps, capacity):
+        history = RewardHistory(capacity=capacity)
+        for step in steps:
+            history.extend(step)
+            if len(history):
+                expected = tuple(
+                    sort_oracle_percentile(history.values, q) for q in (20.0, 80.0)
+                )
+                assert history.quantile_bounds() == expected
+
+    @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
+    @settings(deadline=None)
+    @given(
+        past=st.lists(reward_values, min_size=1, max_size=60),
+        step=st.lists(reward_values, min_size=1, max_size=16),
+    )
+    def test_step_matches_per_pair_oracle_bitwise(self, past, step):
+        history = RewardHistory(values=past)
+        snapshot = history.values
+        raw = {f"p{i}": r for i, r in enumerate(step)}
+        normalized, bounds = normalize_step_rewards(raw, history, warmup_min=1)
+        for pair_id, r in raw.items():
+            assert bits(normalized[pair_id]) == bits(sort_oracle_normalize(r, snapshot))
+        assert bounds == (
+            sort_oracle_percentile(snapshot, 20.0),
+            sort_oracle_percentile(snapshot, 80.0),
+        )
+        assert history.values == snapshot + step
 
 
 class TestAdvantageRewards:
