@@ -43,6 +43,7 @@ from .gaussian import (
     ObservationBatch,
     make_prior,
     posterior_update,
+    sample_scores,
     sample_weight,
     sample_weights,
 )
@@ -74,6 +75,7 @@ from .online import (
     observe_feedback,
     route_batch,
     route_linucb,
+    route_weighted_batch,
     route_weighted_score,
     save_state,
     update_linucb,

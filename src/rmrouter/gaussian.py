@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 
@@ -21,20 +22,6 @@ POSTERIOR_FORMAT_VERSION = 1
 
 SYMMETRY_TOL = 1e-10
 CHOLESKY_JITTER = 1e-9
-
-
-def _failing_pivot(mat: np.ndarray) -> int:
-    """Index of the first non-positive Cholesky pivot, or -1 if none fails."""
-    d = mat.shape[0]
-    low = np.zeros_like(mat)
-    for j in range(d):
-        s = mat[j, j] - np.dot(low[j, :j], low[j, :j])
-        if s <= 0.0 or not np.isfinite(s):
-            return j
-        low[j, j] = np.sqrt(s)
-        if j + 1 < d:
-            low[j + 1 :, j] = (mat[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return -1
 
 
 def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndarray:
@@ -51,10 +38,10 @@ def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndar
     try:
         return np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError:
-        raise NonPSDError(
-            "matrix is not positive definite even after jitter",
-            pivot=_failing_pivot(jittered),
-        ) from None
+        pass
+    # LAPACK reports the first failing pivot 1-based in ``info``
+    _, info = dpotrf(jittered, lower=1)
+    raise NonPSDError("matrix is not positive definite even after jitter", pivot=info - 1)
 
 
 @dataclass
@@ -179,10 +166,7 @@ def make_prior(
 
 def sample_weight(posterior: ArmPosterior, rng: np.random.Generator) -> np.ndarray:
     """One draw w ~ N(mean, covariance); the mean itself for degenerate beliefs."""
-    if posterior.degenerate:
-        return posterior.mean.copy()
-    low = robust_cholesky(posterior.covariance)
-    return posterior.mean + low @ rng.standard_normal(posterior.d)
+    return sample_weights(posterior, rng, 1)[0]
 
 
 def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -192,6 +176,27 @@ def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) ->
     low = robust_cholesky(posterior.covariance)
     z = rng.standard_normal((n, posterior.d))
     return posterior.mean + z @ low.T
+
+
+def sample_scores(
+    posterior: ArmPosterior, contexts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One Thompson score per context row, each from its own weight draw.
+
+    A score h.w with w ~ N(mean, covariance) is N(h.mean, h.covariance.h), so
+    B independent scores need only diag(H covariance H^T) and B scalar
+    normals: O(B d^2) and no factorization.  Degenerate beliefs return
+    ``contexts @ mean`` exactly and draw nothing.
+    """
+    if contexts.ndim != 2 or contexts.shape[1] != posterior.d:
+        raise DimError(
+            f"contexts shape {contexts.shape} does not match posterior d={posterior.d}"
+        )
+    means = contexts @ posterior.mean
+    if posterior.degenerate:
+        return means
+    variances = np.einsum("ij,ij->i", contexts @ posterior.covariance, contexts)
+    return means + np.sqrt(np.maximum(variances, 0.0)) * rng.standard_normal(len(contexts))
 
 
 def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPosterior:

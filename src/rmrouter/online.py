@@ -1,9 +1,9 @@
 """Online reward-model selection via per-pair Thompson sampling.
 
 Each candidate model is a bandit arm holding a Gaussian belief over a linear
-weight vector.  Routing a batch draws one weight sample per arm for every
-pair (configurable to one sample per arm per batch), scores each pair against
-every sample, and picks the argmax; ties resolve to the lowest arm index.
+weight vector.  Routing a batch draws, for every pair and arm, the score of
+an independent weight sample (configurable to one weight sample per arm per
+batch), and picks the argmax; ties resolve to the lowest arm index.
 Feedback groups the batch's pairs by chosen arm and applies one conjugate
 update per arm, leaving unchosen arms untouched.
 
@@ -34,10 +34,10 @@ from .gaussian import (
     posterior_from_dict,
     posterior_to_dict,
     posterior_update,
-    sample_weight,
+    sample_scores,
     sample_weights,
 )
-from .offline import OfflineRouterModel, bt_scores
+from .offline import OfflineRouterModel
 from .serialize import read_json, write_json
 
 STATE_FORMAT_VERSION = 1
@@ -162,7 +162,10 @@ def _context_matrix(batch: Sequence[tuple[str, PairEmbedding]], d: int) -> np.nd
         if vec.shape != (d,):
             raise DimError(f"embedding shape {vec.shape} does not match router d={d}")
         vectors.append(vec)
-    return np.stack(vectors)
+    contexts = np.stack(vectors)
+    if not np.isfinite(contexts).all():
+        raise InputError("contexts must be finite")
+    return contexts
 
 
 def route_batch(
@@ -172,7 +175,7 @@ def route_batch(
 ) -> list[RoutingDecision]:
     """Thompson-sample a decision for every pair; does not mutate the state.
 
-    Weight samples are drawn arm by arm (arm-major order) so results are
+    Scores are drawn arm by arm (arm-major order) so results are
     reproducible for a given generator state.
     """
     if not batch:
@@ -182,11 +185,9 @@ def route_batch(
     scores = np.empty((n_pairs, state.n_arms))
     for n, arm in enumerate(state.arms):
         if state.config.resample_per_pair:
-            w = sample_weights(arm, rng, n_pairs)
-            scores[:, n] = np.einsum("ij,ij->i", contexts, w)
+            scores[:, n] = sample_scores(arm, contexts, rng)
         else:
-            w = sample_weight(arm, rng)
-            scores[:, n] = contexts @ w
+            scores[:, n] = contexts @ sample_weights(arm, rng, 1)[0]
     return [
         RoutingDecision(
             pair_id=batch[i][0],
@@ -223,25 +224,47 @@ def observe_feedback(
     Arms that received no pair keep their exact posterior objects.  Every
     rewarded pair_id must appear among the decisions, and no pair_id twice.
     """
-    by_id = _decisions_by_id(decisions, rewards)
-    grouped: dict[int, list[RoutingDecision]] = {}
-    for pair_id, dec in by_id.items():
-        if pair_id in rewards:
-            grouped.setdefault(dec.chosen_arm, []).append(dec)
+    _decisions_by_id(decisions, rewards)
+    contexts = (
+        np.stack([dec.context for dec in decisions]) if decisions else np.empty((0, state.d))
+    )
+    return observe_arrays(
+        state,
+        contexts,
+        [dec.chosen_arm for dec in decisions],
+        [dec.pair_id for dec in decisions],
+        rewards,
+    )
+
+
+def observe_arrays(
+    state: OnlineRouterState,
+    contexts: np.ndarray,
+    chosen: Sequence[int] | np.ndarray,
+    pair_ids: Sequence[str],
+    rewards: Mapping[str, float],
+) -> OnlineRouterState:
+    """Update each arm once with the rewarded pairs routed to it.
+
+    Row i of ``contexts`` is pair ``pair_ids[i]``, routed to arm ``chosen[i]``.
+    Every pair counts as a selection; only pairs with a reward update a
+    posterior.  Arms that received no rewarded pair keep their exact
+    posterior objects.
+    """
+    chosen = np.asarray(chosen, dtype=np.int64)
+    rewarded = np.array([pair_id in rewards for pair_id in pair_ids], dtype=bool)
     new_arms: list[ArmPosterior] = []
     for n, arm in enumerate(state.arms):
-        decs = grouped.get(n)
-        if not decs:
+        rows = np.flatnonzero(rewarded & (chosen == n))
+        if rows.size == 0:
             new_arms.append(arm)
             continue
         batch = ObservationBatch(
-            contexts=np.stack([dec.context for dec in decs]),
-            rewards=np.array([rewards[dec.pair_id] for dec in decs]),
+            contexts=contexts[rows],
+            rewards=np.array([rewards[pair_ids[i]] for i in rows]),
         )
         new_arms.append(posterior_update(arm, batch))
-    counts = state.selection_counts.copy()
-    for dec in decisions:
-        counts[dec.chosen_arm] += 1
+    counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
     return OnlineRouterState(
         arms=new_arms, config=state.config, step=state.step + 1, selection_counts=counts
     )
@@ -351,9 +374,42 @@ def update_linucb(
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = np.asarray(x, dtype=np.float64) - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax along the last axis (row-wise for a matrix)."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def route_weighted_batch(
+    offline_model: OfflineRouterModel,
+    zero_prior_state: OnlineRouterState,
+    contexts: np.ndarray,
+    alpha: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Chosen arm per context row for the fixed-weight offline/online mix.
+
+    Each row takes the argmax of alpha * softmax(offline scores) +
+    (1 - alpha) * softmax(sampled scores).  Sampled scores are drawn arm by
+    arm (arm-major order), as in :func:`route_batch`, whatever ``alpha`` is.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.ndim != 2 or contexts.shape[1] != zero_prior_state.d:
+        raise DimError(
+            f"contexts shape {contexts.shape} does not match router d={zero_prior_state.d}"
+        )
+    if offline_model.bt_embeddings.shape != (zero_prior_state.n_arms, zero_prior_state.d):
+        raise DimError("offline model and online state disagree on the arms or dimension")
+    if not np.isfinite(contexts).all():
+        raise InputError("contexts must be finite")
+    offline = contexts @ offline_model.bt_embeddings.T
+    sampled = np.column_stack(
+        [sample_scores(arm, contexts, rng) for arm in zero_prior_state.arms]
+    )
+    mixed = alpha * softmax(offline) + (1.0 - alpha) * softmax(sampled)
+    return np.argmax(mixed, axis=1)
 
 
 def route_weighted_score(
@@ -363,18 +419,9 @@ def route_weighted_score(
     alpha: float,
     rng: np.random.Generator,
 ) -> int:
-    """Argmax of alpha * softmax(offline scores) + (1 - alpha) * softmax(sampled scores)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    offline = bt_scores(offline_model, h)
-    if offline.shape[0] != zero_prior_state.n_arms:
-        raise DimError("offline model and online state disagree on the number of arms")
+    """:func:`route_weighted_batch` for a single context."""
     vec = h.vector if isinstance(h, PairEmbedding) else np.asarray(h, dtype=np.float64)
-    sampled = np.array(
-        [sample_weight(arm, rng) @ vec for arm in zero_prior_state.arms]
-    )
-    mixed = alpha * softmax(offline) + (1.0 - alpha) * softmax(sampled)
-    return int(np.argmax(mixed))
+    return int(route_weighted_batch(offline_model, zero_prior_state, vec[None], alpha, rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,13 @@ def quantile_normalize(
     """Rescale a centered reward into [0, 1] against historical percentiles.
 
     With fewer than ``warmup_min`` historical values the percentiles are not
-    trusted yet and the reward passes through clamp((r + 1) / 2, 0, 1).
+    trusted yet and the reward passes through clamp((r + 1) / 2, 0, 1).  A
+    non-finite reward raises :class:`InputError`.
     """
-    return _scale(float(r), _scaling_bounds(history, warmup_min))
+    r = float(r)
+    if not math.isfinite(r):
+        raise InputError("reward must be finite")
+    return _scale(r, _scaling_bounds(history, warmup_min))
 
 
 def normalize_step_rewards(

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
 from .features import PairEmbedding, PreferencePair
-from .gaussian import ObservationBatch, posterior_update
 from .offline import (
     OfflineRouterModel,
     TrainConfig,
@@ -33,15 +32,15 @@ from .offline import (
     train_offline,
 )
 from .online import (
-    OnlineRouterState,
     RoutingDecision,
     decision_record,
     init_linucb,
     init_router,
+    observe_arrays,
     observe_feedback,
     route_batch,
     route_linucb,
-    route_weighted_score,
+    route_weighted_batch,
     update_linucb,
 )
 from .rewards import (
@@ -671,14 +670,8 @@ def run_replay(
             elif kind == "offline":
                 chosen = np.argmax(contexts @ offline_model.bt_embeddings.T, axis=1)
             elif kind == "weighted":
-                chosen = np.array(
-                    [
-                        route_weighted_score(
-                            offline_model, ts_state, contexts[i], float(param), route_rng
-                        )
-                        for i in range(batch_size)
-                    ],
-                    dtype=np.int64,
+                chosen = route_weighted_batch(
+                    offline_model, ts_state, contexts, float(param), route_rng
                 )
             else:  # pragma: no cover
                 raise ConfigError(f"unhandled router kind {kind!r}")
@@ -740,7 +733,7 @@ def run_replay(
             elif kind == "linucb":
                 ucb_state = update_linucb(ucb_state, decisions, rewards_map)
             else:  # weighted: update its internal zero-prior sampler directly
-                ts_state = _update_weighted_state(ts_state, contexts, chosen, pair_ids, rewards_map)
+                ts_state = observe_arrays(ts_state, contexts, chosen, pair_ids, rewards_map)
 
             if decision_log is not None and decisions:
                 decision_log.extend(decision_record(step, dec) for dec in decisions)
@@ -768,35 +761,6 @@ def run_replay(
     if final_state_out is not None and ts_state is not None:
         final_state_out.append(ts_state)
     return metrics
-
-
-def _update_weighted_state(
-    state: OnlineRouterState,
-    contexts: np.ndarray,
-    chosen: np.ndarray,
-    pair_ids: list[str],
-    rewards: dict[str, float],
-) -> OnlineRouterState:
-    grouped: dict[int, list[int]] = {}
-    for i, pid in enumerate(pair_ids):
-        if pid in rewards:
-            grouped.setdefault(int(chosen[i]), []).append(i)
-    new_arms = []
-    for n, arm in enumerate(state.arms):
-        idx = grouped.get(n)
-        if not idx:
-            new_arms.append(arm)
-            continue
-        batch = ObservationBatch(
-            contexts=contexts[idx],
-            rewards=np.array([rewards[pair_ids[i]] for i in idx]),
-        )
-        new_arms.append(posterior_update(arm, batch))
-    counts = state.selection_counts.copy()
-    counts += np.bincount(chosen, minlength=state.n_arms)
-    return OnlineRouterState(
-        arms=new_arms, config=state.config, step=state.step + 1, selection_counts=counts
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 from rmrouter.gaussian import (
@@ -10,6 +12,7 @@ from rmrouter.gaussian import (
     posterior_to_dict,
     posterior_update,
     robust_cholesky,
+    sample_scores,
     sample_weight,
     sample_weights,
 )
@@ -86,6 +89,46 @@ class TestSampling:
             robust_cholesky(bad)
         assert exc.value.pivot == 1
         assert "pivot 1" in str(exc.value)
+
+
+class TestSampleScores:
+    @settings(deadline=None, max_examples=30)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_monte_carlo_matches_score_moments(self, d, seed):
+        # h.w for w ~ N(mean, cov) has mean h.mean and variance h.cov.h
+        rng = np.random.default_rng(seed)
+        post = ArmPosterior(
+            mean=rng.standard_normal(d),
+            covariance=random_spd(rng, d, scale=1.0 / d),
+            noise_variance=1.0,
+        )
+        contexts = rng.standard_normal((3, d))
+        n = 20_000
+        draws = sample_scores(post, np.repeat(contexts, n, axis=0), rng).reshape(3, n)
+        mean = contexts @ post.mean
+        var = np.einsum("ij,jk,ik->i", contexts, post.covariance, contexts)
+        assert np.all(np.abs(draws.mean(axis=1) - mean) < 6.0 * np.sqrt(var / n))
+        assert np.all(np.abs(draws.var(axis=1) / var - 1.0) < 6.0 * np.sqrt(2.0 / n))
+
+    @settings(deadline=None)
+    @given(d=st.integers(1, 6), b=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    def test_degenerate_is_exact_and_draws_nothing(self, d, b, seed):
+        rng = np.random.default_rng(seed)
+        mean = rng.standard_normal(d)
+        contexts = rng.standard_normal((b, d))
+        post = ArmPosterior(
+            mean=mean, covariance=np.zeros((d, d)), noise_variance=1.0, degenerate=True
+        )
+        before = rng.bit_generator.state
+        assert np.array_equal(sample_scores(post, contexts, rng), contexts @ mean)
+        assert rng.bit_generator.state == before
+
+    def test_context_dimension_checked(self):
+        post = make_prior(3)
+        with pytest.raises(DimError):
+            sample_scores(post, np.zeros((2, 4)), np.random.default_rng(0))
+        with pytest.raises(DimError):
+            sample_scores(post, np.zeros(3), np.random.default_rng(0))
 
 
 class TestPosteriorUpdate:

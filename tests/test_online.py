@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.features import PairEmbedding
@@ -14,6 +16,7 @@ from rmrouter.online import (
     observe_feedback,
     route_batch,
     route_linucb,
+    route_weighted_batch,
     route_weighted_score,
     softmax,
     state_from_dict,
@@ -128,6 +131,32 @@ class TestRouteBatch:
         # rows must agree on the chosen arm
         assert len({dec.chosen_arm for dec in decisions}) == 1
 
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n_arms=st.integers(1, 5),
+        d=st.integers(1, 6),
+        b=st.integers(1, 16),
+        resample=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_reproducible_for_a_seed(self, n_arms, d, b, resample, seed):
+        rng = np.random.default_rng(seed)
+        state = init_router(n_arms, d, resample_per_pair=resample)
+        batch = embeddings_of(rng.standard_normal((b, d)))
+        state = observe_feedback(
+            state, route_batch(state, batch, rng), {pid: float(rng.normal()) for pid, _ in batch}
+        )
+        first = route_batch(state, batch, np.random.default_rng(seed))
+        second = route_batch(state, batch, np.random.default_rng(seed))
+        for x, y in zip(first, second):
+            assert x.chosen_arm == y.chosen_arm
+            assert np.array_equal(x.sampled_scores, y.sampled_scores)
+
+    def test_non_finite_raw_context_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputError):
+            route_batch(init_router(2, 2), [("p", np.array([np.nan, 1.0]))], rng)
+
 
 class TestObserveFeedback:
     def test_only_routed_arm_changes(self):
@@ -173,6 +202,19 @@ class TestObserveFeedback:
         decisions = [RoutingDecision("p0", 0, np.array([1.0, 0.0]), np.array([1.0]))]
         with pytest.raises(InputError):
             observe_feedback(state, decisions, {"mystery": 1.0})
+
+    def test_unrewarded_pair_counts_but_does_not_update(self):
+        state = init_router(2, 1)
+        scores = np.array([1.0, 0.0])
+        decisions = [
+            RoutingDecision("a", 0, scores, np.array([1.0])),
+            RoutingDecision("b", 0, scores, np.array([1.0])),
+        ]
+        partial = observe_feedback(state, decisions, {"a": 1.0})
+        only_a = observe_feedback(state, decisions[:1], {"a": 1.0})
+        assert np.array_equal(partial.arms[0].mean, only_a.arms[0].mean)
+        assert partial.arms[0].update_count == 1
+        assert list(partial.selection_counts) == [2, 0]
 
     def test_duplicate_pair_id_rejected(self):
         state = init_router(3, 1)
@@ -246,6 +288,10 @@ class TestLinUcb:
         # falls back to the arm-0 tie-break
         assert [d.chosen_arm for d in decisions] == [1, 0]
 
+    def test_non_finite_raw_context_rejected(self):
+        with pytest.raises(InputError):
+            route_linucb(init_linucb(2, 2), [("p", np.array([np.nan, 1.0]))], alpha=1.0)
+
 
 class TestWeightedScore:
     def make_offline(self, rng, n_arms=3, d=4):
@@ -287,6 +333,39 @@ class TestWeightedScore:
         state = init_router(3, 4)
         with pytest.raises(ConfigError):
             route_weighted_score(model, state, PairEmbedding.of(np.zeros(4)), 1.5, rng)
+
+    def test_non_finite_raw_context_rejected(self):
+        rng = np.random.default_rng(16)
+        model = self.make_offline(rng, d=2)
+        state = init_router(3, 2)
+        with pytest.raises(InputError):
+            route_weighted_score(model, state, np.array([np.nan, 1.0]), 0.5, rng)
+        with pytest.raises(InputError):
+            route_weighted_batch(model, state, np.array([[0.0, 1.0], [np.inf, 1.0]]), 0.5, rng)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n_arms=st.integers(1, 5),
+        d=st.integers(1, 6),
+        b=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_rows_match_thompson_and_offline(self, n_arms, d, b, seed):
+        # alpha = 0 is per-pair Thompson routing and alpha = 1 the offline
+        # router, row by row, given generators in the same state
+        rng = np.random.default_rng(seed)
+        model = self.make_offline(rng, n_arms, d)
+        state = init_router(n_arms, d)
+        batch = embeddings_of(rng.standard_normal((b, d)))
+        state = observe_feedback(
+            state, route_batch(state, batch, rng), {pid: float(rng.normal()) for pid, _ in batch}
+        )
+        contexts = rng.standard_normal((b, d))
+        thompson = route_batch(state, embeddings_of(contexts), np.random.default_rng(seed))
+        mix_online = route_weighted_batch(model, state, contexts, 0.0, np.random.default_rng(seed))
+        mix_offline = route_weighted_batch(model, state, contexts, 1.0, np.random.default_rng(seed))
+        assert list(mix_online) == [dec.chosen_arm for dec in thompson]
+        assert list(mix_offline) == [route_offline(model, h) for h in contexts]
 
 
 class TestStatePersistence:

@@ -119,6 +119,18 @@ class TestQuantileNormalize:
         assert quantile_normalize(1.5, history) == 1.0
         assert quantile_normalize(-9.0, history) == 0.0
 
+    def test_non_finite_rejected(self):
+        history = self.make_history()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                quantile_normalize(bad, history)
+        assert history.degenerate_events == 0
+
+    def test_non_finite_rejected_during_warmup(self):
+        history = RewardHistory(values=[0.0] * 10)
+        with pytest.raises(InputError):
+            quantile_normalize(math.nan, history)
+
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(1)
         history = RewardHistory(values=list(rng.normal(0, 1, size=100)))
