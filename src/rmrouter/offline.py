@@ -242,39 +242,40 @@ def loss_and_grads(
             )
         h_all = contexts
 
-    grads: dict[str, np.ndarray] = {
-        "bt_embeddings": np.zeros_like(model.bt_embeddings),
-        "cls_embeddings": np.zeros_like(model.cls_embeddings),
-    }
-    grad_h = np.zeros_like(h_all)
+    # Both heads are read from per-pair score matrices (P x N) and take their
+    # gradients through a score gradient G accumulated per (row, arm) cell:
+    # grad_E = G^T H and grad_h = G E, with no scatter over index rows.
+    n_rows, n_arms = h_all.shape[0], model.n_arms
+    cells = n_rows * n_arms
 
     loss_bt = 0.0
+    g_bt = np.zeros((n_rows, n_arms))
     if len(bt_index):
-        rows, winners, losers = bt_index[:, 0], bt_index[:, 1], bt_index[:, 2]
-        h_rows = h_all[rows]
-        diff = model.bt_embeddings[winners] - model.bt_embeddings[losers]
-        margin = np.einsum("ij,ij->i", h_rows, diff)
+        rows, winners, losers = bt_index.T
+        scores = h_all @ model.bt_embeddings.T
+        margin = scores[rows, winners] - scores[rows, losers]
         loss_bt = float(np.mean(np.logaddexp(0.0, -margin)))
         g = (expit(margin) - 1.0) / len(bt_index)
-        contrib = g[:, None] * h_rows
-        np.add.at(grads["bt_embeddings"], winners, contrib)
-        np.add.at(grads["bt_embeddings"], losers, -contrib)
-        np.add.at(grad_h, rows, g[:, None] * diff)
+        at = rows * n_arms
+        g_bt = np.bincount(at + winners, g, cells) - np.bincount(at + losers, g, cells)
+        g_bt = g_bt.reshape(n_rows, n_arms)
 
     loss_cls = 0.0
+    g_cls = np.zeros((n_rows, n_arms))
     if len(beh_index):
-        rows, rms, delta = beh_index[:, 0], beh_index[:, 1], beh_index[:, 2]
-        h_rows = h_all[rows]
-        z = np.einsum("ij,ij->i", h_rows, model.cls_embeddings[rms])
+        rows, rms, delta = beh_index.T
+        z = (h_all @ model.cls_embeddings.T)[rows, rms]
         loss_cls = float(
             np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
         )
         if lam != 0.0:
             gz = lam * (expit(z) - delta) / len(beh_index)
-            np.add.at(grads["cls_embeddings"], rms, gz[:, None] * h_rows)
-            np.add.at(grad_h, rows, gz[:, None] * model.cls_embeddings[rms])
+            g_cls = np.bincount(rows * n_arms + rms, gz, cells).reshape(n_rows, n_arms)
+
+    grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
 
     if model.fusion is not None:
+        grad_h = g_bt @ model.bt_embeddings + g_cls @ model.cls_embeddings
         grad_pre = grad_h * (1.0 - h_all**2) if model.fusion.activation == "tanh" else grad_h
         grads["fusion_weight"] = grad_pre.T @ contexts
         grads["fusion_bias"] = grad_pre.sum(axis=0)
@@ -351,41 +352,29 @@ def train_offline(
         n_arms=n_arms,
     )
 
-    bt_by_row: dict[int, list[int]] = {}
-    for i, row in enumerate(bt_index[:, 0]):
-        bt_by_row.setdefault(int(row), []).append(i)
-    beh_by_row: dict[int, list[int]] = {}
-    for i, row in enumerate(beh_index[:, 0]):
-        beh_by_row.setdefault(int(row), []).append(i)
-
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
-    n_pairs = len(pairs)
+    n_pairs, batch_size = len(pairs), config.batch_size
     for epoch in range(config.epochs):
         perm = rng.permutation(n_pairs)
+        shuffled = contexts[perm]
+        bt_batches, bt_cuts = _epoch_batches(perm, batch_size, bt_index)
+        beh_batches, beh_cuts = _epoch_batches(perm, batch_size, beh_index)
         sums = {"bt": 0.0, "cls": 0.0}
-        counts = {"bt": 0, "cls": 0}
-        for start in range(0, n_pairs, config.batch_size):
-            batch_rows = perm[start : start + config.batch_size]
-            bt_ids = [i for row in batch_rows for i in bt_by_row.get(int(row), ())]
-            beh_ids = [i for row in batch_rows for i in beh_by_row.get(int(row), ())]
-            if not bt_ids and not beh_ids:
+        for k, start in enumerate(range(0, n_pairs, batch_size)):
+            batch_bt = bt_batches[bt_cuts[k] : bt_cuts[k + 1]]
+            batch_beh = beh_batches[beh_cuts[k] : beh_cuts[k + 1]]
+            if not len(batch_bt) and not len(batch_beh):
                 continue
-            batch_bt = bt_index[bt_ids]
-            batch_beh = beh_index[beh_ids]
-            used = np.unique(np.concatenate([batch_bt[:, 0], batch_beh[:, 0]]))
-            remap_bt = batch_bt.copy()
-            remap_bt[:, 0] = np.searchsorted(used, batch_bt[:, 0])
-            remap_beh = batch_beh.copy()
-            remap_beh[:, 0] = np.searchsorted(used, batch_beh[:, 0])
-            losses, grads = loss_and_grads(model, contexts[used], remap_bt, remap_beh)
+            losses, grads = loss_and_grads(
+                model, shuffled[start : start + batch_size], batch_bt, batch_beh
+            )
             _apply_sgd_step(model, grads, velocity, config)
-            sums["bt"] += losses["bt"] * len(bt_ids)
-            sums["cls"] += losses["cls"] * len(beh_ids)
-            counts["bt"] += len(bt_ids)
-            counts["cls"] += len(beh_ids)
-        epoch_bt = sums["bt"] / counts["bt"] if counts["bt"] else 0.0
-        epoch_cls = sums["cls"] / counts["cls"] if counts["cls"] else 0.0
+            sums["bt"] += losses["bt"] * len(batch_bt)
+            sums["cls"] += losses["cls"] * len(batch_beh)
+        # every index row falls in exactly one minibatch, and neither set is empty
+        epoch_bt = sums["bt"] / len(bt_index)
+        epoch_cls = sums["cls"] / len(beh_index)
         history.append(
             {
                 "epoch": epoch,
@@ -403,6 +392,26 @@ def train_offline(
         "config": asdict(config),
     }
     return TrainResult(model=model, history=history)
+
+
+def _epoch_batches(
+    perm: np.ndarray, batch_size: int, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index rows grouped by the minibatch of their pair, and the cut points.
+
+    Minibatch k covers the pairs ``perm[k * batch_size : (k + 1) * batch_size]``
+    and holds ``batches[cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order,
+    then record order, with column 0 rewritten to the pair's offset inside
+    the minibatch.
+    """
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
+    at = pos[index[:, 0]]
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    batches = index[order]
+    batches[:, 0] = at % batch_size
+    return batches, np.searchsorted(at, np.arange(0, len(perm) + batch_size, batch_size))
 
 
 def _apply_sgd_step(

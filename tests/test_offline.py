@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from rmrouter.errors import ConfigError, InputError, TrainError
 from rmrouter.features import FusionParams, PairEmbedding, PreferencePair
@@ -10,6 +13,7 @@ from rmrouter.offline import (
     DisagreementSample,
     OfflineRouterModel,
     TrainConfig,
+    _epoch_batches,
     bt_loss,
     bt_scores,
     cls_loss,
@@ -261,6 +265,121 @@ class TestGradients:
             model, contexts, bt, beh = random_instance(rng, with_fusion=bool(rng.integers(2)))
             losses, _ = loss_and_grads(model, contexts, bt, beh)
             assert losses["total"] == losses["bt"] + model.lam * losses["cls"]
+
+
+def scatter_loss_and_grads(model, contexts, bt_index, beh_index, lam):
+    """Reference: the per-sample gather / ``np.add.at`` scatter formulation."""
+    if model.fusion is not None:
+        pre = contexts @ model.fusion.weight.T + model.fusion.bias
+        h_all = np.tanh(pre)
+    else:
+        h_all = contexts
+    grads = {
+        "bt_embeddings": np.zeros_like(model.bt_embeddings),
+        "cls_embeddings": np.zeros_like(model.cls_embeddings),
+    }
+    grad_h = np.zeros_like(h_all)
+    loss_bt = 0.0
+    if len(bt_index):
+        rows, winners, losers = bt_index[:, 0], bt_index[:, 1], bt_index[:, 2]
+        h_rows = h_all[rows]
+        diff = model.bt_embeddings[winners] - model.bt_embeddings[losers]
+        margin = np.einsum("ij,ij->i", h_rows, diff)
+        loss_bt = float(np.mean(np.logaddexp(0.0, -margin)))
+        g = (expit(margin) - 1.0) / len(bt_index)
+        np.add.at(grads["bt_embeddings"], winners, g[:, None] * h_rows)
+        np.add.at(grads["bt_embeddings"], losers, -g[:, None] * h_rows)
+        np.add.at(grad_h, rows, g[:, None] * diff)
+    loss_cls = 0.0
+    if len(beh_index):
+        rows, rms, delta = beh_index[:, 0], beh_index[:, 1], beh_index[:, 2]
+        h_rows = h_all[rows]
+        z = np.einsum("ij,ij->i", h_rows, model.cls_embeddings[rms])
+        loss_cls = float(
+            np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
+        )
+        if lam != 0.0:
+            gz = lam * (expit(z) - delta) / len(beh_index)
+            np.add.at(grads["cls_embeddings"], rms, gz[:, None] * h_rows)
+            np.add.at(grad_h, rows, gz[:, None] * model.cls_embeddings[rms])
+    if model.fusion is not None:
+        grad_pre = grad_h * (1.0 - h_all**2)
+        grads["fusion_weight"] = grad_pre.T @ contexts
+        grads["fusion_bias"] = grad_pre.sum(axis=0)
+    return {"bt": loss_bt, "cls": loss_cls, "total": loss_bt + lam * loss_cls}, grads
+
+
+class TestScoreSpaceGradients:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n_arms=st.integers(2, 5),
+        n_rows=st.integers(1, 6),
+        n_bt=st.integers(0, 12),
+        n_beh=st.integers(0, 12),
+        with_fusion=st.booleans(),
+        lam=st.sampled_from([0.0, 0.2, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scatter_reference(self, n_arms, n_rows, n_bt, n_beh, with_fusion, lam, seed):
+        rng = np.random.default_rng(seed)
+        d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
+        contexts = rng.standard_normal((n_rows, 2 * d_enc if with_fusion else d))
+        # few rows and arms, so rows and (row, arm) cells repeat
+        winner_loser = np.argsort(rng.random((n_bt, n_arms)), axis=1)[:, :2]
+        bt = np.column_stack([rng.integers(0, n_rows, n_bt), winner_loser])
+        beh = np.column_stack(
+            [rng.integers(0, n_rows, n_beh), rng.integers(0, n_arms, n_beh), rng.integers(0, 2, n_beh)]
+        )
+        losses, grads = loss_and_grads(model, contexts, bt, beh)
+        ref_losses, ref_grads = scatter_loss_and_grads(model, contexts, bt, beh, lam)
+        for name, value in ref_losses.items():
+            assert abs(losses[name] - value) <= 1e-12 * max(abs(value), 1e-300), name
+        assert grads.keys() == ref_grads.keys()
+        for name, value in ref_grads.items():
+            assert rel_err(grads[name], value) < 1e-12, name
+
+
+def partition_reference(perm, batch_size, index):
+    """Minibatch k: index rows whose pair is in perm[k*bs:(k+1)*bs], perm then record order."""
+    batches = []
+    for start in range(0, len(perm), batch_size):
+        block = list(perm[start : start + batch_size])
+        rows = [r for pair in block for r in index if r[0] == pair]
+        batches.append([(block.index(r[0]), *r[1:]) for r in rows])
+    return batches
+
+
+class TestEpochBatches:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n_pairs=st.integers(1, 30),
+        batch_size=st.integers(1, 9),
+        n_rows=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_minibatch_k_holds_its_pairs_rows_in_order(self, n_pairs, batch_size, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        # row pair ids drawn with replacement: some pairs get several rows, some
+        # none; the record columns number the rows so their order is visible
+        index = np.column_stack(
+            [rng.integers(0, n_pairs, n_rows), np.arange(n_rows), rng.integers(0, 2, n_rows)]
+        )
+        perm = rng.permutation(n_pairs)
+        batches, cuts = _epoch_batches(perm, batch_size, index)
+        expected = partition_reference(perm, batch_size, [tuple(r) for r in index])
+        assert len(cuts) == len(expected) + 1
+        assert cuts[0] == 0 and cuts[-1] == n_rows
+        for k, rows in enumerate(expected):
+            got = [tuple(r) for r in batches[cuts[k] : cuts[k + 1]]]
+            assert got == rows, k
+
+    def test_short_last_batch_and_pairs_without_rows(self):
+        index = np.array([[4, 0, 1], [1, 1, 0], [4, 2, 0], [0, 3, 1]])
+        batches, cuts = _epoch_batches(np.array([4, 2, 3, 0, 1]), 2, index)
+        assert cuts.tolist() == [0, 2, 3, 4]
+        # batch 0 = pairs (4, 2): pair 4's two records; batch 1 = (3, 0); batch 2 = (1,)
+        assert batches.tolist() == [[0, 0, 1], [0, 2, 0], [1, 3, 1], [0, 1, 0]]
 
 
 class TestRouteOffline:

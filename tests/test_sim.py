@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.offline import collect_behavior
@@ -129,6 +131,74 @@ class TestMajority:
         draws = rng.random((200_000, 4)) < np.asarray(probs)
         hits = (draws.sum(axis=1) > 2) | ((draws.sum(axis=1) == 2) & draws[:, 0])
         assert abs(exact - hits.mean()) < 0.005
+
+
+def majority_labels_loop(answers):
+    """Reference: the per-pair vote count."""
+    n_pairs, n_arms = answers.shape
+    labels = np.empty(n_pairs, dtype="<U1")
+    consensus = np.empty(n_pairs)
+    attributed = np.empty(n_pairs, dtype=np.int64)
+    for i in range(n_pairs):
+        votes_a = int(np.sum(answers[i] == "A"))
+        votes_b = n_arms - votes_a
+        if votes_a > votes_b:
+            label = "A"
+        elif votes_b > votes_a:
+            label = "B"
+        else:
+            label = str(answers[i, 0])
+        labels[i] = label
+        consensus[i] = max(votes_a, votes_b) / n_arms
+        attributed[i] = int(np.argmax(answers[i] == label))
+    return labels, consensus, attributed
+
+
+def majority_prob_enumeration(probs):
+    """Reference: sum over all 2^N correctness outcomes."""
+    n = len(probs)
+    total = 0.0
+    for mask in range(1 << n):
+        bits = [(mask >> i) & 1 for i in range(n)]
+        weight = 1.0
+        for b, q in zip(bits, probs):
+            weight *= q if b else (1.0 - q)
+        hits = sum(bits)
+        if 2 * hits > n or (2 * hits == n and bits[0] == 1):
+            total += weight
+    return total
+
+
+class TestMajorityReferences:
+    @settings(deadline=None, max_examples=60)
+    @given(n_pairs=st.integers(0, 12), n_arms=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_labels_match_loop(self, n_pairs, n_arms, seed):
+        answers = np.random.default_rng(seed).choice(np.array(["A", "B"]), size=(n_pairs, n_arms))
+        for got, want in zip(_majority_labels(answers), majority_labels_loop(answers)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @settings(deadline=None, max_examples=100)
+    @given(probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+    def test_prob_matches_enumeration(self, probs):
+        assert abs(majority_correct_prob(probs) - majority_prob_enumeration(probs)) <= 1e-12
+
+    def test_majority_replay_with_64_arms(self):
+        n_arms = 64
+        scenario = SimScenario(
+            n_arms=n_arms,
+            clusters=[basis_cluster(0, 0), basis_cluster(1, 1)],
+            arm_profiles=[{0: 0.5 + 0.4 * (n % 2), 1: 0.9 - 0.4 * (n % 2)} for n in range(n_arms)],
+            pairs_per_step=8,
+            n_steps=4,
+            seeds=[1],
+            offline_pairs=0,
+        )
+        metrics = run_replay("majority", generate_scenario(scenario, 1), ReplayConfig(seed=1))
+        assert metrics.arm_selection_counts.sum() == 8 * 4
+        assert metrics.rm_calls_per_step == [n_arms * 8] * 4
+        # the vote beats the best single arm, so regret against that arm falls
+        assert metrics.cumulative_regret[-1] < 0
 
 
 class TestRunReplay:
