@@ -45,11 +45,13 @@ from .offline import (
 from .online import save_state, state_from_dict
 from .serialize import read_json, write_json, write_jsonl
 from .sim import (
+    REWARD_VARIANTS,
     ReplayConfig,
     RunMetrics,
     compare_runs,
     generate_scenario,
     parse_router,
+    reads_offline_prior,
     run_replay,
     scenario_from_dict,
 )
@@ -226,7 +228,7 @@ def _run_one_seed(payload: tuple) -> list[dict]:
         elif spec == "thompson":
             config.prior_mode = "zero"
         kind, _ = parse_router(spec)
-        if not (kind in ("offline", "weighted") or (kind == "thompson" and config.prior_mode == "injected")):
+        if not reads_offline_prior(kind, config.prior_mode):
             config.offline_prior = None
         decision_log: list = []
         reward_log: list = []
@@ -293,7 +295,7 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     needs_prior = [
         spec
         for spec in (args.router.split(",") if args.router != "all" else [])
-        if parse_router(spec)[0] in ("offline", "weighted")
+        if reads_offline_prior(parse_router(spec)[0], args.prior)
     ]
     if needs_prior and prior is None:
         raise InputError(f"router(s) {needs_prior} require --prior-file")
@@ -474,11 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linucb-per-pair", action="store_true",
                    help="score each pair separately instead of one arm per batch")
     p.add_argument("--weighted-alpha", type=float, default=0.5)
-    p.add_argument(
-        "--reward-variant",
-        choices=("batch_quantile", "neg_loss", "full_advantage", "light_advantage"),
-        default="batch_quantile",
-    )
+    p.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="batch_quantile")
     p.add_argument("--light-c", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_run_sim)

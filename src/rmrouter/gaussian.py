@@ -1,27 +1,25 @@
 """Gaussian beliefs over linear reward weights, with conjugate batch updates.
 
-Every routing arm keeps a multivariate normal belief w ~ N(mean, covariance)
-over the weight vector of a linear reward model r = w.h + noise.  Updates use
-the information form: the precision matrix accumulates sum(h h^T) / sigma^2
-and the shift vector accumulates sum(r h) / sigma^2, after which mean and
-covariance are refreshed through a symmetric (Cholesky) solve.  No explicit
-matrix inverse is formed outside that refresh.
+Every routing arm keeps a belief w ~ N(mean, covariance) over the weights of a
+linear reward model r = w.h + noise.  The mean and the positive definite
+covariance are its whole state, updated by the Kalman step of posterior_update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
-from .errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
+from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
 
 POSTERIOR_FORMAT_VERSION = 1
 
 SYMMETRY_TOL = 1e-10
 CHOLESKY_JITTER = 1e-9
+GAIN_ROWS = 64  # rows per Kalman gain: bounds the innovation matrix for any batch
 
 
 def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndarray:
@@ -46,15 +44,15 @@ def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndar
 
 @dataclass
 class ArmPosterior:
-    """Gaussian belief over one arm's weight vector.
+    """Gaussian belief N(mean, covariance) over one arm's weight vector.
 
     Treat instances as immutable: updates return new posteriors, sampling is
     read-only, and concurrent updates to one arm must be serialized by the
-    caller.  ``degenerate`` opts into an exactly zero covariance (point mass
-    at the mean); it is meant for ablations and tests only and cannot be
-    updated.  ``precision`` and ``shift`` are the information-form
-    accumulators (inverse covariance and precision @ mean); they are derived
-    from the covariance when not supplied.
+    caller.  Every field must be finite and the covariance symmetric positive
+    definite; construction checks this with one Cholesky factorization, which
+    also validates beliefs loaded from state files.  ``degenerate`` opts into
+    an exactly zero covariance (point mass at the mean); it is meant for
+    ablations and tests only and cannot be updated.
     """
 
     mean: np.ndarray
@@ -62,8 +60,6 @@ class ArmPosterior:
     noise_variance: float
     update_count: int = 0
     degenerate: bool = False
-    precision: np.ndarray | None = field(default=None, repr=False)
-    shift: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -76,6 +72,9 @@ class ArmPosterior:
             raise DimError(
                 f"covariance shape {self.covariance.shape} does not match mean length {d}"
             )
+        finite = np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()
+        if not (finite and np.isfinite(self.noise_variance)):
+            raise InputError("mean, covariance and noise_variance must be finite")
         if self.noise_variance <= 0.0:
             raise ConfigError(f"noise_variance must be positive, got {self.noise_variance}")
         asym = float(np.max(np.abs(self.covariance - self.covariance.T))) if d else 0.0
@@ -84,27 +83,12 @@ class ArmPosterior:
         if self.degenerate:
             if np.any(self.covariance != 0.0):
                 raise ConfigError("degenerate posteriors require an exactly zero covariance")
-            self.precision = None
-            self.shift = None
             return
         if d and not np.any(self.covariance):
             raise NonPSDError(
                 "zero covariance is only allowed with the explicit degenerate flag", pivot=0
             )
-        if self.precision is None:
-            low = robust_cholesky(self.covariance)
-            self.precision = cho_solve((low, True), np.eye(d))
-            self.precision = 0.5 * (self.precision + self.precision.T)
-        else:
-            self.precision = np.asarray(self.precision, dtype=np.float64)
-            if self.precision.shape != (d, d):
-                raise DimError("precision shape does not match dimension")
-        if self.shift is None:
-            self.shift = self.precision @ self.mean
-        else:
-            self.shift = np.asarray(self.shift, dtype=np.float64)
-            if self.shift.shape != (d,):
-                raise DimError("shift shape does not match dimension")
+        robust_cholesky(self.covariance)
 
     @property
     def d(self) -> int:
@@ -149,18 +133,11 @@ def make_prior(
         raise ConfigError(f"dimension must be >= 1, got {d}")
     if prior_variance <= 0.0:
         raise ConfigError(f"prior_variance must be positive, got {prior_variance}")
-    if noise_variance <= 0.0:
-        raise ConfigError(f"noise_variance must be positive, got {noise_variance}")
     mean = np.zeros(d) if prior_mean is None else np.asarray(prior_mean, dtype=np.float64)
     if mean.shape != (d,):
         raise DimError(f"prior_mean shape {mean.shape} does not match d={d}")
-    eye = np.eye(d)
     return ArmPosterior(
-        mean=mean.copy(),
-        covariance=prior_variance * eye,
-        noise_variance=noise_variance,
-        precision=eye / prior_variance,
-        shift=mean / prior_variance,
+        mean=mean.copy(), covariance=prior_variance * np.eye(d), noise_variance=noise_variance
     )
 
 
@@ -202,9 +179,11 @@ def sample_scores(
 def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPosterior:
     """Conjugate update with a batch of (context, reward) observations.
 
-    An empty batch returns the posterior unchanged.  The batch result equals
-    the fold of single-observation updates up to floating-point accumulation
-    order.
+    Rows H enter GAIN_ROWS at a time by the Kalman step: with the innovation
+    G = sigma^2 I + H cov H^T and the gain K = cov H^T G^-1, mean += K (r - H
+    mean) and cov -= K H cov.  G is the only factorization, so k rows cost
+    O(k d^2).  An empty batch returns the posterior unchanged; the result
+    equals the fold of single-observation updates up to rounding.
     """
     if len(batch) == 0:
         return posterior
@@ -214,26 +193,24 @@ def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPos
         raise DimError(
             f"context dimension {batch.contexts.shape[1]} does not match posterior d={posterior.d}"
         )
-    inv_noise = 1.0 / posterior.noise_variance
-    precision = posterior.precision + inv_noise * (batch.contexts.T @ batch.contexts)
-    precision = 0.5 * (precision + precision.T)
-    shift = posterior.shift + inv_noise * (batch.contexts.T @ batch.rewards)
+    mean, covariance = posterior.mean, posterior.covariance
     try:
-        low = robust_cholesky(precision)
-    except NonPSDError as exc:
-        raise NumericalError(f"updated precision matrix is not invertible: {exc}") from exc
-    eye = np.eye(posterior.d)
-    covariance = cho_solve((low, True), eye)
-    covariance = 0.5 * (covariance + covariance.T)
-    mean = cho_solve((low, True), shift)
-    return ArmPosterior(
-        mean=mean,
-        covariance=covariance,
-        noise_variance=posterior.noise_variance,
-        update_count=posterior.update_count + len(batch),
-        precision=precision,
-        shift=shift,
-    )
+        for start in range(0, len(batch), GAIN_ROWS):
+            h = batch.contexts[start : start + GAIN_ROWS]
+            h_cov = h @ covariance
+            innovation = posterior.noise_variance * np.eye(len(h)) + h_cov @ h.T
+            low = robust_cholesky(0.5 * (innovation + innovation.T))
+            gain_t = cho_solve((low, True), h_cov)
+            mean = mean + gain_t.T @ (batch.rewards[start : start + GAIN_ROWS] - h @ mean)
+            covariance = covariance - h_cov.T @ gain_t
+        return ArmPosterior(
+            mean=mean,
+            covariance=0.5 * (covariance + covariance.T),
+            noise_variance=posterior.noise_variance,
+            update_count=posterior.update_count + len(batch),
+        )
+    except (InputError, NonPSDError, ValueError) as exc:  # ValueError: overflow to inf or NaN
+        raise NumericalError(f"update does not give a valid posterior: {exc}") from exc
 
 
 def posterior_to_dict(posterior: ArmPosterior) -> dict:
@@ -249,19 +226,22 @@ def posterior_to_dict(posterior: ArmPosterior) -> dict:
 
 
 def posterior_from_dict(doc: dict) -> ArmPosterior:
+    """Inverse of :func:`posterior_to_dict`; a malformed document raises FormatError."""
     version = doc.get("version")
     if version != POSTERIOR_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported posterior format version {version!r}; "
             f"supported: {POSTERIOR_FORMAT_VERSION}"
         )
-    d = int(doc["d"])
-    covariance = np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d)
-    degenerate = not np.any(covariance)
-    return ArmPosterior(
-        mean=np.asarray(doc["mean"], dtype=np.float64),
-        covariance=covariance,
-        noise_variance=float(doc["noise_variance"]),
-        update_count=int(doc["update_count"]),
-        degenerate=degenerate,
-    )
+    try:
+        d = int(doc["d"])
+        covariance = np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d)
+        return ArmPosterior(
+            mean=np.asarray(doc["mean"], dtype=np.float64),
+            covariance=covariance,
+            noise_variance=float(doc["noise_variance"]),
+            update_count=int(doc["update_count"]),
+            degenerate=not np.any(covariance),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed posterior document: {exc!r}") from exc

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimError, InputError, NumericalError
+from .errors import ConfigError, DimError, FormatError, InputError, NumericalError
 from .features import PairEmbedding
 from .gaussian import (
     ArmPosterior,
@@ -444,24 +444,28 @@ def state_to_dict(state: OnlineRouterState) -> dict:
 
 
 def state_from_dict(doc: dict) -> OnlineRouterState:
+    """Inverse of :func:`state_to_dict`; a malformed document raises FormatError."""
     version = doc.get("version")
     if version != STATE_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported router state version {version!r}; supported: {STATE_FORMAT_VERSION}"
         )
-    cfg = doc["config"]
-    config = RouterConfig(
-        sigma_sq=float(cfg["sigma_sq"]),
-        prior_variance=float(cfg["prior_variance"]),
-        prior_mode=cfg["prior_mode"],
-        resample_per_pair=bool(cfg.get("resample_per_pair", True)),
-    )
-    return OnlineRouterState(
-        arms=[posterior_from_dict(arm) for arm in doc["arms"]],
-        config=config,
-        step=int(doc["step"]),
-        selection_counts=np.asarray(doc["selection_counts"], dtype=np.int64),
-    )
+    try:
+        cfg = doc["config"]
+        config = RouterConfig(
+            sigma_sq=float(cfg["sigma_sq"]),
+            prior_variance=float(cfg["prior_variance"]),
+            prior_mode=cfg["prior_mode"],
+            resample_per_pair=bool(cfg.get("resample_per_pair", True)),
+        )
+        return OnlineRouterState(
+            arms=[posterior_from_dict(arm) for arm in doc["arms"]],
+            config=config,
+            step=int(doc["step"]),
+            selection_counts=np.asarray(doc["selection_counts"], dtype=np.int64),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed router state: {exc!r}") from exc
 
 
 def save_state(path, state: OnlineRouterState) -> None:

@@ -490,20 +490,28 @@ def parse_router(name: str) -> tuple[str, float | int | None]:
     kind, sep, arg = name.partition(":")
     if kind not in ROUTER_KINDS:
         raise ConfigError(f"unknown router {name!r}; valid: {', '.join(ROUTER_SYNTAX)}")
-    if kind == "single":
-        if not sep:
-            raise ConfigError("single router needs an arm index, e.g. single:0")
-        return kind, int(arg)
-    if kind == "weighted":
-        if not sep:
-            raise ConfigError("weighted router needs a mixing weight, e.g. weighted:0.5")
-        alpha = float(arg)
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"weighted alpha must be in [0, 1], got {alpha}")
-        return kind, alpha
+    try:
+        if kind == "single":
+            if not sep:
+                raise ConfigError("single router needs an arm index, e.g. single:0")
+            return kind, int(arg)
+        if kind == "weighted":
+            if not sep:
+                raise ConfigError("weighted router needs a mixing weight, e.g. weighted:0.5")
+            alpha = float(arg)
+            if not 0.0 <= alpha <= 1.0:
+                raise ConfigError(f"weighted alpha must be in [0, 1], got {alpha}")
+            return kind, alpha
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter in router {name!r}: {exc}") from exc
     if sep:
         raise ConfigError(f"router {kind!r} takes no parameter")
     return kind, None
+
+
+def reads_offline_prior(kind: str, prior_mode: str) -> bool:
+    """Whether a router of this kind reads the offline prior matrix."""
+    return kind in ("offline", "weighted") or (kind == "thompson" and prior_mode == "injected")
 
 
 def _majority_labels(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -562,9 +570,7 @@ def run_replay(
     if stream.n != batch_size * n_steps:
         raise ConfigError("stream size does not match pairs_per_step * n_steps")
 
-    needs_prior = kind in ("offline", "weighted") or (
-        kind == "thompson" and config.prior_mode == "injected"
-    )
+    needs_prior = reads_offline_prior(kind, config.prior_mode)
     prior = config.offline_prior
     if needs_prior:
         if prior is None:

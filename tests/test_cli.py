@@ -7,7 +7,7 @@ import pytest
 from rmrouter.cli import main
 from rmrouter.features import load_dataset, load_embeddings
 from rmrouter.offline import load_behavior, load_model
-from rmrouter.online import init_router, save_state
+from rmrouter.online import init_router, save_state, state_to_dict
 from rmrouter.serialize import read_json, write_json
 from rmrouter.sim import scenario_to_dict
 
@@ -182,6 +182,23 @@ class TestValidation:
         write_json(path, doc)
         assert main(["inspect", str(path)]) == 2
         assert "supported" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arm: arm.update(covariance=[1.0, 0.0, 1.0]),
+            lambda arm: arm.pop("mean"),
+            lambda arm: arm.update(mean=[float("nan"), 0.0]),
+        ],
+        ids=["covariance-length-3", "missing-mean", "nan-mean"],
+    )
+    def test_malformed_state_exits_2(self, tmp_path, capsys, edit):
+        doc = state_to_dict(init_router(2, 2))
+        edit(doc["arms"][0])
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps writes NaN
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInspect:

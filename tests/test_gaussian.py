@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 from rmrouter.gaussian import (
+    GAIN_ROWS,
     ArmPosterior,
     ObservationBatch,
     make_prior,
@@ -16,6 +20,7 @@ from rmrouter.gaussian import (
     sample_weight,
     sample_weights,
 )
+from rmrouter.serialize import dumps_doc
 
 
 def random_spd(rng, d, scale=1.0):
@@ -30,6 +35,22 @@ def naive_single_update(mean, cov, noise, h, r):
     cov_new = np.linalg.inv(prec_new)
     mean_new = cov_new @ (prec @ mean + r * h / noise)
     return mean_new, cov_new
+
+
+def information_form(mean0, prior_variance, noise, contexts, rewards):
+    """Closed form: P = I / v0 + H^T H / sigma^2 and P mean = mean0 / v0 + H^T r / sigma^2."""
+    precision = np.eye(len(mean0)) / prior_variance + contexts.T @ contexts / noise
+    mean = np.linalg.solve(precision, mean0 / prior_variance + contexts.T @ rewards / noise)
+    return mean, precision
+
+
+def random_batch(rng, d, repeated):
+    """k in [0, 16] rows; with ``repeated``, rows are drawn from k // 4 + 1 contexts."""
+    k = int(rng.integers(0, 17))
+    contexts = rng.standard_normal((k, d))
+    if repeated:
+        contexts = contexts[rng.integers(0, k // 4 + 1, size=k)]
+    return ObservationBatch(contexts.reshape(k, d), rng.standard_normal(k))
 
 
 class TestMakePrior:
@@ -253,3 +274,99 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ConfigError):
             posterior_from_dict(doc)
+
+
+class TestTwoFieldBelief:
+    def test_state_is_mean_and_covariance(self):
+        names = [f.name for f in dataclasses.fields(ArmPosterior)]
+        assert names == ["mean", "covariance", "noise_variance", "update_count", "degenerate"]
+
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(InputError):
+            ArmPosterior(mean=np.array([np.nan, 0.0]), covariance=np.eye(2), noise_variance=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        covariance = np.eye(2)
+        covariance[1, 1] = bad
+        with pytest.raises(InputError):
+            ArmPosterior(mean=np.zeros(2), covariance=covariance, noise_variance=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_variance_rejected(self, bad):
+        with pytest.raises(InputError):
+            ArmPosterior(mean=np.zeros(2), covariance=np.eye(2), noise_variance=bad)
+
+    def test_indefinite_covariance_rejected(self):
+        with pytest.raises(NonPSDError):
+            ArmPosterior(mean=np.zeros(2), covariance=np.diag([1.0, -1.0]), noise_variance=1.0)
+
+    def test_overflowing_update_raises_numerical_error(self):
+        post = make_prior(2, np.zeros(2), 1.0, 1.0)
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            posterior_update(post, ObservationBatch([[1e300, 1e300]], [1.0]))
+
+    def test_batch_past_gain_rows_matches_information_form(self):
+        # four full chunks of GAIN_ROWS rows and one partial chunk
+        k = 4 * GAIN_ROWS + 44
+        rng = np.random.default_rng(4)
+        d, noise, prior_variance = 5, 0.5, 2.0
+        mean0 = rng.standard_normal(d)
+        contexts = rng.standard_normal((k, d))
+        rewards = rng.standard_normal(k)
+        post = posterior_update(
+            make_prior(d, mean0, prior_variance, noise), ObservationBatch(contexts, rewards)
+        )
+        mean, precision = information_form(mean0, prior_variance, noise, contexts, rewards)
+        assert post.update_count == k
+        assert np.linalg.norm(post.mean - mean) <= 1e-9 * np.linalg.norm(mean)
+        assert np.max(np.abs(post.covariance @ precision - np.eye(d))) <= 1e-9
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.integers(1, 16),
+        n_steps=st.integers(1, 200),
+        noise=st.floats(0.1, 5.0),
+        prior_variance=st.floats(0.01, 2.0),
+        repeated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_update_chain_matches_information_form(
+        self, d, n_steps, noise, prior_variance, repeated, seed
+    ):
+        # Rows repeat inside a batch (H cov H^T is then singular), but across steps the
+        # contexts span every direction, so P stays well conditioned and the bounds measure
+        # drift of the covariance-form updates, not the cond(P) * eps of any inversion.
+        rng = np.random.default_rng(seed)
+        mean0 = rng.standard_normal(d)
+        post = make_prior(d, mean0, prior_variance, noise)
+        batches = [random_batch(rng, d, repeated) for _ in range(n_steps)]
+        for batch in batches:
+            post = posterior_update(post, batch)
+        contexts = np.concatenate([b.contexts for b in batches])
+        rewards = np.concatenate([b.rewards for b in batches])
+        mean, precision = information_form(mean0, prior_variance, noise, contexts, rewards)
+        assert post.update_count == len(rewards)
+        assert np.linalg.norm(post.mean - mean) <= 1e-9 * np.linalg.norm(mean)
+        assert np.max(np.abs(post.covariance @ precision - np.eye(d))) <= 1e-9
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.integers(1, 16),
+        before=st.integers(1, 20),
+        after=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_continue_is_bit_identical(self, d, before, after, seed):
+        rng = np.random.default_rng(seed)
+        post = make_prior(d, rng.standard_normal(d), rng.uniform(0.01, 2.0), rng.uniform(0.1, 5.0))
+        batches = [random_batch(rng, d, repeated=False) for _ in range(before + after)]
+        for batch in batches[:before]:
+            post = posterior_update(post, batch)
+        loaded = posterior_from_dict(json.loads(dumps_doc(posterior_to_dict(post))))
+        for batch in batches[before:]:
+            post = posterior_update(post, batch)
+            loaded = posterior_update(loaded, batch)
+        assert np.array_equal(loaded.mean, post.mean)
+        assert np.array_equal(loaded.covariance, post.covariance)
+        assert loaded.update_count == post.update_count

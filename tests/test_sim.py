@@ -72,6 +72,9 @@ class TestScenario:
         assert "thompson" in str(exc.value)
         with pytest.raises(ConfigError):
             parse_router("random:3")
+        for bad in ("single:abc", "single:1.5", "weighted:x"):
+            with pytest.raises(ConfigError):
+                parse_router(bad)
 
 
 class TestGenerateScenario:
