@@ -24,11 +24,12 @@ import io
 import logging
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .errors import InputError, InvariantError, RouterError
+from .errors import FormatError, InputError, InvariantError, RouterError
 from .features import load_dataset, load_embeddings, save_dataset, save_embeddings
 from .offline import (
     TrainConfig,
@@ -46,8 +47,8 @@ from .online import save_state, state_from_dict
 from .serialize import read_json, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
+    ROUTERS,
     ReplayConfig,
-    RunMetrics,
     compare_runs,
     generate_scenario,
     parse_router,
@@ -77,8 +78,12 @@ def _load_prior(path: str) -> np.ndarray:
         raise InputError(
             f"unsupported prior file version {version!r}; supported: {PRIOR_FORMAT_VERSION}"
         )
-    prior = np.asarray(doc["bt_embeddings"], dtype=np.float64)
-    if prior.shape != (int(doc["n_arms"]), int(doc["d"])):
+    try:
+        prior = np.asarray(doc["bt_embeddings"], dtype=np.float64)
+        shape = (int(doc["n_arms"]), int(doc["d"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed prior file {path}: {exc!r}") from exc
+    if prior.shape != shape:
         raise InputError("prior matrix shape does not match its declared n_arms/d")
     return prior
 
@@ -194,24 +199,23 @@ def cmd_export_prior(args: argparse.Namespace) -> int:
 def _expand_routers(args: argparse.Namespace, n_arms: int, have_prior: bool) -> list[tuple[str, str]]:
     """Return (run_name, router_spec) entries; run_name distinguishes prior modes."""
     if args.router != "all":
-        for spec in args.router.split(","):
+        specs = args.router.split(",")
+        for spec in specs:
             parse_router(spec)  # validates, raises ConfigError on bad names
-        routers = []
-        for spec in args.router.split(","):
-            if spec == "thompson" and args.prior == "injected":
-                routers.append(("thompson-injected", spec))
-            else:
-                routers.append((spec, spec))
-        return routers
-    routers = [(f"single:{n}", f"single:{n}") for n in range(n_arms)]
-    routers += [("random", "random"), ("majority", "majority"), ("uwo", "uwo"),
-                ("linucb", "linucb"), ("thompson", "thompson")]
+        injected = args.prior == "injected"
+        return [(f"{s}-injected" if injected and s == "thompson" else s, s) for s in specs]
+    # every router but the oracle, its parameter filled in from the options; the
+    # ones that read the prior come last, then the injected-prior reruns
+    values = {"<arm>": range(n_arms), "<alpha>": [args.weighted_alpha]}
+    specs: dict[str, list[str]] = {"never": [], "injected": [], "always": []}
+    for kind, router in ROUTERS.items():
+        slot = router.syntax.partition(":")[2]
+        if router.group != "oracle":
+            specs[router.prior] += [f"{kind}:{v}" for v in values[slot]] if slot else [kind]
+    routers = [(spec, spec) for spec in specs["never"] + specs["injected"]]
     if have_prior:
-        routers += [
-            ("offline", "offline"),
-            (f"weighted:{args.weighted_alpha}", f"weighted:{args.weighted_alpha}"),
-            ("thompson-injected", "thompson"),
-        ]
+        routers += [(spec, spec) for spec in specs["always"]]
+        routers += [(f"{spec}-injected", spec) for spec in specs["injected"]]
     return routers
 
 
@@ -354,18 +358,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     with open(args.summary, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            rows.append(
-                RunMetrics(
-                    router=row["router"],
-                    seed=int(row["seed"]),
-                    routing_accuracy_per_step=[],
-                    cumulative_regret=[],
-                    arm_selection_counts=np.zeros(1, dtype=np.int64),
-                    final_annotation_accuracy=float(row["final_annotation_accuracy"]),
-                    rm_calls_per_step=[],
-                )
-            )
+        for row in reader:  # compare_runs reads only router, seed and accuracy
+            accuracy = float(row["final_annotation_accuracy"])
+            rows.append(SimpleNamespace(router=row["router"], seed=int(row["seed"]),
+                                        final_annotation_accuracy=accuracy))
     if not rows:
         raise InputError(f"no runs found in {args.summary}")
     methods: list[str] = []
@@ -465,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-sim", help="replay a scenario through routing strategies")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--router", required=True, help="name, comma list, or 'all'")
+    names = ", ".join(router.syntax for router in ROUTERS.values())
+    p.add_argument("--router", required=True, help=f"{names}; a comma list; or 'all'")
     p.add_argument("--seeds", default=None, help="comma list; default: scenario seeds")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--prior", choices=("zero", "injected"), default="zero")

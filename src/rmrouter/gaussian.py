@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
 
@@ -200,7 +199,10 @@ def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPos
             h_cov = h @ covariance
             innovation = posterior.noise_variance * np.eye(len(h)) + h_cov @ h.T
             low = robust_cholesky(0.5 * (innovation + innovation.T))
-            gain_t = cho_solve((low, True), h_cov)
+            # LAPACK directly: no finiteness scan, so an overflowed factor is caught here
+            gain_t, info = dpotrs(low, h_cov, lower=1)
+            if info != 0 or not np.isfinite(low).all():
+                raise NumericalError(f"innovation overflows or its solve fails (info {info})")
             mean = mean + gain_t.T @ (batch.rewards[start : start + GAIN_ROWS] - h @ mean)
             covariance = covariance - h_cov.T @ gain_t
         return ArmPosterior(

@@ -493,22 +493,25 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
         raise ConfigError(
             f"unsupported model format version {version!r}; supported: {MODEL_FORMAT_VERSION}"
         )
-    fusion = None
-    if doc.get("fusion") is not None:
-        fdoc = doc["fusion"]
-        fusion = FusionParams(
-            weight=np.asarray(fdoc["weight"], dtype=np.float64),
-            bias=np.asarray(fdoc["bias"], dtype=np.float64),
-            activation=fdoc.get("activation", "tanh"),
+    try:
+        fusion = None
+        if doc.get("fusion") is not None:
+            fdoc = doc["fusion"]
+            fusion = FusionParams(
+                weight=np.asarray(fdoc["weight"], dtype=np.float64),
+                bias=np.asarray(fdoc["bias"], dtype=np.float64),
+                activation=fdoc.get("activation", "tanh"),
+            )
+        return OfflineRouterModel(
+            fusion=fusion,
+            bt_embeddings=np.asarray(doc["bt_embeddings"], dtype=np.float64),
+            cls_embeddings=np.asarray(doc["cls_embeddings"], dtype=np.float64),
+            lam=float(doc["lambda"]),
+            n_arms=int(doc["n_arms"]),
+            train_meta=doc.get("train_meta", {}),
         )
-    return OfflineRouterModel(
-        fusion=fusion,
-        bt_embeddings=np.asarray(doc["bt_embeddings"], dtype=np.float64),
-        cls_embeddings=np.asarray(doc["cls_embeddings"], dtype=np.float64),
-        lam=float(doc["lambda"]),
-        n_arms=int(doc["n_arms"]),
-        train_meta=doc.get("train_meta", {}),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed model document: {exc!r}") from exc
 
 
 def save_model(path, model: OfflineRouterModel) -> None:

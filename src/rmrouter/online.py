@@ -168,35 +168,40 @@ def _context_matrix(batch: Sequence[tuple[str, PairEmbedding]], d: int) -> np.nd
     return contexts
 
 
-def route_batch(
-    state: OnlineRouterState,
-    batch: Sequence[tuple[str, PairEmbedding]],
-    rng: np.random.Generator,
-) -> list[RoutingDecision]:
-    """Thompson-sample a decision for every pair; does not mutate the state.
+def route_arrays(
+    state: OnlineRouterState, contexts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Thompson-route every context row: (chosen arm per row, (B, N) sampled scores).
 
-    Scores are drawn arm by arm (arm-major order) so results are
-    reproducible for a given generator state.
+    Scores are drawn arm by arm (arm-major order) so results are reproducible
+    for a given generator state; each row picks its argmax, lowest arm on ties.
     """
-    if not batch:
-        return []
-    contexts = _context_matrix(batch, state.d)
-    n_pairs = contexts.shape[0]
-    scores = np.empty((n_pairs, state.n_arms))
+    scores = np.empty((contexts.shape[0], state.n_arms))
     for n, arm in enumerate(state.arms):
         if state.config.resample_per_pair:
             scores[:, n] = sample_scores(arm, contexts, rng)
         else:
             scores[:, n] = contexts @ sample_weights(arm, rng, 1)[0]
+    return np.argmax(scores, axis=1), scores
+
+
+def _decisions(batch, contexts, chosen, scores) -> list[RoutingDecision]:
     return [
-        RoutingDecision(
-            pair_id=batch[i][0],
-            chosen_arm=int(np.argmax(scores[i])),
-            sampled_scores=scores[i].copy(),
-            context=contexts[i].copy(),
-        )
-        for i in range(n_pairs)
+        RoutingDecision(pair_id, int(chosen[i]), scores[i].copy(), contexts[i].copy())
+        for i, (pair_id, _) in enumerate(batch)
     ]
+
+
+def route_batch(
+    state: OnlineRouterState,
+    batch: Sequence[tuple[str, PairEmbedding]],
+    rng: np.random.Generator,
+) -> list[RoutingDecision]:
+    """:func:`route_arrays` over (pair_id, embedding) pairs; does not mutate the state."""
+    if not batch:
+        return []
+    contexts = _context_matrix(batch, state.d)
+    return _decisions(batch, contexts, *route_arrays(state, contexts, rng))
 
 
 def _decisions_by_id(
@@ -214,6 +219,10 @@ def _decisions_by_id(
     return by_id
 
 
+def _decision_contexts(decisions: Sequence[RoutingDecision], d: int) -> np.ndarray:
+    return np.stack([dec.context for dec in decisions]) if decisions else np.empty((0, d))
+
+
 def observe_feedback(
     state: OnlineRouterState,
     decisions: Sequence[RoutingDecision],
@@ -225,15 +234,12 @@ def observe_feedback(
     rewarded pair_id must appear among the decisions, and no pair_id twice.
     """
     _decisions_by_id(decisions, rewards)
-    contexts = (
-        np.stack([dec.context for dec in decisions]) if decisions else np.empty((0, state.d))
-    )
     return observe_arrays(
         state,
-        contexts,
+        _decision_contexts(decisions, state.d),
         [dec.chosen_arm for dec in decisions],
-        [dec.pair_id for dec in decisions],
-        rewards,
+        [rewards.get(dec.pair_id, 0.0) for dec in decisions],
+        np.array([dec.pair_id in rewards for dec in decisions], dtype=bool),
     )
 
 
@@ -241,43 +247,33 @@ def observe_arrays(
     state: OnlineRouterState,
     contexts: np.ndarray,
     chosen: Sequence[int] | np.ndarray,
-    pair_ids: Sequence[str],
-    rewards: Mapping[str, float],
+    rewards: Sequence[float] | np.ndarray,
+    rewarded: np.ndarray | None = None,
 ) -> OnlineRouterState:
-    """Update each arm once with the rewarded pairs routed to it.
+    """Update each arm once with the rewarded rows routed to it.
 
-    Row i of ``contexts`` is pair ``pair_ids[i]``, routed to arm ``chosen[i]``.
-    Every pair counts as a selection; only pairs with a reward update a
-    posterior.  Arms that received no rewarded pair keep their exact
-    posterior objects.
+    Row i of ``contexts`` was routed to arm ``chosen[i]`` and earned
+    ``rewards[i]``.  Every row counts as a selection; with a boolean
+    ``rewarded`` mask only the rows it marks update a posterior.  One stable
+    sort groups the rows by arm, so each arm sees its rows in batch order.
+    Arms that received no rewarded row keep their exact posterior objects.
     """
     chosen = np.asarray(chosen, dtype=np.int64)
-    rewarded = np.array([pair_id in rewards for pair_id in pair_ids], dtype=bool)
-    new_arms: list[ArmPosterior] = []
-    for n, arm in enumerate(state.arms):
-        rows = np.flatnonzero(rewarded & (chosen == n))
-        if rows.size == 0:
-            new_arms.append(arm)
-            continue
-        batch = ObservationBatch(
-            contexts=contexts[rows],
-            rewards=np.array([rewards[pair_ids[i]] for i in rows]),
-        )
-        new_arms.append(posterior_update(arm, batch))
+    rewards = np.asarray(rewards, dtype=np.float64)
+    rows = np.argsort(chosen, kind="stable")
+    if rewarded is not None:
+        rows = rows[rewarded[rows]]
+    ends = np.searchsorted(chosen[rows], np.arange(state.n_arms + 1))
+    new_arms = [
+        posterior_update(arm, ObservationBatch(contexts[rows[lo:hi]], rewards[rows[lo:hi]]))
+        if hi > lo
+        else arm
+        for arm, lo, hi in zip(state.arms, ends[:-1], ends[1:])
+    ]
     counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
     return OnlineRouterState(
         arms=new_arms, config=state.config, step=state.step + 1, selection_counts=counts
     )
-
-
-def decision_record(step: int, decision: RoutingDecision) -> dict:
-    """Serializable decision-log row {step, pair_id, chosen_arm, sampled_scores}."""
-    return {
-        "step": step,
-        "pair_id": decision.pair_id,
-        "chosen_arm": decision.chosen_arm,
-        "sampled_scores": [float(x) for x in decision.sampled_scores],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +306,26 @@ def init_linucb(n_arms: int, d: int) -> LinUcbState:
     )
 
 
-def _ucb_scores(state: LinUcbState, context: np.ndarray, alpha: float) -> np.ndarray:
-    scores = np.empty(state.n_arms)
-    for n in range(state.n_arms):
+def route_linucb_arrays(
+    state: LinUcbState, contexts: np.ndarray, alpha: float, per_pair: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(chosen arm per row, (B, N) UCB scores); one arm for the whole batch,
+    scored on the mean context, unless per_pair."""
+    if alpha < 0:
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    points = contexts if per_pair else contexts.mean(axis=0)[None]
+    scores = np.empty((len(points), state.n_arms))
+    for n, (a, b) in enumerate(zip(state.a_matrices, state.b_vectors)):
         try:
-            theta = np.linalg.solve(state.a_matrices[n], state.b_vectors[n])
-            spread = np.linalg.solve(state.a_matrices[n], context)
+            theta = np.linalg.solve(a, b)
+            spreads = [np.linalg.solve(a, h) for h in points]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular design matrix for arm {n}") from exc
-        scores[n] = theta @ context + alpha * np.sqrt(max(context @ spread, 0.0))
-    return scores
+        for i, (h, spread) in enumerate(zip(points, spreads)):
+            scores[i, n] = theta @ h + alpha * np.sqrt(max(h @ spread, 0.0))
+    if not per_pair:
+        scores = np.tile(scores, (len(contexts), 1))
+    return np.argmax(scores, axis=1), scores
 
 
 def route_linucb(
@@ -328,29 +334,29 @@ def route_linucb(
     alpha: float,
     per_pair: bool = False,
 ) -> list[RoutingDecision]:
-    """Upper-confidence routing; one arm for the whole batch unless per_pair."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    """:func:`route_linucb_arrays` over (pair_id, embedding) pairs."""
     if not batch:
         return []
     contexts = _context_matrix(batch, state.d)
-    decisions: list[RoutingDecision] = []
-    if per_pair:
-        for i, (pair_id, _) in enumerate(batch):
-            scores = _ucb_scores(state, contexts[i], alpha)
-            decisions.append(
-                RoutingDecision(pair_id, int(np.argmax(scores)), scores, contexts[i].copy())
-            )
-    else:
-        # batch mode: one arm for everyone, scored on the mean context
-        mean_context = contexts.mean(axis=0)
-        scores = _ucb_scores(state, mean_context, alpha)
-        chosen = int(np.argmax(scores))
-        decisions = [
-            RoutingDecision(batch[i][0], chosen, scores.copy(), contexts[i].copy())
-            for i in range(len(batch))
-        ]
-    return decisions
+    return _decisions(batch, contexts, *route_linucb_arrays(state, contexts, alpha, per_pair))
+
+
+def update_linucb_arrays(
+    state: LinUcbState,
+    contexts: np.ndarray,
+    chosen: Sequence[int] | np.ndarray,
+    rewards: Sequence[float] | np.ndarray,
+) -> LinUcbState:
+    """Add h h^T and r h of every row to its chosen arm's statistics, in row order."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    if not np.isfinite(rewards).all():
+        raise InputError("rewards must be finite")
+    a_new = [a.copy() for a in state.a_matrices]
+    b_new = [b.copy() for b in state.b_vectors]
+    for h, n, r in zip(contexts, np.asarray(chosen).tolist(), rewards.tolist()):
+        a_new[n] += np.outer(h, h)
+        b_new[n] += r * h
+    return LinUcbState(a_matrices=a_new, b_vectors=b_new, step=state.step + 1)
 
 
 def update_linucb(
@@ -358,15 +364,15 @@ def update_linucb(
     decisions: Sequence[RoutingDecision],
     rewards: Mapping[str, float],
 ) -> LinUcbState:
+    """:func:`update_linucb_arrays` over the rewarded decisions, in reward order."""
     by_id = _decisions_by_id(decisions, rewards)
-    a_new = [a.copy() for a in state.a_matrices]
-    b_new = [b.copy() for b in state.b_vectors]
-    for pair_id, reward in rewards.items():
-        dec = by_id[pair_id]
-        h = dec.context
-        a_new[dec.chosen_arm] += np.outer(h, h)
-        b_new[dec.chosen_arm] += reward * h
-    return LinUcbState(a_matrices=a_new, b_vectors=b_new, step=state.step + 1)
+    rewarded = [by_id[pair_id] for pair_id in rewards]
+    return update_linucb_arrays(
+        state,
+        _decision_contexts(rewarded, state.d),
+        [dec.chosen_arm for dec in rewarded],
+        list(rewards.values()),
+    )
 
 
 # ---------------------------------------------------------------------------

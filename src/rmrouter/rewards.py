@@ -60,12 +60,21 @@ class PairLoss:
             raise InputError(f"loss for {self.pair_id!r} is not finite")
 
 
-def batch_baseline_rewards(losses: Sequence[PairLoss]) -> dict[str, float]:
-    """Centered rewards: batch mean loss minus each pair's own loss (sum ~ 0)."""
-    if len(losses) == 0:
+def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Centered rewards: batch mean loss minus each pair's own loss (sum ~ 0).
+
+    The mean is Python's left-to-right ``sum``, not numpy's pairwise one.
+    """
+    losses = np.asarray(losses, dtype=np.float64)
+    if losses.shape[0] == 0:
         raise InputError("cannot compute a batch baseline over an empty batch")
-    mean = sum(pl.loss for pl in losses) / len(losses)
-    return {pl.pair_id: mean - pl.loss for pl in losses}
+    return sum(losses.tolist()) / losses.shape[0] - losses
+
+
+def batch_baseline_rewards(losses: Sequence[PairLoss]) -> dict[str, float]:
+    """:func:`batch_baseline_array` keyed by pair_id."""
+    centered = batch_baseline_array([pl.loss for pl in losses])
+    return dict(zip((pl.pair_id for pl in losses), centered.tolist()))
 
 
 class RewardHistory:
@@ -160,17 +169,13 @@ def _scaling_bounds(
     return bounds
 
 
-def _scale(r: float, bounds: tuple[float, float] | None) -> float:
+def _scale(values: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     if bounds is None:
-        return min(1.0, max(0.0, (r + 1.0) / 2.0))
+        return np.clip((values + 1.0) / 2.0, 0.0, 1.0)
     q_lo, q_hi = bounds
     if q_hi == q_lo:
-        return 0.5
-    if r < q_lo:
-        return 0.0
-    if r > q_hi:
-        return 1.0
-    return (r - q_lo) / (q_hi - q_lo)
+        return np.full(np.shape(values), 0.5)
+    return np.clip((values - q_lo) / (q_hi - q_lo), 0.0, 1.0)
 
 
 def quantile_normalize(
@@ -185,7 +190,28 @@ def quantile_normalize(
     r = float(r)
     if not math.isfinite(r):
         raise InputError("reward must be finite")
-    return _scale(r, _scaling_bounds(history, warmup_min))
+    return float(_scale(np.float64(r), _scaling_bounds(history, warmup_min)))
+
+
+def normalize_step_array(
+    raw: Sequence[float] | np.ndarray,
+    history: RewardHistory,
+    warmup_min: int = DEFAULT_WARMUP_MIN,
+) -> tuple[np.ndarray, tuple[float, float] | None]:
+    """Normalize one step's rewards against strictly-past history, then record them.
+
+    Every reward in ``raw`` is scaled with the history as it stood before this
+    step, in one clip; only afterwards are the raw values appended.  A
+    non-finite reward raises :class:`InputError` before anything is warned,
+    counted or recorded.  Returns the normalized rewards and the (q_lo, q_hi)
+    bounds used, or None while warming up.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(raw).all():
+        raise InputError("step rewards must be finite")
+    bounds = _scaling_bounds(history, warmup_min)
+    history.extend(raw)
+    return _scale(raw, bounds), bounds
 
 
 def normalize_step_rewards(
@@ -193,21 +219,9 @@ def normalize_step_rewards(
     history: RewardHistory,
     warmup_min: int = DEFAULT_WARMUP_MIN,
 ) -> tuple[dict[str, float], tuple[float, float] | None]:
-    """Normalize one step's rewards against strictly-past history, then record them.
-
-    Every reward in ``raw`` is scaled with the history as it stood before this
-    step; only afterwards are the raw values appended.  A non-finite reward
-    raises :class:`InputError` before anything is warned, counted or recorded.
-    Returns the normalized map and the (q_lo, q_hi) bounds used, or None while
-    warming up.
-    """
-    values = [float(value) for value in raw.values()]
-    if not all(math.isfinite(value) for value in values):
-        raise InputError("step rewards must be finite")
-    bounds = _scaling_bounds(history, warmup_min)
-    normalized = {pair_id: _scale(value, bounds) for pair_id, value in zip(raw, values)}
-    history.extend(values)
-    return normalized, bounds
+    """:func:`normalize_step_array` keyed by pair_id."""
+    normalized, bounds = normalize_step_array(list(raw.values()), history, warmup_min)
+    return dict(zip(raw, normalized.tolist())), bounds
 
 
 def full_advantage_reward(all_rm_losses: Sequence[float], chosen: int) -> int:
@@ -238,24 +252,16 @@ def sample_comparators(
     return np.sort(rng.choice(others, size=c, replace=False))
 
 
+def surrogate_losses(correct: Sequence[bool] | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Synthetic stand-ins for per-pair training losses in the replay harness.
+
+    Correct annotations land low, incorrect ones high; the one vector draw
+    consumes the generator as one draw per pair, in order, would.
+    """
+    means = np.where(np.asarray(correct, bool), SURROGATE_CORRECT_MEAN, SURROGATE_INCORRECT_MEAN)
+    return rng.normal(means, SURROGATE_STD)
+
+
 def surrogate_pair_loss(correct: bool, rng: np.random.Generator) -> float:
-    """Synthetic stand-in for a per-pair training loss in the replay harness."""
-    mean = SURROGATE_CORRECT_MEAN if correct else SURROGATE_INCORRECT_MEAN
-    return float(rng.normal(mean, SURROGATE_STD))
-
-
-def reward_log_row(
-    step: int,
-    pair_id: str,
-    raw_reward: float,
-    normalized_reward: float,
-    bounds: tuple[float, float] | None,
-) -> dict:
-    return {
-        "step": step,
-        "pair_id": pair_id,
-        "raw_reward": float(raw_reward),
-        "normalized_reward": float(normalized_reward),
-        "q_lo": None if bounds is None else float(bounds[0]),
-        "q_hi": None if bounds is None else float(bounds[1]),
-    }
+    """:func:`surrogate_losses` for a single pair."""
+    return float(surrogate_losses([correct], rng)[0])

@@ -17,8 +17,8 @@ fixed-weight offline/online score mix, and a profile-oracle upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,57 +32,29 @@ from .offline import (
     train_offline,
 )
 from .online import (
-    RoutingDecision,
-    decision_record,
+    OnlineRouterState,
     init_linucb,
     init_router,
     observe_arrays,
-    observe_feedback,
-    route_batch,
-    route_linucb,
+    route_arrays,
+    route_linucb_arrays,
     route_weighted_batch,
-    update_linucb,
+    update_linucb_arrays,
 )
 from .rewards import (
     DEFAULT_LIGHT_COMPARATORS,
     DEFAULT_WARMUP_MIN,
-    PairLoss,
     RewardHistory,
-    batch_baseline_rewards,
+    batch_baseline_array,
     full_advantage_reward,
     light_advantage_reward,
-    normalize_step_rewards,
-    reward_log_row,
+    normalize_step_array,
     sample_comparators,
+    surrogate_losses,
     surrogate_pair_loss,
 )
 
 SCENARIO_FORMAT_VERSION = 1
-
-ROUTER_KINDS = (
-    "thompson",
-    "offline",
-    "linucb",
-    "random",
-    "single",
-    "majority",
-    "uwo",
-    "weighted",
-    "oracle",
-)
-ROUTER_SYNTAX = (
-    "thompson",
-    "offline",
-    "linucb",
-    "random",
-    "single:<arm>",
-    "majority",
-    "uwo",
-    "weighted:<alpha>",
-    "oracle",
-)
-BANDIT_KINDS = ("thompson", "linucb", "weighted")
-ENSEMBLE_KINDS = ("majority", "uwo")
 
 REWARD_VARIANTS = ("batch_quantile", "neg_loss", "full_advantage", "light_advantage")
 
@@ -205,19 +177,7 @@ class SimScenario:
         return before
 
 
-_SCENARIO_KEYS = {
-    "version",
-    "n_arms",
-    "clusters",
-    "arm_profiles",
-    "pairs_per_step",
-    "n_steps",
-    "seeds",
-    "offline_pairs",
-    "mixture_before",
-    "mixture_after",
-    "drift_step",
-}
+_SCENARIO_KEYS = {"version", *(f.name for f in fields(SimScenario))}
 
 
 def scenario_to_dict(scenario: SimScenario) -> dict:
@@ -480,38 +440,140 @@ class RunMetrics:
         if int(self.arm_selection_counts.sum()) != pairs_per_step * n_steps:
             raise InvariantError("arm selection counts must sum to pairs_per_step * n_steps")
         # an ensemble polls every model, so it can beat the best single arm
-        ensemble = self.router.partition(":")[0] in ENSEMBLE_KINDS
+        ensemble = getattr(ROUTERS.get(self.router.partition(":")[0]), "group", "") == "ensemble"
         if not ensemble and np.any(np.diff(self.cumulative_regret) < -1e-12):
             raise InvariantError("cumulative regret must be non-decreasing")
+
+
+@dataclass
+class _Replay:
+    """What the router hooks read during one replay."""
+
+    config: ReplayConfig
+    param: float | int | None
+    n_arms: int
+    d: int
+    clusters: np.ndarray  # per stream pair
+    profiles: np.ndarray
+    offline_model: OfflineRouterModel | None
+    rng: np.random.Generator  # routing draws
+    loss_rng: np.random.Generator
+    comp_rng: np.random.Generator  # light_advantage comparator picks
+    history: RewardHistory
+
+
+def _start_single(run: _Replay) -> int:
+    if not 0 <= run.param < run.n_arms:
+        raise ConfigError(f"single arm index {run.param} out of range for {run.n_arms} models")
+    return run.param
+
+
+def _start_thompson(run: _Replay) -> OnlineRouterState:
+    c = run.config
+    prior = c.offline_prior if c.prior_mode == "injected" else None
+    return init_router(
+        run.n_arms, run.d, c.prior_mode, prior, c.sigma_sq, c.prior_variance, c.resample_per_pair
+    )
+
+
+def _mix_weight(arg: str) -> float:
+    alpha = float(arg)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"weighted alpha must be in [0, 1], got {alpha}")
+    return alpha
+
+
+@dataclass(frozen=True)
+class RouterKind:
+    """One replay strategy: its spec syntax, its group and its array-level hooks.
+
+    ``group`` is "bandit" (learns through ``observe``), "ensemble" (polls every
+    model; no hooks), "fixed" or "oracle" (reads the true profiles; not in
+    ``all``).  ``prior`` is when it reads the offline prior: "never", "always"
+    or "injected" (with ``prior_mode="injected"``).  ``start(run)`` gives the
+    state, ``route(state, run, contexts[B, d], rows)`` a step's (chosen[B],
+    scores[B, N] or None: no decision log), ``observe(state, contexts, chosen,
+    rewards[B])`` the next state.
+    """
+
+    syntax: str
+    group: str
+    route: Callable | None = None
+    start: Callable = lambda run: None
+    observe: Callable | None = None
+    prior: str = "never"
+    parse: Callable[[str], object] | None = None
+
+
+# the only list of router names; ``run-sim --router all`` runs them in this
+# order, without the oracle, then reruns the injected-prior ones
+ROUTERS = {
+    "single": RouterKind(
+        "single:<arm>", "fixed", lambda arm, run, h, rows: (np.full(len(h), arm), None),
+        _start_single, parse=int,
+    ),
+    "random": RouterKind(
+        "random", "fixed",
+        lambda _, run, h, rows: (run.rng.integers(0, run.n_arms, size=len(h)), None),
+    ),
+    "majority": RouterKind("majority", "ensemble"),
+    "uwo": RouterKind("uwo", "ensemble"),
+    "linucb": RouterKind(
+        "linucb", "bandit",
+        lambda state, run, h, rows: route_linucb_arrays(
+            state, h, run.config.linucb_alpha, run.config.linucb_per_pair
+        ),
+        lambda run: init_linucb(run.n_arms, run.d),
+        update_linucb_arrays,
+    ),
+    "thompson": RouterKind(
+        "thompson", "bandit",
+        lambda state, run, h, rows: route_arrays(state, h, run.rng),
+        _start_thompson, observe_arrays, "injected",
+    ),
+    "offline": RouterKind(
+        "offline", "fixed",
+        lambda _, run, h, rows: (np.argmax(h @ run.offline_model.bt_embeddings.T, axis=1), None),
+        prior="always",
+    ),
+    "weighted": RouterKind(
+        "weighted:<alpha>", "bandit",
+        lambda state, run, h, rows: (
+            route_weighted_batch(run.offline_model, state, h, run.param, run.rng), None
+        ),
+        lambda run: init_router(run.n_arms, run.d, sigma_sq=run.config.sigma_sq),
+        observe_arrays, "always", _mix_weight,
+    ),
+    "oracle": RouterKind(
+        "oracle", "oracle",
+        lambda _, run, h, rows: (np.argmax(run.profiles[:, run.clusters[rows]], axis=0), None),
+    ),
+}
 
 
 def parse_router(name: str) -> tuple[str, float | int | None]:
     """Parse a router spec string into (kind, parameter)."""
     kind, sep, arg = name.partition(":")
-    if kind not in ROUTER_KINDS:
-        raise ConfigError(f"unknown router {name!r}; valid: {', '.join(ROUTER_SYNTAX)}")
+    router = ROUTERS.get(kind)
+    if router is None:
+        valid = ", ".join(r.syntax for r in ROUTERS.values())
+        raise ConfigError(f"unknown router {name!r}; valid: {valid}")
+    if router.parse is None:
+        if sep:
+            raise ConfigError(f"router {kind!r} takes no parameter")
+        return kind, None
+    if not sep:
+        raise ConfigError(f"router {kind!r} needs a parameter, e.g. {router.syntax}")
     try:
-        if kind == "single":
-            if not sep:
-                raise ConfigError("single router needs an arm index, e.g. single:0")
-            return kind, int(arg)
-        if kind == "weighted":
-            if not sep:
-                raise ConfigError("weighted router needs a mixing weight, e.g. weighted:0.5")
-            alpha = float(arg)
-            if not 0.0 <= alpha <= 1.0:
-                raise ConfigError(f"weighted alpha must be in [0, 1], got {alpha}")
-            return kind, alpha
+        return kind, router.parse(arg)
     except ValueError as exc:
         raise ConfigError(f"bad parameter in router {name!r}: {exc}") from exc
-    if sep:
-        raise ConfigError(f"router {kind!r} takes no parameter")
-    return kind, None
 
 
 def reads_offline_prior(kind: str, prior_mode: str) -> bool:
     """Whether a router of this kind reads the offline prior matrix."""
-    return kind in ("offline", "weighted") or (kind == "thompson" and prior_mode == "injected")
+    prior = ROUTERS[kind].prior
+    return prior == "always" or (prior == "injected" and prior_mode == "injected")
 
 
 def _majority_labels(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -547,6 +609,34 @@ def majority_correct_prob(probs: Sequence[float]) -> float:
     return float(probs[0] * right + (1.0 - probs[0]) * wrong)
 
 
+def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: np.ndarray):
+    """(raw rewards, rewards, quantile bounds or None) of one bandit step.
+
+    The chosen annotations' surrogate losses come from one vector draw; the
+    advantage variants then draw their comparators pair by pair.
+    """
+    losses = surrogate_losses(bits, run.loss_rng)
+    variant = run.config.reward_variant
+    if variant == "batch_quantile":
+        raw = batch_baseline_array(losses)
+        return (raw, *normalize_step_array(raw, run.history, run.config.warmup_min))
+    if variant == "neg_loss":
+        return -losses, -losses, None
+    raw = np.empty(len(losses))
+    for i, arm in enumerate(chosen.tolist()):
+        if variant == "full_advantage":
+            all_losses = [
+                losses[i] if n == arm else surrogate_pair_loss(bool(correct[i, n]), run.loss_rng)
+                for n in range(run.n_arms)
+            ]
+            raw[i] = full_advantage_reward(all_losses, arm)
+        else:  # light_advantage
+            picks = sample_comparators(run.n_arms, arm, run.config.light_c, run.comp_rng)
+            comp_losses = [surrogate_pair_loss(bool(correct[i, n]), run.loss_rng) for n in picks]
+            raw[i] = light_advantage_reward(comp_losses, losses[i])
+    return raw, raw, None
+
+
 def run_replay(
     router: str,
     dataset: SimDataset,
@@ -557,12 +647,15 @@ def run_replay(
 ) -> RunMetrics:
     """Replay the labelled stream through one routing strategy.
 
-    Bandit strategies receive per-pair rewards built from surrogate losses of
-    their chosen annotations; all strategies share the same frozen dataset, so
-    runs with equal seeds are paired across strategies.
+    Each step routes a batch of context rows to an array of chosen arms; a
+    bandit then gets a rewards array built from surrogate losses of its chosen
+    annotations.  All strategies share the same frozen dataset, so runs with
+    equal seeds are paired across strategies.  ``final_state_out`` receives a
+    Thompson or weighted router's final state.
     """
     config = config or ReplayConfig()
     kind, param = parse_router(router)
+    spec = ROUTERS[kind]
     scenario = dataset.scenario
     stream = dataset.stream
     n_arms, d = scenario.n_arms, scenario.d
@@ -570,193 +663,79 @@ def run_replay(
     if stream.n != batch_size * n_steps:
         raise ConfigError("stream size does not match pairs_per_step * n_steps")
 
-    needs_prior = reads_offline_prior(kind, config.prior_mode)
     prior = config.offline_prior
-    if needs_prior:
+    offline_model = None
+    if reads_offline_prior(kind, config.prior_mode):
         if prior is None:
             raise ConfigError(f"router {router!r} needs an offline prior matrix")
         if prior.shape != (n_arms, d):
-            raise ConfigError(
-                f"offline prior shape {prior.shape} does not match ({n_arms}, {d})"
-            )
-    if kind == "single" and not 0 <= int(param) < n_arms:
-        raise ConfigError(f"single arm index {param} out of range for {n_arms} models")
-
-    offline_model = None
-    if needs_prior:
-        offline_model = OfflineRouterModel(
-            fusion=None,
-            bt_embeddings=prior,
-            cls_embeddings=np.zeros_like(prior),
-            lam=0.0,
-            n_arms=n_arms,
-        )
+            raise ConfigError(f"offline prior shape {prior.shape} does not match ({n_arms}, {d})")
+        offline_model = OfflineRouterModel(None, prior, np.zeros_like(prior), 0.0, n_arms)
 
     seed_rng = np.random.default_rng(config.seed)
-    route_rng = np.random.default_rng(seed_rng.integers(2**63))
-    loss_rng = np.random.default_rng(seed_rng.integers(2**63))
-    comp_rng = np.random.default_rng(seed_rng.integers(2**63))
-
-    ts_state = None
-    ucb_state = None
-    if kind == "thompson":
-        ts_state = init_router(
-            n_arms,
-            d,
-            prior_mode=config.prior_mode,
-            offline_prior=prior if config.prior_mode == "injected" else None,
-            sigma_sq=config.sigma_sq,
-            prior_variance=config.prior_variance,
-            resample_per_pair=config.resample_per_pair,
-        )
-    elif kind == "weighted":
-        ts_state = init_router(n_arms, d, prior_mode="zero", sigma_sq=config.sigma_sq)
-    elif kind == "linucb":
-        ucb_state = init_linucb(n_arms, d)
-
-    history = RewardHistory(capacity=config.history_capacity)
-    oracle_best = dataset.profiles.max(axis=0)  # per cluster
-    if kind in ENSEMBLE_KINDS:
-        ensemble_prob = np.array(
-            [majority_correct_prob(dataset.profiles[:, c]) for c in range(scenario.n_clusters)]
-        )
-
-    accuracy_per_step: list[float] = []
-    regret_trace: list[float] = []
-    calls_per_step: list[int] = []
-    selection_counts = np.zeros(n_arms, dtype=np.int64)
-    total_hits = 0
-    cum_regret = 0.0
-    uwo_weight_sum = 0.0
-
-    for step in range(n_steps):
-        lo = step * batch_size
-        rows = slice(lo, lo + batch_size)
-        batch_pairs = stream.pairs[rows]
-        clusters = stream.clusters[rows]
-        correct = stream.correct[rows]
-        answers = stream.answers[rows]
-        batch = [(p.pair_id, stream.embeddings[p.pair_id]) for p in batch_pairs]
-        contexts = np.stack([stream.embeddings[p.pair_id].vector for p in batch_pairs])
-
-        calls = 0
-        decisions: list[RoutingDecision] = []
-        if kind in ENSEMBLE_KINDS:
-            maj_labels, consensus, attributed = _majority_labels(answers)
-            bits = (maj_labels == np.array([p.label for p in batch_pairs])).astype(np.uint8)
-            chosen = attributed
-            expected = ensemble_prob[clusters]
-            calls += n_arms * batch_size
-            if kind == "uwo":
-                uwo_weight_sum += float(consensus.sum())
-        else:
-            if kind == "thompson":
-                decisions = route_batch(ts_state, batch, route_rng)
-                chosen = np.array([dec.chosen_arm for dec in decisions], dtype=np.int64)
-            elif kind == "linucb":
-                decisions = route_linucb(
-                    ucb_state, batch, config.linucb_alpha, per_pair=config.linucb_per_pair
+    rngs = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
+    run = _Replay(
+        config, param, n_arms, d, stream.clusters, dataset.profiles, offline_model, *rngs,
+        RewardHistory(capacity=config.history_capacity),
+    )
+    state = spec.start(run)
+    calls = 1  # reward-model calls per pair
+    if spec.group == "ensemble":
+        votes, consensus, chosen_all = _majority_labels(stream.answers)
+        bits_all = (votes == np.array([p.label for p in stream.pairs])).astype(np.uint8)
+        probs = [majority_correct_prob(dataset.profiles[:, c]) for c in range(scenario.n_clusters)]
+        expected = np.array(probs)[stream.clusters]
+        calls = n_arms
+    else:
+        if spec.observe is not None:
+            comparators = {"full_advantage": n_arms - 1, "light_advantage": config.light_c}
+            calls += comparators.get(config.reward_variant, 0)
+        pair_ids = [p.pair_id for p in stream.pairs]
+        chosen_all = np.empty(stream.n, dtype=np.int64)
+        bits_all = np.empty(stream.n, dtype=np.uint8)
+        for step in range(n_steps):
+            rows = slice(step * batch_size, (step + 1) * batch_size)
+            contexts = np.stack([stream.embeddings[pid].vector for pid in pair_ids[rows]])
+            chosen, scores = spec.route(state, run, contexts, rows)
+            correct = stream.correct[rows]
+            chosen_all[rows] = chosen
+            bits_all[rows] = bits = correct[np.arange(batch_size), chosen]
+            if spec.observe is None:
+                continue
+            raw, rewards, bounds = _step_rewards(run, bits, chosen, correct)
+            state = spec.observe(state, contexts, chosen, rewards)
+            if decision_log is not None and scores is not None:
+                decision_log.extend(
+                    {"step": step, "pair_id": pid, "chosen_arm": arm, "sampled_scores": row}
+                    for pid, arm, row in zip(pair_ids[rows], chosen.tolist(), scores.tolist())
                 )
-                chosen = np.array([dec.chosen_arm for dec in decisions], dtype=np.int64)
-            elif kind == "random":
-                chosen = route_rng.integers(0, n_arms, size=batch_size)
-            elif kind == "single":
-                chosen = np.full(batch_size, int(param), dtype=np.int64)
-            elif kind == "oracle":
-                chosen = np.argmax(dataset.profiles[:, clusters], axis=0)
-            elif kind == "offline":
-                chosen = np.argmax(contexts @ offline_model.bt_embeddings.T, axis=1)
-            elif kind == "weighted":
-                chosen = route_weighted_batch(
-                    offline_model, ts_state, contexts, float(param), route_rng
-                )
-            else:  # pragma: no cover
-                raise ConfigError(f"unhandled router kind {kind!r}")
-            bits = correct[np.arange(batch_size), chosen]
-            expected = dataset.profiles[chosen, clusters]
-            calls += batch_size
-
-        selection_counts += np.bincount(chosen, minlength=n_arms)
-        step_hits = int(bits.sum())
-        total_hits += step_hits
-        accuracy_per_step.append(step_hits / batch_size)
-        cum_regret += float(np.sum(oracle_best[clusters] - expected))
-        regret_trace.append(cum_regret)
-
-        if kind in BANDIT_KINDS:
-            pair_ids = [p.pair_id for p in batch_pairs]
-            losses = {
-                pid: surrogate_pair_loss(bool(bits[i]), loss_rng)
-                for i, pid in enumerate(pair_ids)
-            }
-            rewards_map: dict[str, float] = {}
-            raw_map: dict[str, float] = {}
-            bounds = None
-            if config.reward_variant == "batch_quantile":
-                raw_map = batch_baseline_rewards(
-                    [PairLoss(pid, losses[pid]) for pid in pair_ids]
-                )
-                rewards_map, bounds = normalize_step_rewards(
-                    raw_map, history, warmup_min=config.warmup_min
-                )
-            elif config.reward_variant == "neg_loss":
-                raw_map = {pid: -losses[pid] for pid in pair_ids}
-                rewards_map = dict(raw_map)
-            elif config.reward_variant == "full_advantage":
-                for i, pid in enumerate(pair_ids):
-                    all_losses = [
-                        losses[pid]
-                        if n == chosen[i]
-                        else surrogate_pair_loss(bool(correct[i, n]), loss_rng)
-                        for n in range(n_arms)
-                    ]
-                    calls += n_arms - 1
-                    value = float(full_advantage_reward(all_losses, int(chosen[i])))
-                    raw_map[pid] = value
-                    rewards_map[pid] = value
-            else:  # light_advantage
-                for i, pid in enumerate(pair_ids):
-                    comparators = sample_comparators(n_arms, int(chosen[i]), config.light_c, comp_rng)
-                    comp_losses = [
-                        surrogate_pair_loss(bool(correct[i, n]), loss_rng) for n in comparators
-                    ]
-                    calls += len(comparators)
-                    value = float(light_advantage_reward(comp_losses, losses[pid]))
-                    raw_map[pid] = value
-                    rewards_map[pid] = value
-
-            if kind == "thompson":
-                ts_state = observe_feedback(ts_state, decisions, rewards_map)
-            elif kind == "linucb":
-                ucb_state = update_linucb(ucb_state, decisions, rewards_map)
-            else:  # weighted: update its internal zero-prior sampler directly
-                ts_state = observe_arrays(ts_state, contexts, chosen, pair_ids, rewards_map)
-
-            if decision_log is not None and decisions:
-                decision_log.extend(decision_record(step, dec) for dec in decisions)
             if reward_log is not None:
-                for pid in pair_ids:
-                    reward_log.append(
-                        reward_log_row(step, pid, raw_map[pid], rewards_map[pid], bounds)
-                    )
+                q_lo, q_hi = bounds or (None, None)
+                reward_log.extend(
+                    dict(step=step, pair_id=pid, raw_reward=r, normalized_reward=value,
+                         q_lo=q_lo, q_hi=q_hi)
+                    for pid, r, value in zip(pair_ids[rows], raw.tolist(), rewards.tolist())
+                )
+        expected = dataset.profiles[chosen_all, stream.clusters]
 
-        calls_per_step.append(calls)
-
+    # summed per step, then accumulated in step order: the traces equal a step-by-step sum
+    per_step = (n_steps, batch_size)
+    regret = (dataset.profiles.max(axis=0)[stream.clusters] - expected).reshape(per_step)
+    hits = bits_all.reshape(per_step).sum(axis=1)
+    uwo = np.cumsum(consensus.reshape(per_step).sum(axis=1))[-1] if kind == "uwo" else None
     metrics = RunMetrics(
         router=router,
         seed=config.seed,
-        routing_accuracy_per_step=accuracy_per_step,
-        cumulative_regret=regret_trace,
-        arm_selection_counts=selection_counts,
-        final_annotation_accuracy=total_hits / (batch_size * n_steps),
-        rm_calls_per_step=calls_per_step,
-        mean_uwo_weight=(
-            uwo_weight_sum / (batch_size * n_steps) if kind == "uwo" else None
-        ),
+        routing_accuracy_per_step=(hits / batch_size).tolist(),
+        cumulative_regret=np.cumsum(regret.sum(axis=1)).tolist(),
+        arm_selection_counts=np.bincount(chosen_all, minlength=n_arms),
+        final_annotation_accuracy=int(hits.sum()) / stream.n,
+        rm_calls_per_step=[calls * batch_size] * n_steps,
+        mean_uwo_weight=None if uwo is None else float(uwo) / stream.n,
     )
     metrics.validate(batch_size, n_steps)
-    if final_state_out is not None and ts_state is not None:
-        final_state_out.append(ts_state)
+    if final_state_out is not None and isinstance(state, OnlineRouterState):
+        final_state_out.append(state)
     return metrics
 
 

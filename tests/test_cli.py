@@ -125,6 +125,26 @@ class TestPipeline:
                 if not l.startswith("#")]
         assert len(rows) == 1 + (2 + 5)  # header + single:{0,1} + fixed baselines
 
+    def test_router_all_with_prior_runs_in_table_order(self, tmp_path, scenario_file):
+        prior_path = tmp_path / "prior.json"
+        prior = {"version": 1, "n_arms": 2, "d": 8, "bt_embeddings": np.eye(2, 8).tolist()}
+        write_json(prior_path, prior)
+        out_dir = str(tmp_path / "runs")
+        assert main(["run-sim", "--scenario", scenario_file, "--router", "all", "--seeds", "1",
+                     "--out-dir", out_dir, "--prior-file", str(prior_path),
+                     "--weighted-alpha", "0.25"]) == 0
+        rows = [l for l in open(f"{out_dir}/summary.csv").read().splitlines()
+                if not l.startswith("#")]
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "single:0", "single:1", "random", "majority", "uwo", "linucb", "thompson",
+            "offline", "weighted:0.25", "thompson-injected",
+        ]
+
+    def test_router_help_lists_every_router(self, capsys):
+        assert main(["run-sim", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "single:<arm>" in out and "weighted:<alpha>" in out and "oracle" in out
+
     def test_metrics_jsonl_steps(self, tmp_path, scenario_file):
         out_dir = str(tmp_path / "runs")
         assert main(["run-sim", "--scenario", scenario_file, "--router", "random",
@@ -153,6 +173,22 @@ class TestValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "thompson" in err and "majority" in err
+
+    def test_model_missing_a_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        write_json(path, {"version": 1, "bt_embeddings": [[1, 2]]})
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cls_embeddings" in err
+
+    def test_prior_file_missing_a_key_exits_2(self, tmp_path, scenario_file, capsys):
+        path = tmp_path / "prior.json"
+        write_json(path, {"version": 1, "bt_embeddings": [[1, 2]]})
+        code = main(["run-sim", "--scenario", scenario_file, "--router", "offline",
+                     "--prior-file", str(path), "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_arms" in err
 
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",

@@ -4,7 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
-from rmrouter.offline import collect_behavior
+from rmrouter.gaussian import ObservationBatch, posterior_update
+from rmrouter.offline import OfflineRouterModel, collect_behavior
+from rmrouter.online import (
+    OnlineRouterState,
+    RoutingDecision,
+    init_linucb,
+    init_router,
+    route_batch,
+    route_linucb,
+    route_weighted_batch,
+    update_linucb,
+)
+from rmrouter.rewards import (
+    SURROGATE_CORRECT_MEAN,
+    SURROGATE_INCORRECT_MEAN,
+    SURROGATE_STD,
+    PairLoss,
+    RewardHistory,
+    batch_baseline_array,
+    batch_baseline_rewards,
+    normalize_step_array,
+    normalize_step_rewards,
+    surrogate_losses,
+    surrogate_pair_loss,
+)
 from rmrouter.sim import (
     Cluster,
     ReplayConfig,
@@ -361,3 +385,200 @@ class TestCompareRuns:
         report = compare_runs(runs, baseline_index=0)
         entry = next(e for e in report.summary if e["router"] == "oracle")
         assert entry["ci_lo"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the array-level replay loop against the per-pair public API
+
+
+def reference_replay(router, dataset, config):
+    """The replay rebuilt from the per-pair public API (batch_quantile rewards).
+
+    Returns (per-step accuracies, cumulative regret, selection counts, final
+    accuracy, final Thompson-state or None).
+    """
+    scenario, stream = dataset.scenario, dataset.stream
+    n_arms, d, size = scenario.n_arms, scenario.d, scenario.pairs_per_step
+    kind, alpha = parse_router(router)
+    seed_rng = np.random.default_rng(config.seed)
+    route_rng, loss_rng, _ = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
+    if kind == "thompson":
+        injected = config.prior_mode == "injected"
+        state = init_router(
+            n_arms, d, config.prior_mode, config.offline_prior if injected else None,
+            config.sigma_sq, config.prior_variance, config.resample_per_pair,
+        )
+    elif kind == "weighted":
+        state = init_router(n_arms, d, sigma_sq=config.sigma_sq)
+        model = OfflineRouterModel(
+            None, config.offline_prior, np.zeros_like(config.offline_prior), 0.0, n_arms
+        )
+    else:
+        state = init_linucb(n_arms, d)
+    history = RewardHistory(capacity=config.history_capacity)
+    best = dataset.profiles.max(axis=0)
+    accuracy, regret, counts, cum, hits = [], [], np.zeros(n_arms, dtype=np.int64), 0.0, 0
+    for step in range(scenario.n_steps):
+        rows = slice(step * size, (step + 1) * size)
+        batch = [(p.pair_id, stream.embeddings[p.pair_id]) for p in stream.pairs[rows]]
+        if kind == "thompson":
+            decisions = route_batch(state, batch, route_rng)
+        elif kind == "linucb":
+            decisions = route_linucb(state, batch, config.linucb_alpha, config.linucb_per_pair)
+        else:
+            contexts = np.stack([emb.vector for _, emb in batch])
+            picks = route_weighted_batch(model, state, contexts, alpha, route_rng)
+            decisions = [
+                RoutingDecision(pid, int(arm), np.eye(n_arms)[arm], contexts[i])
+                for i, ((pid, _), arm) in enumerate(zip(batch, picks))
+            ]
+        chosen = np.array([dec.chosen_arm for dec in decisions])
+        bits = stream.correct[rows][np.arange(size), chosen]
+        losses = [
+            PairLoss(dec.pair_id, surrogate_pair_loss(bool(bit), loss_rng))
+            for dec, bit in zip(decisions, bits)
+        ]
+        rewards, _ = normalize_step_rewards(
+            batch_baseline_rewards(losses), history, config.warmup_min
+        )
+        if kind == "linucb":
+            state = update_linucb(state, decisions, rewards)
+        else:  # each arm's pairs in batch order, through the conjugate update itself
+            arms = list(state.arms)
+            for n in range(n_arms):
+                mine = [dec for dec in decisions if dec.chosen_arm == n]
+                if mine:
+                    batch_n = ObservationBatch(
+                        [dec.context for dec in mine], [rewards[dec.pair_id] for dec in mine]
+                    )
+                    arms[n] = posterior_update(arms[n], batch_n)
+            counts_n = state.selection_counts + np.bincount(chosen, minlength=n_arms)
+            state = OnlineRouterState(arms, state.config, state.step + 1, counts_n)
+        accuracy.append(int(bits.sum()) / size)
+        hits += int(bits.sum())
+        clusters = stream.clusters[rows]
+        cum += float(np.sum(best[clusters] - dataset.profiles[chosen, clusters]))
+        regret.append(cum)
+        counts += np.bincount(chosen, minlength=n_arms)
+    return accuracy, regret, counts, hits / stream.n, state if kind != "linucb" else None
+
+
+class TestArrayReplayMatchesPerPairApi:
+    @pytest.fixture(scope="class")
+    def dataset_and_prior(self):
+        scenario = two_cluster_scenario(pairs_per_step=16, n_steps=12, offline_pairs=120)
+        dataset = generate_scenario(scenario, 21)
+        return dataset, fit_offline_router(dataset, seed=21).model.bt_embeddings
+
+    @pytest.mark.parametrize(
+        "router, options",
+        [
+            ("thompson", {}),
+            ("thompson", {"prior_mode": "injected"}),
+            ("thompson", {"resample_per_pair": False, "history_capacity": 40}),
+            ("weighted:0.5", {}),
+            ("linucb", {}),
+            ("linucb", {"linucb_per_pair": True, "warmup_min": 8}),
+        ],
+    )
+    def test_bit_identical(self, dataset_and_prior, router, options):
+        dataset, prior = dataset_and_prior
+        config = ReplayConfig(seed=21, offline_prior=prior, **options)
+        states = []
+        got = run_replay(router, dataset, config, final_state_out=states)
+        accuracy, regret, counts, final, state = reference_replay(router, dataset, config)
+        assert got.routing_accuracy_per_step == accuracy
+        assert got.cumulative_regret == regret
+        assert np.array_equal(got.arm_selection_counts, counts)
+        assert got.final_annotation_accuracy == final
+        if state is None:
+            assert states == []
+            return
+        assert np.array_equal(states[0].selection_counts, state.selection_counts)
+        for mine, theirs in zip(states[0].arms, state.arms):
+            assert np.array_equal(mine.mean, theirs.mean)
+            assert np.array_equal(mine.covariance, theirs.covariance)
+            assert mine.update_count == theirs.update_count
+
+
+class TestArrayRewardsMatchPerPairForms:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        bits=st.lists(st.booleans(), min_size=1, max_size=70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_vector_draw_equals_per_pair_draws(self, bits, seed):
+        vector = surrogate_losses(np.array(bits, dtype=np.uint8), np.random.default_rng(seed))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        per_pair = [surrogate_pair_loss(bit, rng_a) for bit in bits]
+        scalar = [
+            float(rng_b.normal(SURROGATE_CORRECT_MEAN if bit else SURROGATE_INCORRECT_MEAN,
+                               SURROGATE_STD))
+            for bit in bits
+        ]
+        assert vector.tolist() == per_pair == scalar
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        steps=st.lists(
+            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12),
+            min_size=1,
+            max_size=8,
+        ),
+        warmup=st.integers(1, 20),
+    )
+    @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
+    def test_array_normalization_equals_dict_form(self, steps, warmup):
+        by_array, by_dict = RewardHistory(), RewardHistory()
+        for step, losses in enumerate(steps):
+            ids = [f"{step}-{i}" for i in range(len(losses))]
+            raw_map = batch_baseline_rewards([PairLoss(i, x) for i, x in zip(ids, losses)])
+            raw = batch_baseline_array(losses)
+            mean = sum(losses) / len(losses)  # left to right
+            assert raw.tolist() == [mean - x for x in losses] == list(raw_map.values())
+            want, want_bounds = normalize_step_rewards(raw_map, by_dict, warmup)
+            got, bounds = normalize_step_array(raw, by_array, warmup)
+            assert bounds == want_bounds
+            assert got.tolist() == list(want.values())
+            assert got.tolist() == [scale_reference(r, bounds) for r in raw.tolist()]
+        assert by_array.values == by_dict.values
+        assert by_array.degenerate_events == by_dict.degenerate_events
+
+
+def scale_reference(r, bounds):
+    """Reference: the per-value quantile scaling rule."""
+    if bounds is None:
+        return min(1.0, max(0.0, (r + 1.0) / 2.0))
+    q_lo, q_hi = bounds
+    if q_hi == q_lo:
+        return 0.5
+    if r < q_lo:
+        return 0.0
+    if r > q_hi:
+        return 1.0
+    return (r - q_lo) / (q_hi - q_lo)
+
+
+class TestReplayPosteriorClosedForm:
+    @pytest.mark.parametrize("prior_mode", ["zero", "injected"])
+    def test_final_arms_match_logs(self, prior_mode):
+        """The final beliefs equal the closed form rebuilt from the decision and reward logs."""
+        scenario = two_cluster_scenario(pairs_per_step=16, n_steps=10, offline_pairs=100)
+        dataset = generate_scenario(scenario, 23)
+        prior = fit_offline_router(dataset, seed=23).model.bt_embeddings
+        config = ReplayConfig(seed=23, prior_mode=prior_mode, offline_prior=prior, sigma_sq=0.5)
+        decision_log, reward_log, states = [], [], []
+        run_replay("thompson", dataset, config, decision_log, reward_log, states)
+        variance = states[0].config.prior_variance
+        assert [r["pair_id"] for r in decision_log] == [p.pair_id for p in dataset.stream.pairs]
+        reward_of = {row["pair_id"]: row["normalized_reward"] for row in reward_log}
+        for n, arm in enumerate(states[0].arms):
+            ids = [row["pair_id"] for row in decision_log if row["chosen_arm"] == n]
+            h = np.array([dataset.stream.embeddings[pid].vector for pid in ids]).reshape(-1, 8)
+            r = np.array([reward_of[pid] for pid in ids])
+            m0 = prior[n] if prior_mode == "injected" else np.zeros(8)
+            precision = np.eye(8) / variance + h.T @ h / 0.5
+            mean = np.linalg.solve(precision, m0 / variance + h.T @ r / 0.5)
+            assert arm.update_count == len(ids)
+            assert np.max(np.abs(arm.mean - mean)) <= 1e-8 * max(1.0, np.max(np.abs(mean)))
+            assert np.max(np.abs(arm.covariance @ precision - np.eye(8))) <= 1e-8
