@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import FormatError, InputError, InvariantError, RouterError
+from .errors import ConfigError, FormatError, InputError, InvariantError, RouterError
 from .features import load_dataset, load_embeddings, save_dataset, save_embeddings
 from .offline import (
     TrainConfig,
@@ -290,9 +290,12 @@ def _run_one_seed(payload: tuple) -> list[dict]:
 def cmd_run_sim(args: argparse.Namespace) -> int:
     scenario_doc = read_json(args.scenario)
     scenario = scenario_from_dict(scenario_doc)
-    seeds = (
-        [int(s) for s in args.seeds.split(",")] if args.seeds else list(scenario.seeds)
-    )
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(scenario.seeds)
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be a comma list of integers: {exc}") from exc
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     prior = _load_prior(args.prior_file) if args.prior_file else None
     if args.prior == "injected" and prior is None:
         raise InputError("--prior injected requires --prior-file")

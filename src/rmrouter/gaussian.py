@@ -22,22 +22,19 @@ GAIN_ROWS = 64  # rows per Kalman gain: bounds the innovation matrix for any bat
 
 
 def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndarray:
-    """Lower Cholesky factor; retries once with a jitter on the diagonal.
+    """Lower Cholesky factor (upper triangle zero) read from the lower triangle
+    of ``mat``; retries once with a jitter on the diagonal.
 
     Raises :class:`NonPSDError` naming the failing pivot if the factorization
     still fails after the jitter.
     """
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    jittered = mat + jitter * np.eye(mat.shape[0])
-    try:
-        return np.linalg.cholesky(jittered)
-    except np.linalg.LinAlgError:
-        pass
+    low, info = dpotrf(mat, lower=1, clean=1)
+    if info == 0:
+        return low
+    low, info = dpotrf(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=1)
+    if info == 0:
+        return low
     # LAPACK reports the first failing pivot 1-based in ``info``
-    _, info = dpotrf(jittered, lower=1)
     raise NonPSDError("matrix is not positive definite even after jitter", pivot=info - 1)
 
 
@@ -186,30 +183,36 @@ def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPos
     """
     if len(batch) == 0:
         return posterior
+    if batch.contexts.shape[1] != posterior.d:
+        raise DimError(f"context dimension {batch.contexts.shape[1]} is not d={posterior.d}")
+    return _update_rows(posterior, batch.contexts, batch.rewards)
+
+
+def _update_rows(
+    posterior: ArmPosterior, contexts: np.ndarray, rewards: np.ndarray
+) -> ArmPosterior:
+    """:func:`posterior_update` on checked rows: k >= 1 finite (k, d) contexts and rewards."""
     if posterior.degenerate:
         raise NumericalError("degenerate (zero covariance) posteriors cannot be updated")
-    if batch.contexts.shape[1] != posterior.d:
-        raise DimError(
-            f"context dimension {batch.contexts.shape[1]} does not match posterior d={posterior.d}"
-        )
     mean, covariance = posterior.mean, posterior.covariance
     try:
-        for start in range(0, len(batch), GAIN_ROWS):
-            h = batch.contexts[start : start + GAIN_ROWS]
+        for start in range(0, len(rewards), GAIN_ROWS):
+            h = contexts[start : start + GAIN_ROWS]
             h_cov = h @ covariance
-            innovation = posterior.noise_variance * np.eye(len(h)) + h_cov @ h.T
-            low = robust_cholesky(0.5 * (innovation + innovation.T))
+            innovation = h_cov @ h.T  # only its lower triangle is read: no symmetrizing
+            innovation.flat[:: len(h) + 1] += posterior.noise_variance
+            low = robust_cholesky(innovation)
             # LAPACK directly: no finiteness scan, so an overflowed factor is caught here
             gain_t, info = dpotrs(low, h_cov, lower=1)
             if info != 0 or not np.isfinite(low).all():
                 raise NumericalError(f"innovation overflows or its solve fails (info {info})")
-            mean = mean + gain_t.T @ (batch.rewards[start : start + GAIN_ROWS] - h @ mean)
+            mean = mean + gain_t.T @ (rewards[start : start + GAIN_ROWS] - h @ mean)
             covariance = covariance - h_cov.T @ gain_t
         return ArmPosterior(
             mean=mean,
             covariance=0.5 * (covariance + covariance.T),
             noise_variance=posterior.noise_variance,
-            update_count=posterior.update_count + len(batch),
+            update_count=posterior.update_count + len(rewards),
         )
     except (InputError, NonPSDError, ValueError) as exc:  # ValueError: overflow to inf or NaN
         raise NumericalError(f"update does not give a valid posterior: {exc}") from exc

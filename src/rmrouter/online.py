@@ -29,11 +29,10 @@ from .errors import ConfigError, DimError, FormatError, InputError, NumericalErr
 from .features import PairEmbedding
 from .gaussian import (
     ArmPosterior,
-    ObservationBatch,
+    _update_rows,
     make_prior,
     posterior_from_dict,
     posterior_to_dict,
-    posterior_update,
     sample_scores,
     sample_weights,
 )
@@ -243,6 +242,16 @@ def observe_feedback(
     )
 
 
+def _rows_by_arm(chosen, n_arms, keep=None):
+    """Rows (those ``keep`` marks) stably sorted by arm; arm n's are rows[ends[n]:ends[n + 1]]."""
+    rows = np.argsort(chosen, kind="stable")
+    if len(rows) and not 0 <= chosen[rows[0]] <= chosen[rows[-1]] < n_arms:
+        raise InputError(f"chosen arms must lie in [0, {n_arms})")
+    if keep is not None:
+        rows = rows[keep[rows]]
+    return rows, np.searchsorted(chosen[rows], np.arange(n_arms + 1))
+
+
 def observe_arrays(
     state: OnlineRouterState,
     contexts: np.ndarray,
@@ -254,20 +263,20 @@ def observe_arrays(
 
     Row i of ``contexts`` was routed to arm ``chosen[i]`` and earned
     ``rewards[i]``.  Every row counts as a selection; with a boolean
-    ``rewarded`` mask only the rows it marks update a posterior.  One stable
-    sort groups the rows by arm, so each arm sees its rows in batch order.
-    Arms that received no rewarded row keep their exact posterior objects.
+    ``rewarded`` mask only the rows it marks update a posterior.  The step is
+    checked once, then each arm sees its rows in batch order.  Arms that
+    received no rewarded row keep their exact posterior objects.
     """
     chosen = np.asarray(chosen, dtype=np.int64)
     rewards = np.asarray(rewards, dtype=np.float64)
-    rows = np.argsort(chosen, kind="stable")
-    if rewarded is not None:
-        rows = rows[rewarded[rows]]
-    ends = np.searchsorted(chosen[rows], np.arange(state.n_arms + 1))
+    n = len(chosen)
+    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, state.d):
+        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={state.d}")
+    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
+        raise InputError("observation contexts and rewards must be finite")
+    rows, ends = _rows_by_arm(chosen, state.n_arms, rewarded)
     new_arms = [
-        posterior_update(arm, ObservationBatch(contexts[rows[lo:hi]], rewards[rows[lo:hi]]))
-        if hi > lo
-        else arm
+        _update_rows(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
         for arm, lo, hi in zip(state.arms, ends[:-1], ends[1:])
     ]
     counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
@@ -311,18 +320,17 @@ def route_linucb_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(chosen arm per row, (B, N) UCB scores); one arm for the whole batch,
     scored on the mean context, unless per_pair."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     points = contexts if per_pair else contexts.mean(axis=0)[None]
     scores = np.empty((len(points), state.n_arms))
     for n, (a, b) in enumerate(zip(state.a_matrices, state.b_vectors)):
-        try:
-            theta = np.linalg.solve(a, b)
-            spreads = [np.linalg.solve(a, h) for h in points]
+        try:  # one solve for theta = A^-1 b and every point's spread A^-1 h
+            solved = np.linalg.solve(a, np.column_stack([b, points.T]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular design matrix for arm {n}") from exc
-        for i, (h, spread) in enumerate(zip(points, spreads)):
-            scores[i, n] = theta @ h + alpha * np.sqrt(max(h @ spread, 0.0))
+        spreads = np.einsum("ij,ji->i", points, solved[:, 1:])
+        scores[:, n] = points @ solved[:, 0] + alpha * np.sqrt(np.maximum(spreads, 0.0))
     if not per_pair:
         scores = np.tile(scores, (len(contexts), 1))
     return np.argmax(scores, axis=1), scores
@@ -347,15 +355,14 @@ def update_linucb_arrays(
     chosen: Sequence[int] | np.ndarray,
     rewards: Sequence[float] | np.ndarray,
 ) -> LinUcbState:
-    """Add h h^T and r h of every row to its chosen arm's statistics, in row order."""
+    """Add H^T H and H^T r of each arm's rows, grouped as in :func:`observe_arrays`."""
     rewards = np.asarray(rewards, dtype=np.float64)
     if not np.isfinite(rewards).all():
         raise InputError("rewards must be finite")
-    a_new = [a.copy() for a in state.a_matrices]
-    b_new = [b.copy() for b in state.b_vectors]
-    for h, n, r in zip(contexts, np.asarray(chosen).tolist(), rewards.tolist()):
-        a_new[n] += np.outer(h, h)
-        b_new[n] += r * h
+    rows, ends = _rows_by_arm(np.asarray(chosen, dtype=np.int64), state.n_arms)
+    groups = [rows[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
+    a_new = [a + contexts[g].T @ contexts[g] for a, g in zip(state.a_matrices, groups)]
+    b_new = [b + rewards[g] @ contexts[g] for b, g in zip(state.b_vectors, groups)]
     return LinUcbState(a_matrices=a_new, b_vectors=b_new, step=state.step + 1)
 
 

@@ -90,6 +90,8 @@ class RewardHistory:
     """
 
     def __init__(self, values: Iterable[float] = (), capacity: int | None = None) -> None:
+        if not (capacity is None or isinstance(capacity, (int, np.integer)) and capacity >= 1):
+            raise ConfigError(f"history capacity must be None or an int >= 1, got {capacity!r}")
         self.capacity = capacity
         self.degenerate_events = 0
         self._order = np.empty(0, dtype=np.float64)

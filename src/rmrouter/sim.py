@@ -250,7 +250,8 @@ class SimSplit:
     """A materialized set of pairs: contexts, labels, and frozen model answers."""
 
     pairs: list[PreferencePair]
-    embeddings: dict[str, PairEmbedding]
+    embeddings: dict[str, PairEmbedding]  # each vector is a view of its row of contexts
+    contexts: np.ndarray  # (n, d) context vector per pair
     clusters: np.ndarray  # (n,) cluster index per pair
     answers: np.ndarray  # (n, n_arms) "A"/"B" per model
     correct: np.ndarray  # (n, n_arms) answer == label
@@ -300,7 +301,7 @@ def _draw_split(
 ) -> SimSplit:
     n = len(cluster_ids)
     pairs: list[PreferencePair] = []
-    embeddings: dict[str, PairEmbedding] = {}
+    contexts = np.empty((n, scenario.d))
     labels = np.where(rng.random(n) < 0.5, "A", "B")
     answers = np.empty((n, scenario.n_arms), dtype="<U1")
     for i, c in enumerate(cluster_ids):
@@ -319,7 +320,8 @@ def _draw_split(
             label=str(labels[i]),
         )
         pairs.append(pair)
-        embeddings[pair_id] = PairEmbedding.of(vec / norm)
+        contexts[i] = vec / norm
+    embeddings = {pair.pair_id: PairEmbedding.of(row) for pair, row in zip(pairs, contexts)}
     flipped = np.where(labels == "A", "B", "A")
     for arm in range(scenario.n_arms):
         hit = rm_rngs[arm].random(n) < profiles[arm, cluster_ids]
@@ -328,6 +330,7 @@ def _draw_split(
     return SimSplit(
         pairs=pairs,
         embeddings=embeddings,
+        contexts=contexts,
         clusters=cluster_ids.astype(np.int64),
         answers=answers,
         correct=correct,
@@ -410,6 +413,7 @@ class ReplayConfig:
             raise ConfigError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
+        RewardHistory(capacity=self.history_capacity)  # raises ConfigError on a bad capacity
         if self.offline_prior is not None:
             self.offline_prior = np.asarray(self.offline_prior, dtype=np.float64)
 
@@ -690,12 +694,11 @@ def run_replay(
         if spec.observe is not None:
             comparators = {"full_advantage": n_arms - 1, "light_advantage": config.light_c}
             calls += comparators.get(config.reward_variant, 0)
-        pair_ids = [p.pair_id for p in stream.pairs]
         chosen_all = np.empty(stream.n, dtype=np.int64)
         bits_all = np.empty(stream.n, dtype=np.uint8)
         for step in range(n_steps):
             rows = slice(step * batch_size, (step + 1) * batch_size)
-            contexts = np.stack([stream.embeddings[pid].vector for pid in pair_ids[rows]])
+            contexts = stream.contexts[rows]
             chosen, scores = spec.route(state, run, contexts, rows)
             correct = stream.correct[rows]
             chosen_all[rows] = chosen
@@ -706,15 +709,15 @@ def run_replay(
             state = spec.observe(state, contexts, chosen, rewards)
             if decision_log is not None and scores is not None:
                 decision_log.extend(
-                    {"step": step, "pair_id": pid, "chosen_arm": arm, "sampled_scores": row}
-                    for pid, arm, row in zip(pair_ids[rows], chosen.tolist(), scores.tolist())
+                    {"step": step, "pair_id": p.pair_id, "chosen_arm": arm, "sampled_scores": row}
+                    for p, arm, row in zip(stream.pairs[rows], chosen.tolist(), scores.tolist())
                 )
             if reward_log is not None:
                 q_lo, q_hi = bounds or (None, None)
                 reward_log.extend(
-                    dict(step=step, pair_id=pid, raw_reward=r, normalized_reward=value,
+                    dict(step=step, pair_id=p.pair_id, raw_reward=r, normalized_reward=value,
                          q_lo=q_lo, q_hi=q_hi)
-                    for pid, r, value in zip(pair_ids[rows], raw.tolist(), rewards.tolist())
+                    for p, r, value in zip(stream.pairs[rows], raw.tolist(), rewards.tolist())
                 )
         expected = dataset.profiles[chosen_all, stream.clusters]
 

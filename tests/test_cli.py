@@ -190,6 +190,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_arms" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--seeds", "x"],
+            ["--seeds", ","],
+            ["--jobs", "0"],
+            ["--jobs", "-2"],
+            ["--router", "linucb", "--linucb-alpha", "nan"],
+        ],
+    )
+    def test_bad_run_sim_option_exits_2(self, tmp_path, scenario_file, capsys, extra):
+        args = ["run-sim", "--scenario", scenario_file, "--out-dir", str(tmp_path / "runs")]
+        if "--router" not in extra:
+            args += ["--router", "random"]
+        assert main(args + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",
                      "--prior", "injected", "--out-dir", str(tmp_path / "runs")])

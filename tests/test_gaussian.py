@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 from rmrouter.gaussian import (
@@ -42,6 +43,21 @@ def information_form(mean0, prior_variance, noise, contexts, rewards):
     precision = np.eye(len(mean0)) / prior_variance + contexts.T @ contexts / noise
     mean = np.linalg.solve(precision, mean0 / prior_variance + contexts.T @ rewards / noise)
     return mean, precision
+
+
+def symmetrized_reference_update(post, contexts, rewards):
+    """The Kalman step formed as before the in-place innovation: sigma^2 I via
+    np.eye, a symmetrized innovation, np.linalg.cholesky and cho_solve."""
+    mean, cov = post.mean, post.covariance
+    for start in range(0, len(rewards), GAIN_ROWS):
+        h = contexts[start : start + GAIN_ROWS]
+        h_cov = h @ cov
+        innovation = post.noise_variance * np.eye(len(h)) + h_cov @ h.T
+        low = np.linalg.cholesky(0.5 * (innovation + innovation.T))
+        gain_t = cho_solve((low, True), h_cov)
+        mean = mean + gain_t.T @ (rewards[start : start + GAIN_ROWS] - h @ mean)
+        cov = cov - h_cov.T @ gain_t
+    return mean, 0.5 * (cov + cov.T)
 
 
 def random_batch(rng, d, repeated):
@@ -103,6 +119,15 @@ class TestSampling:
         a = sample_weight(post, np.random.default_rng(123))
         b = sample_weight(post, np.random.default_rng(123))
         assert np.array_equal(a, b)
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_factor_is_lower_and_matches_numpy(self, d, seed):
+        mat = random_spd(np.random.default_rng(seed), d)
+        low = robust_cholesky(mat)
+        assert np.all(np.triu(low, 1) == 0.0)
+        expected = np.linalg.cholesky(mat)
+        assert np.max(np.abs(low - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_non_psd_names_pivot(self):
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -321,6 +346,29 @@ class TestTwoFieldBelief:
         assert post.update_count == k
         assert np.linalg.norm(post.mean - mean) <= 1e-9 * np.linalg.norm(mean)
         assert np.max(np.abs(post.covariance @ precision - np.eye(d))) <= 1e-9
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        d=st.integers(1, 24),
+        k=st.integers(1, 80),
+        prior_scale=st.floats(0.01, 2.0),
+        noise=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_symmetrized_reference(self, d, k, prior_scale, noise, seed):
+        # unit-scale contexts and a prior covariance with largest eigenvalue
+        # prior_scale: the regime of the replay, where both forms differ by rounding only
+        rng = np.random.default_rng(seed)
+        cov = random_spd(rng, d)
+        cov = prior_scale * (cov + cov.T) / (2 * np.linalg.eigvalsh(cov)[-1])
+        post = ArmPosterior(mean=rng.standard_normal(d), covariance=cov, noise_variance=noise)
+        contexts = rng.standard_normal((k, d)) / np.sqrt(d)
+        rewards = rng.standard_normal(k)
+        updated = posterior_update(post, ObservationBatch(contexts, rewards))
+        mean, cov_ref = symmetrized_reference_update(post, contexts, rewards)
+        scale = np.linalg.norm(mean) + np.linalg.norm(post.mean)
+        assert np.linalg.norm(updated.mean - mean) <= 1e-12 * scale
+        assert np.max(np.abs(updated.covariance - cov_ref)) <= 1e-12 * np.max(np.abs(cov_ref))
 
     @settings(deadline=None, max_examples=40)
     @given(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmrouter.errors import ConfigError, InputError
+from rmrouter.errors import ConfigError, DimError, InputError
 from rmrouter.features import PairEmbedding
 from rmrouter.gaussian import ArmPosterior
 from rmrouter.offline import OfflineRouterModel, route_offline
@@ -13,15 +13,18 @@ from rmrouter.online import (
     RoutingDecision,
     init_linucb,
     init_router,
+    observe_arrays,
     observe_feedback,
     route_batch,
     route_linucb,
+    route_linucb_arrays,
     route_weighted_batch,
     route_weighted_score,
     softmax,
     state_from_dict,
     state_to_dict,
     update_linucb,
+    update_linucb_arrays,
 )
 from rmrouter.serialize import dumps_doc
 
@@ -236,7 +239,84 @@ class TestObserveFeedback:
             observe_feedback(state, decisions, {"b": float("nan")})
 
 
+class TestObserveArrays:
+    def warm_state(self):
+        rng = np.random.default_rng(3)
+        state = init_router(3, 4)
+        return observe_arrays(
+            state, rng.standard_normal((8, 4)), rng.integers(0, 3, 8), rng.standard_normal(8)
+        )
+
+    @pytest.mark.parametrize("field", ["contexts", "rewards"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5, 7])
+    def test_non_finite_row_rejected_and_state_unchanged(self, field, bad, row):
+        state = self.warm_state()
+        before = state_to_dict(state)
+        rng = np.random.default_rng(4)
+        step = {"contexts": rng.standard_normal((8, 4)), "rewards": rng.standard_normal(8)}
+        step[field][row] = bad
+        with pytest.raises(InputError):
+            observe_arrays(state, step["contexts"], np.arange(8) % 3, step["rewards"])
+        assert state_to_dict(state) == before
+
+    def test_mismatched_shapes_rejected(self):
+        state = init_router(2, 3)
+        with pytest.raises(DimError):
+            observe_arrays(state, np.zeros((4, 3)), [0, 1, 0], np.zeros(4))
+        with pytest.raises(DimError):
+            observe_arrays(state, np.zeros((4, 2)), [0, 1, 0, 1], np.zeros(4))
+
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_chosen_arm_out_of_range_rejected(self, arm):
+        with pytest.raises(InputError):
+            observe_arrays(init_router(2, 1), np.ones((2, 1)), [0, arm], np.zeros(2))
+        with pytest.raises(InputError):
+            update_linucb_arrays(init_linucb(2, 1), np.ones((2, 1)), [arm, 0], np.zeros(2))
+
+
 class TestLinUcb:
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError):
+            route_linucb_arrays(init_linucb(2, 2), np.ones((3, 2)), alpha)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n_arms=st.integers(1, 4),
+        d=st.integers(1, 8),
+        b=st.integers(1, 12),
+        steps=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_update_and_stacked_solve_match_per_row_reference(
+        self, n_arms, d, b, steps, seed
+    ):
+        # reference: one np.outer per row in row order, one solve per (point, arm)
+        rng = np.random.default_rng(seed)
+        state = init_linucb(n_arms, d)
+        a_ref = [np.eye(d) for _ in range(n_arms)]
+        b_ref = [np.zeros(d) for _ in range(n_arms)]
+        for _ in range(steps):
+            contexts = rng.standard_normal((b, d))
+            chosen = rng.integers(0, n_arms, b)
+            rewards = rng.standard_normal(b)
+            state = update_linucb_arrays(state, contexts, chosen, rewards)
+            for h, n, r in zip(contexts, chosen, rewards):
+                a_ref[n] = a_ref[n] + np.outer(h, h)
+                b_ref[n] = b_ref[n] + r * h
+        for n in range(n_arms):
+            assert np.allclose(state.a_matrices[n], a_ref[n], rtol=1e-12, atol=1e-12)
+            assert np.allclose(state.b_vectors[n], b_ref[n], rtol=1e-12, atol=1e-12)
+        points = rng.standard_normal((b, d))
+        _, scores = route_linucb_arrays(state, points, 0.7, per_pair=True)
+        for i, h in enumerate(points):
+            for n in range(n_arms):
+                theta = np.linalg.solve(state.a_matrices[n], state.b_vectors[n])
+                spread = h @ np.linalg.solve(state.a_matrices[n], h)
+                expected = theta @ h + 0.7 * np.sqrt(max(spread, 0.0))
+                assert scores[i, n] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
     def test_fresh_state_ties_to_arm_zero(self):
         state = init_linucb(3, 2)
         decisions = route_linucb(state, embeddings_of([[1.0, 0.0]] * 4), alpha=1.0)

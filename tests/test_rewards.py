@@ -161,6 +161,11 @@ class TestQuantileNormalize:
         history.extend([1.0, 2.0, 3.0, 4.0])
         assert history.values == [2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("capacity", [-1, 0, 2.5, "3"])
+    def test_bad_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigError):
+            RewardHistory(capacity=capacity)
+
 
 class TestStepNormalization:
     def test_strictly_past_history(self):

@@ -117,6 +117,16 @@ class TestGenerateScenario:
         for pid in a.stream.embeddings:
             assert np.array_equal(a.stream.embeddings[pid].vector, b.stream.embeddings[pid].vector)
 
+    def test_embeddings_are_views_of_the_context_matrix(self):
+        scenario = two_cluster_scenario(pairs_per_step=8, n_steps=5, offline_pairs=16)
+        dataset = generate_scenario(scenario, 5)
+        for split in (dataset.offline, dataset.stream):
+            assert split.contexts.shape == (split.n, scenario.d)
+            for i, pair in enumerate(split.pairs):
+                vector = split.embeddings[pair.pair_id].vector
+                assert np.array_equal(split.contexts[i], vector)
+                assert np.shares_memory(split.contexts, vector)
+
     def test_empirical_accuracy_matches_profile(self):
         scenario = two_cluster_scenario(pairs_per_step=4, n_steps=2, offline_pairs=10_000)
         dataset = generate_scenario(scenario, 7)
@@ -305,6 +315,11 @@ class TestRunReplay:
             config = ReplayConfig(seed=17, offline_prior=prior)
             acc = run_replay(router, dataset, config).final_annotation_accuracy
             assert lo <= acc <= hi, (router, acc)
+
+    @pytest.mark.parametrize("capacity", [0, -3, 2.5, "10"])
+    def test_bad_history_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigError):
+            ReplayConfig(history_capacity=capacity)
 
     def test_missing_prior_rejected(self):
         dataset = generate_scenario(two_cluster_scenario(4, 2), 18)
