@@ -308,7 +308,6 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         raise InputError(f"router(s) {needs_prior} require --prior-file")
 
     routers = _expand_routers(args, scenario.n_arms, prior is not None)
-    os.makedirs(args.out_dir, exist_ok=True)
     base_config = {
         "sigma_sq": args.sigma_sq,
         "prior_variance": args.prior_variance,
@@ -318,6 +317,8 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         "reward_variant": args.reward_variant,
         "light_c": args.light_c,
     }
+    ReplayConfig(**base_config)  # raises ConfigError before any output is written
+    os.makedirs(args.out_dir, exist_ok=True)
     payloads = [
         (scenario_doc, seed, routers, base_config, args.out_dir, args.scenario)
         for seed in seeds

@@ -313,9 +313,8 @@ def train_offline(
 ) -> TrainResult:
     """Train the two heads (and the fusion layer, unless embeddings are given).
 
-    Deterministic for a fixed config seed.  Raises :class:`TrainError` when no
-    pair has both a correct and an incorrect model, since the ranking head
-    then has no signal.
+    Checks the records, turns them into index arrays and the pairs into
+    context rows, then trains through :func:`train_arrays`.
     """
     config = config or TrainConfig()
     if not pairs:
@@ -324,25 +323,43 @@ def train_offline(
     if n_arms < 2:
         raise InputError("need behavior records for at least two models")
     samples = extract_disagreements(records)
-    if not samples:
-        raise TrainError("disagreement set is empty: ranking head has no signal")
     bt_index, beh_index = _build_index_arrays(pairs, records, samples, n_arms)
-
-    rng = np.random.default_rng(config.seed)
     if embeddings is None:
         encoder = HashingEncoder(config.encoder_dim)
         contexts = np.stack([prefusion_vector(pair, encoder) for pair in pairs])
-        fusion = FusionParams.random_init(
-            config.embed_dim, config.encoder_dim, rng, scale=config.init_scale
-        )
-        d = config.embed_dim
     else:
         missing = [p.pair_id for p in pairs if p.pair_id not in embeddings]
         if missing:
             raise InputError(f"no embedding for pair(s) {missing[:3]}...")
         contexts = np.stack([embeddings[p.pair_id].vector for p in pairs])
-        fusion = None
-        d = contexts.shape[1]
+    return train_arrays(contexts, bt_index, beh_index, n_arms, config, fused=embeddings is None)
+
+
+def train_arrays(
+    contexts: np.ndarray,
+    bt_index: np.ndarray,
+    beh_index: np.ndarray,
+    n_arms: int,
+    config: TrainConfig,
+    fused: bool = False,
+) -> TrainResult:
+    """Train on one context row per pair and the index arrays of :func:`loss_and_grads`.
+
+    With ``fused`` the rows are pre-fusion vectors and a fusion layer is
+    trained as well.  Deterministic for a fixed config seed.  Raises
+    :class:`TrainError` when no pair has both a correct and an incorrect
+    model, since the ranking head then has no signal.
+    """
+    if not len(bt_index):
+        raise TrainError("disagreement set is empty: ranking head has no signal")
+    rng = np.random.default_rng(config.seed)
+    if fused:
+        fusion = FusionParams.random_init(
+            config.embed_dim, config.encoder_dim, rng, scale=config.init_scale
+        )
+        d = config.embed_dim
+    else:
+        fusion, d = None, contexts.shape[1]
 
     model = OfflineRouterModel(
         fusion=fusion,
@@ -354,7 +371,7 @@ def train_offline(
 
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
-    n_pairs, batch_size = len(pairs), config.batch_size
+    n_pairs, batch_size = len(contexts), config.batch_size
     for epoch in range(config.epochs):
         perm = rng.permutation(n_pairs)
         shuffled = contexts[perm]

@@ -252,6 +252,19 @@ def _rows_by_arm(chosen, n_arms, keep=None):
     return rows, np.searchsorted(chosen[rows], np.arange(n_arms + 1))
 
 
+def _check_step(d: int, contexts, chosen, rewards) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step's (contexts[B, d], chosen[B], rewards[B]) as arrays, checked once."""
+    contexts = np.asarray(contexts, dtype=np.float64)
+    chosen = np.asarray(chosen, dtype=np.int64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    n = len(chosen)
+    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, d):
+        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={d}")
+    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
+        raise InputError("observation contexts and rewards must be finite")
+    return contexts, chosen, rewards
+
+
 def observe_arrays(
     state: OnlineRouterState,
     contexts: np.ndarray,
@@ -267,13 +280,7 @@ def observe_arrays(
     checked once, then each arm sees its rows in batch order.  Arms that
     received no rewarded row keep their exact posterior objects.
     """
-    chosen = np.asarray(chosen, dtype=np.int64)
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n = len(chosen)
-    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, state.d):
-        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={state.d}")
-    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
-        raise InputError("observation contexts and rewards must be finite")
+    contexts, chosen, rewards = _check_step(state.d, contexts, chosen, rewards)
     rows, ends = _rows_by_arm(chosen, state.n_arms, rewarded)
     new_arms = [
         _update_rows(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
@@ -355,11 +362,9 @@ def update_linucb_arrays(
     chosen: Sequence[int] | np.ndarray,
     rewards: Sequence[float] | np.ndarray,
 ) -> LinUcbState:
-    """Add H^T H and H^T r of each arm's rows, grouped as in :func:`observe_arrays`."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if not np.isfinite(rewards).all():
-        raise InputError("rewards must be finite")
-    rows, ends = _rows_by_arm(np.asarray(chosen, dtype=np.int64), state.n_arms)
+    """Add H^T H and H^T r of each arm's rows; checked and grouped as in observe_arrays."""
+    contexts, chosen, rewards = _check_step(state.d, contexts, chosen, rewards)
+    rows, ends = _rows_by_arm(chosen, state.n_arms)
     groups = [rows[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
     a_new = [a + contexts[g].T @ contexts[g] for a, g in zip(state.a_matrices, groups)]
     b_new = [b + rewards[g] @ contexts[g] for b, g in zip(state.b_vectors, groups)]

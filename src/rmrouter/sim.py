@@ -17,7 +17,9 @@ fixed-weight offline/online score mix, and a profile-oracle upper bound.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +30,7 @@ from .offline import (
     OfflineRouterModel,
     TrainConfig,
     TrainResult,
-    collect_behavior,
-    train_offline,
+    train_arrays,
 )
 from .online import (
     OnlineRouterState,
@@ -80,8 +81,10 @@ class Cluster:
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.ndim != 1:
             raise ConfigError("cluster center must be a vector")
-        if self.spread < 0:
-            raise ConfigError("cluster spread must be >= 0")
+        if not np.isfinite(self.center).all():
+            raise ConfigError(f"cluster {self.cluster_id} center must be finite")
+        if not 0.0 <= self.spread < np.inf:
+            raise ConfigError(f"cluster {self.cluster_id} spread must be finite and >= 0")
 
 
 @dataclass
@@ -146,7 +149,7 @@ class SimScenario:
                 continue
             if len(mix) != len(self.clusters):
                 raise ConfigError(f"{name} must have one weight per cluster")
-            if any(w < 0 for w in mix) or abs(sum(mix) - 1.0) > 1e-9:
+            if not (all(w >= 0 for w in mix) and abs(sum(mix) - 1.0) <= 1e-9):  # NaN fails too
                 raise ConfigError(f"{name} must be a probability vector")
         if self.mixture_after is not None and self.drift_step is None:
             raise ConfigError("mixture_after requires drift_step")
@@ -163,11 +166,8 @@ class SimScenario:
 
     def profile_matrix(self) -> np.ndarray:
         """(n_arms, n_clusters) accuracy table."""
-        out = np.empty((self.n_arms, self.n_clusters))
-        for n, profile in enumerate(self.arm_profiles):
-            for c in range(self.n_clusters):
-                out[n, c] = profile[c]
-        return out
+        clusters = range(self.n_clusters)
+        return np.array([[p[c] for c in clusters] for p in self.arm_profiles], dtype=np.float64)
 
     def mixture_at(self, step: int) -> np.ndarray:
         uniform = np.full(self.n_clusters, 1.0 / self.n_clusters)
@@ -247,39 +247,82 @@ def scenario_from_dict(doc: dict) -> SimScenario:
 
 @dataclass
 class SimSplit:
-    """A materialized set of pairs: contexts, labels, and frozen model answers."""
+    """A materialized set of pairs, one array row per pair.
 
-    pairs: list[PreferencePair]
-    embeddings: dict[str, PairEmbedding]  # each vector is a view of its row of contexts
-    contexts: np.ndarray  # (n, d) context vector per pair
+    Row ``i`` is the pair named ``pair_id(i)``.  The pipeline reads only the
+    arrays; ``pairs`` and ``embeddings`` serve the dataset files, the CLI and
+    the demos.
+    """
+
+    prefix: str  # pair ids are f"{prefix}-{row:06d}"
+    contexts: np.ndarray  # (n, d) unit context vector per pair
     clusters: np.ndarray  # (n,) cluster index per pair
+    labels: np.ndarray  # (n,) ground truth "A"/"B"
     answers: np.ndarray  # (n, n_arms) "A"/"B" per model
     correct: np.ndarray  # (n, n_arms) answer == label
 
     @property
     def n(self) -> int:
-        return len(self.pairs)
+        return len(self.labels)
 
-    def pool(self) -> "SyntheticRmPool":
-        return SyntheticRmPool(self)
+    def pair_id(self, row: int) -> str:
+        return f"{self.prefix}-{row:06d}"
 
+    def row_of(self, pair_id: str) -> int:
+        """The row of ``pair_id``; KeyError if the split has no such pair."""
+        head, _, digits = str(pair_id).rpartition("-")
+        row = int(digits) if head == self.prefix and digits.isdecimal() else self.n
+        if row >= self.n or self.pair_id(row) != pair_id:
+            raise KeyError(pair_id)
+        return row
 
-class SyntheticRmPool:
-    """Answer oracle over a split's frozen truth table."""
+    @cached_property
+    def pairs(self) -> list[PreferencePair]:
+        return [
+            PreferencePair(pid, f"prompt {pid} topic {c}", f"candidate answer one for {pid}",
+                           f"candidate answer two for {pid}", label)
+            for pid, c, label in zip(
+                map(self.pair_id, range(self.n)), self.clusters.tolist(), self.labels.tolist()
+            )
+        ]
 
-    def __init__(self, split: SimSplit):
-        self._split = split
-        self._row_of = {pair.pair_id: i for i, pair in enumerate(split.pairs)}
-        self.n_arms = split.answers.shape[1]
+    @property
+    def embeddings(self) -> Mapping[str, PairEmbedding]:
+        """pair_id -> embedding; each lookup's vector is a view of its context row."""
+        return _RowEmbeddings(self)
+
+    @property
+    def n_arms(self) -> int:
+        return self.answers.shape[1]
 
     def preference(self, rm_index: int, pair: PreferencePair) -> str:
+        """Model ``rm_index``'s frozen answer to ``pair``: the split is its own RmPool."""
         if not 0 <= rm_index < self.n_arms:
             raise InputError(f"rm_index {rm_index} out of range")
         try:
-            row = self._row_of[pair.pair_id]
+            row = self.row_of(pair.pair_id)
         except KeyError:
             raise InputError(f"unknown pair {pair.pair_id!r}") from None
-        return str(self._split.answers[row, rm_index])
+        return str(self.answers[row, rm_index])
+
+    def pool(self) -> "SimSplit":
+        return self
+
+
+class _RowEmbeddings(Mapping):
+    """Read-only mapping over a split's context rows; stores no per-pair object."""
+
+    def __init__(self, split: SimSplit):
+        self._split = split
+
+    def __getitem__(self, pair_id: str) -> PairEmbedding:
+        return PairEmbedding.of(self._split.contexts[self._split.row_of(pair_id)])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._split.pair_id, range(self._split.n))
+
+    def __len__(self) -> int:
+        return self._split.n
 
 
 @dataclass
@@ -291,6 +334,31 @@ class SimDataset:
     profiles: np.ndarray  # (n_arms, n_clusters)
 
 
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    # one dot product per row, the way np.linalg.norm(row) computes it;
+    # np.linalg.norm(axis=1) can differ from that in the last bit
+    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
+
+
+def _draw_clusters(
+    scenario: SimScenario, rng: np.random.Generator, n_pairs: int, switch: int
+) -> np.ndarray:
+    """Cluster index per pair: the first ``switch`` pairs follow the initial
+    mixture, the rest the final one.
+
+    One uniform draw for all pairs, each inverted through its mixture's CDF
+    as ``rng.choice`` does it: the same values, and the same generator state
+    after, as one ``rng.choice(C, size=B, p=mixture_at(t))`` call per step.
+    """
+    u = rng.random(n_pairs)
+    out = []
+    for part, step in ((u[:switch], 0), (u[switch:], scenario.n_steps - 1)):
+        cdf = np.cumsum(scenario.mixture_at(step))
+        cdf /= cdf[-1]
+        out.append(cdf.searchsorted(part, side="right"))
+    return np.concatenate(out).astype(np.int64)
+
+
 def _draw_split(
     scenario: SimScenario,
     prefix: str,
@@ -300,41 +368,27 @@ def _draw_split(
     profiles: np.ndarray,
 ) -> SimSplit:
     n = len(cluster_ids)
-    pairs: list[PreferencePair] = []
-    contexts = np.empty((n, scenario.d))
     labels = np.where(rng.random(n) < 0.5, "A", "B")
-    answers = np.empty((n, scenario.n_arms), dtype="<U1")
-    for i, c in enumerate(cluster_ids):
-        cluster = scenario.clusters[int(c)]
-        vec = cluster.center + cluster.spread * rng.standard_normal(scenario.d)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec = cluster.center.copy()
-            norm = np.linalg.norm(vec) or 1.0
-        pair_id = f"{prefix}-{i:06d}"
-        pair = PreferencePair(
-            pair_id=pair_id,
-            prompt=f"prompt {pair_id} topic {int(c)}",
-            response_a=f"candidate answer one for {pair_id}",
-            response_b=f"candidate answer two for {pair_id}",
-            label=str(labels[i]),
-        )
-        pairs.append(pair)
-        contexts[i] = vec / norm
-    embeddings = {pair.pair_id: PairEmbedding.of(row) for pair, row in zip(pairs, contexts)}
+    centers = np.stack([c.center for c in scenario.clusters])
+    spreads = np.array([c.spread for c in scenario.clusters], dtype=np.float64)
+    # one draw for every row gives the values of one draw per row, in order
+    contexts = rng.standard_normal((n, scenario.d))
+    contexts *= spreads[cluster_ids, None]
+    contexts += centers[cluster_ids]
+    norms = _row_norms(contexts)
+    zero = norms == 0.0
+    if zero.any():  # fall back to the centre; a zero centre stays a zero vector
+        contexts[zero] = centers[cluster_ids[zero]]
+        norms[zero] = _row_norms(contexts[zero])
+        norms[norms == 0.0] = 1.0
+    contexts /= norms[:, None]
     flipped = np.where(labels == "A", "B", "A")
+    answers = np.empty((n, scenario.n_arms), dtype="<U1")
     for arm in range(scenario.n_arms):
         hit = rm_rngs[arm].random(n) < profiles[arm, cluster_ids]
         answers[:, arm] = np.where(hit, labels, flipped)
     correct = (answers == labels[:, None]).astype(np.uint8)
-    return SimSplit(
-        pairs=pairs,
-        embeddings=embeddings,
-        contexts=contexts,
-        clusters=cluster_ids.astype(np.int64),
-        answers=answers,
-        correct=correct,
-    )
+    return SimSplit(prefix, contexts, cluster_ids.astype(np.int64), labels, answers, correct)
 
 
 def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> SimDataset:
@@ -358,19 +412,28 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     ]
     rm_rngs = [np.random.default_rng(rm.seed) for rm in rms]
 
-    offline_clusters = rng.choice(
-        scenario.n_clusters, size=scenario.offline_pairs, p=scenario.mixture_at(0)
-    ).astype(np.int64)
+    n_offline = scenario.offline_pairs
+    offline_clusters = _draw_clusters(scenario, rng, n_offline, n_offline)
     offline = _draw_split(scenario, "off", offline_clusters, rng, rm_rngs, profiles)
 
-    stream_clusters = np.concatenate(
-        [
-            rng.choice(scenario.n_clusters, size=scenario.pairs_per_step, p=scenario.mixture_at(t))
-            for t in range(scenario.n_steps)
-        ]
-    ).astype(np.int64)
+    per_step = scenario.pairs_per_step
+    drift = scenario.drift_step or scenario.n_steps
+    stream_clusters = _draw_clusters(scenario, rng, per_step * scenario.n_steps, drift * per_step)
     stream = _draw_split(scenario, "str", stream_clusters, rng, rm_rngs, profiles)
     return SimDataset(scenario=scenario, offline=offline, stream=stream, rms=rms, profiles=profiles)
+
+
+def _offline_index_arrays(split: SimSplit) -> tuple[np.ndarray, np.ndarray]:
+    """(bt, beh) index arrays of a split, as train_offline builds them from records.
+
+    ``beh`` rows are (row, rm, correct) in row-major order; ``bt`` rows are
+    (row, winner, loser) for every right winner and wrong loser, in
+    extract_disagreements' order.
+    """
+    rows, rms = np.indices(split.correct.shape).reshape(2, -1)
+    beh = np.column_stack([rows, rms, split.correct.ravel()])
+    c = split.correct.astype(bool)
+    return np.argwhere(c[:, :, None] & ~c[:, None, :]), beh
 
 
 def fit_offline_router(
@@ -383,10 +446,9 @@ def fit_offline_router(
         config = TrainConfig(
             lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
         )
-    records = collect_behavior(dataset.offline.pairs, dataset.offline.pool())
-    return train_offline(
-        dataset.offline.pairs, records, config, embeddings=dataset.offline.embeddings
-    )
+    bt_index, beh_index = _offline_index_arrays(dataset.offline)
+    n_arms = dataset.scenario.n_arms
+    return train_arrays(dataset.offline.contexts, bt_index, beh_index, n_arms, config)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +476,8 @@ class ReplayConfig:
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
         RewardHistory(capacity=self.history_capacity)  # raises ConfigError on a bad capacity
+        if not 0.0 <= self.linucb_alpha < np.inf:
+            raise ConfigError(f"linucb_alpha must be finite and >= 0, got {self.linucb_alpha}")
         if self.offline_prior is not None:
             self.offline_prior = np.asarray(self.offline_prior, dtype=np.float64)
 
@@ -686,7 +750,7 @@ def run_replay(
     calls = 1  # reward-model calls per pair
     if spec.group == "ensemble":
         votes, consensus, chosen_all = _majority_labels(stream.answers)
-        bits_all = (votes == np.array([p.label for p in stream.pairs])).astype(np.uint8)
+        bits_all = (votes == stream.labels).astype(np.uint8)
         probs = [majority_correct_prob(dataset.profiles[:, c]) for c in range(scenario.n_clusters)]
         expected = np.array(probs)[stream.clusters]
         calls = n_arms
@@ -707,17 +771,20 @@ def run_replay(
                 continue
             raw, rewards, bounds = _step_rewards(run, bits, chosen, correct)
             state = spec.observe(state, contexts, chosen, rewards)
+            if decision_log is None and reward_log is None:
+                continue
+            ids = list(map(stream.pair_id, range(rows.start, rows.stop)))
             if decision_log is not None and scores is not None:
                 decision_log.extend(
-                    {"step": step, "pair_id": p.pair_id, "chosen_arm": arm, "sampled_scores": row}
-                    for p, arm, row in zip(stream.pairs[rows], chosen.tolist(), scores.tolist())
+                    {"step": step, "pair_id": pid, "chosen_arm": arm, "sampled_scores": row}
+                    for pid, arm, row in zip(ids, chosen.tolist(), scores.tolist())
                 )
             if reward_log is not None:
                 q_lo, q_hi = bounds or (None, None)
                 reward_log.extend(
-                    dict(step=step, pair_id=p.pair_id, raw_reward=r, normalized_reward=value,
+                    dict(step=step, pair_id=pid, raw_reward=r, normalized_reward=value,
                          q_lo=q_lo, q_hi=q_hi)
-                    for p, r, value in zip(stream.pairs[rows], raw.tolist(), rewards.tolist())
+                    for pid, r, value in zip(ids, raw.tolist(), rewards.tolist())
                 )
         expected = dataset.profiles[chosen_all, stream.clusters]
 

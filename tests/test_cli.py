@@ -198,6 +198,8 @@ class TestValidation:
             ["--jobs", "0"],
             ["--jobs", "-2"],
             ["--router", "linucb", "--linucb-alpha", "nan"],
+            ["--router", "all", "--linucb-alpha", "nan"],
+            ["--router", "all", "--linucb-alpha", "-1"],
         ],
     )
     def test_bad_run_sim_option_exits_2(self, tmp_path, scenario_file, capsys, extra):
@@ -206,6 +208,27 @@ class TestValidation:
             args += ["--router", "random"]
         assert main(args + extra) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        # checked before the first run: no partial output
+        assert not list(tmp_path.glob("runs/*.metrics.jsonl"))
+
+    @pytest.mark.parametrize(
+        "field, value", [("center", np.nan), ("center", np.inf), ("spread", np.nan),
+                         ("spread", np.inf)]
+    )
+    def test_non_finite_cluster_geometry_exits_2(self, tmp_path, capsys, field, value):
+        doc = scenario_to_dict(two_specialists_scenario(pairs_per_step=8, n_steps=6, seeds=[1]))
+        if field == "center":
+            doc["clusters"][0]["center"][1] = value
+        else:
+            doc["clusters"][0]["spread"] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json reads back
+        code = main(["run-sim", "--scenario", str(path), "--router", "random",
+                     "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "runs").exists()
 
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",

@@ -281,6 +281,45 @@ class TestLinUcb:
         with pytest.raises(ConfigError):
             route_linucb_arrays(init_linucb(2, 2), np.ones((3, 2)), alpha)
 
+    def warm_state(self):
+        rng = np.random.default_rng(5)
+        return update_linucb_arrays(
+            init_linucb(3, 4), rng.standard_normal((8, 4)), rng.integers(0, 3, 8),
+            rng.standard_normal(8),
+        )
+
+    @staticmethod
+    def snapshot(state):
+        return [a.copy() for a in state.a_matrices], [b.copy() for b in state.b_vectors]
+
+    def assert_unchanged(self, state, before):
+        assert all(np.array_equal(a, x) for a, x in zip(state.a_matrices, before[0]))
+        assert all(np.array_equal(b, x) for b, x in zip(state.b_vectors, before[1]))
+
+    @pytest.mark.parametrize("field", ["contexts", "rewards"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_rejected_and_state_unchanged(self, field, bad):
+        state = self.warm_state()
+        before = self.snapshot(state)
+        rng = np.random.default_rng(6)
+        step = {"contexts": rng.standard_normal((8, 4)), "rewards": rng.standard_normal(8)}
+        step[field][3] = bad
+        with pytest.raises(InputError):
+            update_linucb_arrays(state, step["contexts"], np.arange(8) % 3, step["rewards"])
+        self.assert_unchanged(state, before)
+
+    def test_mismatched_update_shapes_rejected_and_state_unchanged(self):
+        state = self.warm_state()
+        before = self.snapshot(state)
+        for contexts, chosen, rewards in (
+            (np.ones((4, 4)), [0, 1, 2], np.zeros(4)),
+            (np.ones((4, 4)), [0, 1, 2, 0], np.zeros(3)),
+            (np.ones((4, 3)), [0, 1, 2, 0], np.zeros(4)),
+        ):
+            with pytest.raises(DimError):
+                update_linucb_arrays(state, contexts, chosen, rewards)
+        self.assert_unchanged(state, before)
+
     @settings(deadline=None, max_examples=30)
     @given(
         n_arms=st.integers(1, 4),

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.gaussian import ObservationBatch, posterior_update
-from rmrouter.offline import OfflineRouterModel, collect_behavior
+from rmrouter.offline import (
+    OfflineRouterModel,
+    TrainConfig,
+    _build_index_arrays,
+    collect_behavior,
+    extract_disagreements,
+    train_offline,
+)
 from rmrouter.online import (
     OnlineRouterState,
     RoutingDecision,
@@ -30,10 +37,16 @@ from rmrouter.rewards import (
     surrogate_pair_loss,
 )
 from rmrouter.sim import (
+    SIM_TRAIN_BATCH,
+    SIM_TRAIN_EPOCHS,
+    SIM_TRAIN_LR,
     Cluster,
     ReplayConfig,
     SimScenario,
+    _draw_clusters,
+    _draw_split,
     _majority_labels,
+    _offline_index_arrays,
     compare_runs,
     fit_offline_router,
     generate_scenario,
@@ -43,6 +56,8 @@ from rmrouter.sim import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+from scenarios import two_specialists_scenario
 
 
 def basis_cluster(cluster_id, axis, d=8, spread=0.25):
@@ -144,6 +159,196 @@ class TestGenerateScenario:
         row_of = {p.pair_id: i for i, p in enumerate(split.pairs)}
         for rec in records:
             assert rec.correct == split.correct[row_of[rec.pair_id], rec.rm_index]
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize(
+        "field, value", [("center", np.nan), ("center", np.inf), ("spread", np.nan),
+                         ("spread", -np.inf), ("spread", np.inf)]
+    )
+    def test_non_finite_cluster_geometry_rejected(self, field, value):
+        doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=4, n_steps=2))
+        if field == "center":
+            doc["clusters"][1]["center"][0] = value
+        else:
+            doc["clusters"][1]["spread"] = value
+        with pytest.raises(ConfigError, match=field):
+            generate_scenario(scenario_from_dict(doc), 0)
+
+    def test_nan_mixture_rejected(self):
+        doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=4, n_steps=2))
+        doc["mixture_before"] = [np.nan, 1.0]
+        with pytest.raises(ConfigError, match="mixture_before"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -0.5])
+    def test_bad_linucb_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="linucb_alpha"):
+            ReplayConfig(linucb_alpha=alpha)
+
+
+def per_row_split(scenario, prefix, cluster_ids, rng, rm_rngs, profiles):
+    """The split as it was drawn one pair at a time: (contexts, labels, answers, pairs)."""
+    n = len(cluster_ids)
+    contexts = np.empty((n, scenario.d))
+    labels = np.where(rng.random(n) < 0.5, "A", "B")
+    pairs = []
+    for i, c in enumerate(cluster_ids):
+        cluster = scenario.clusters[int(c)]
+        vec = cluster.center + cluster.spread * rng.standard_normal(scenario.d)
+        norm = np.linalg.norm(vec)
+        if norm == 0.0:
+            vec = cluster.center.copy()
+            norm = np.linalg.norm(vec) or 1.0
+        pair_id = f"{prefix}-{i:06d}"
+        pairs.append((pair_id, f"prompt {pair_id} topic {int(c)}", str(labels[i])))
+        contexts[i] = vec / norm
+    answers = np.empty((n, scenario.n_arms), dtype="<U1")
+    flipped = np.where(labels == "A", "B", "A")
+    for arm in range(scenario.n_arms):
+        hit = rm_rngs[arm].random(n) < profiles[arm, cluster_ids]
+        answers[:, arm] = np.where(hit, labels, flipped)
+    return contexts, labels, answers, pairs
+
+
+def geometry_scenario(d, spreads, seed, zero_cluster, n_arms=3, n_steps=2, drift_step=None,
+                      mixtures=(None, None)):
+    """Random distinct centres; with ``zero_cluster`` cluster 0 is the origin, spread 0."""
+    centers = np.random.default_rng(seed).standard_normal((len(spreads), d))
+    spreads = list(spreads)
+    if zero_cluster:
+        centers[0], spreads[0] = 0.0, 0.0
+    profiles = np.random.default_rng(seed + 1).uniform(0.3, 0.9, (n_arms, len(spreads)))
+    return SimScenario(
+        n_arms=n_arms,
+        clusters=[Cluster(c, centers[c], spreads[c]) for c in range(len(spreads))],
+        arm_profiles=[dict(enumerate(row.tolist())) for row in profiles],
+        pairs_per_step=4,
+        n_steps=n_steps,
+        seeds=[0],
+        mixture_before=mixtures[0],
+        mixture_after=mixtures[1],
+        drift_step=drift_step,
+    )
+
+
+class TestColumnarGeneration:
+    """The columnar scenario draws equal the earlier per-pair ones, bit for bit."""
+
+    def assert_split_matches(self, scenario, cluster_ids, seed):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        rm_a = [np.random.default_rng(seed + 1 + n) for n in range(scenario.n_arms)]
+        rm_b = [np.random.default_rng(seed + 1 + n) for n in range(scenario.n_arms)]
+        profiles = scenario.profile_matrix()
+        split = _draw_split(scenario, "tst", cluster_ids, rng_a, rm_a, profiles)
+        contexts, labels, answers, pairs = per_row_split(
+            scenario, "tst", cluster_ids, rng_b, rm_b, profiles
+        )
+        assert split.contexts.tobytes() == contexts.tobytes()
+        assert np.array_equal(split.labels, labels)
+        assert np.array_equal(split.answers, answers)
+        assert [(p.pair_id, p.prompt, p.label) for p in split.pairs] == pairs
+        assert rng_a.random() == rng_b.random()
+        assert [r.random() for r in rm_a] == [r.random() for r in rm_b]
+        assert np.isfinite(split.contexts).all()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5, 16, 17, 64, 256]),
+        n=st.integers(0, 60),
+        spreads=st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 7.5]), min_size=1, max_size=4),
+        zero_cluster=st.booleans(),
+        seed=st.integers(0, 2**32 - 2),
+    )
+    def test_draw_split_matches_per_row_loop(self, d, n, spreads, zero_cluster, seed):
+        scenario = geometry_scenario(d, spreads, seed, zero_cluster)
+        cluster_ids = np.random.default_rng(seed).integers(0, len(spreads), n)
+        if zero_cluster and n:
+            cluster_ids[0] = 0
+        self.assert_split_matches(scenario, cluster_ids, seed)
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    def test_many_rows_match_per_row_norms(self, d):
+        # a row-norm reduction that differs in the last bit shows up in some of these rows
+        scenario = geometry_scenario(d, [0.25, 1.0, 3.0], seed=d, zero_cluster=True)
+        cluster_ids = np.random.default_rng(d).integers(0, 3, 2000)
+        self.assert_split_matches(scenario, cluster_ids, seed=d)
+
+    def test_zero_centre_with_zero_spread_gives_zero_context(self):
+        scenario = geometry_scenario(4, [0.0, 0.5], seed=2, zero_cluster=True)
+        split = _draw_split(
+            scenario, "z", np.array([0, 1, 0]), np.random.default_rng(0),
+            [np.random.default_rng(n) for n in range(3)], scenario.profile_matrix(),
+        )
+        assert np.array_equal(split.contexts[[0, 2]], np.zeros((2, 4)))
+        assert np.linalg.norm(split.contexts[1]) == pytest.approx(1.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_clusters=st.integers(1, 5),
+        n_steps=st.integers(2, 12),
+        per_step=st.integers(1, 9),
+        drift=st.booleans(),
+        seed=st.integers(0, 2**32 - 2),
+    )
+    def test_cluster_draws_match_per_step_choice(self, n_clusters, n_steps, per_step, drift,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        mixtures = (None, None)
+        drift_step = None
+        if drift:
+            before, after = rng.dirichlet(np.ones(n_clusters), 2)
+            mixtures = (before.tolist(), after.tolist())
+            drift_step = int(rng.integers(1, n_steps))
+        scenario = geometry_scenario(3, [0.25] * n_clusters, seed, False, n_steps=n_steps,
+                                     drift_step=drift_step, mixtures=mixtures)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        n = per_step * n_steps
+        switch = (drift_step or n_steps) * per_step
+        got = _draw_clusters(scenario, rng_a, n, switch)
+        want = np.concatenate(
+            [rng_b.choice(n_clusters, size=per_step, p=scenario.mixture_at(t))
+             for t in range(n_steps)]
+        )
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
+        # the offline corpus: every pair from the initial mixture, one call
+        got = _draw_clusters(scenario, rng_a, n, n)
+        want = rng_b.choice(n_clusters, size=n, p=scenario.mixture_at(0))
+        assert np.array_equal(got, want)
+        assert rng_a.random() == rng_b.random()
+
+    def test_pair_ids_name_rows(self):
+        split = generate_scenario(two_cluster_scenario(4, 2, offline_pairs=12), 1).offline
+        assert list(split.embeddings) == [p.pair_id for p in split.pairs]
+        assert len(split.embeddings) == split.n == 12
+        assert split.row_of("off-000011") == 11
+        for bad in ("off-000012", "off-11", "str-000001", "off-0000011", "off--00001", 7):
+            assert bad not in split.embeddings
+            with pytest.raises(KeyError):
+                split.row_of(bad)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_offline_arrays_match_record_path(self, seed):
+        scenario = two_specialists_scenario(pairs_per_step=4, n_steps=2, offline_pairs=150,
+                                            n_filler_arms=2)
+        dataset = generate_scenario(scenario, seed)
+        split = dataset.offline
+        records = collect_behavior(split.pairs, split.pool())
+        want_bt, want_beh = _build_index_arrays(
+            split.pairs, records, extract_disagreements(records), scenario.n_arms
+        )
+        bt, beh = _offline_index_arrays(split)
+        assert bt.dtype == beh.dtype == np.int64
+        assert np.array_equal(bt, want_bt) and np.array_equal(beh, want_beh)
+        config = TrainConfig(
+            lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
+        )
+        got = fit_offline_router(dataset, seed=seed)
+        want = train_offline(split.pairs, records, config, embeddings=split.embeddings)
+        assert np.array_equal(got.model.bt_embeddings, want.model.bt_embeddings)
+        assert np.array_equal(got.model.cls_embeddings, want.model.cls_embeddings)
+        assert got.history == want.history
 
 
 class TestMajority:
