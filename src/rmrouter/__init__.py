@@ -65,11 +65,9 @@ from .offline import (
     train_offline,
 )
 from .online import (
-    LinUcbState,
     OnlineRouterState,
     RouterConfig,
     RoutingDecision,
-    init_linucb,
     init_router,
     load_state,
     observe_feedback,

@@ -318,6 +318,8 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         "light_c": args.light_c,
     }
     ReplayConfig(**base_config)  # raises ConfigError before any output is written
+    if args.reward_variant == "light_advantage" and args.light_c > scenario.n_arms - 1:
+        raise ConfigError(f"--light-c must be at most n_arms - 1 = {scenario.n_arms - 1}")
     os.makedirs(args.out_dir, exist_ok=True)
     payloads = [
         (scenario_doc, seed, routers, base_config, args.out_dir, args.scenario)
@@ -363,9 +365,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with open(args.summary, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(line for line in fh if not line.startswith("#"))
         for row in reader:  # compare_runs reads only router, seed and accuracy
-            accuracy = float(row["final_annotation_accuracy"])
-            rows.append(SimpleNamespace(router=row["router"], seed=int(row["seed"]),
-                                        final_annotation_accuracy=accuracy))
+            try:
+                accuracy = float(row["final_annotation_accuracy"])
+                if not 0.0 <= accuracy <= 1.0:
+                    raise ValueError(f"accuracy {accuracy} is not in [0, 1]")
+                rows.append(SimpleNamespace(router=row["router"], seed=int(row["seed"]),
+                                            final_annotation_accuracy=accuracy))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"malformed row in {args.summary}: {exc!r}") from exc
     if not rows:
         raise InputError(f"no runs found in {args.summary}")
     methods: list[str] = []

@@ -151,24 +151,33 @@ def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) ->
     return posterior.mean + z @ low.T
 
 
-def sample_scores(
-    posterior: ArmPosterior, contexts: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One Thompson score per context row, each from its own weight draw.
+def score_moments(
+    posterior: ArmPosterior, contexts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(h.mean, h.covariance.h) per context row: the mean and variance of the score h.w.
 
-    A score h.w with w ~ N(mean, covariance) is N(h.mean, h.covariance.h), so
-    B independent scores need only diag(H covariance H^T) and B scalar
-    normals: O(B d^2) and no factorization.  Degenerate beliefs return
-    ``contexts @ mean`` exactly and draw nothing.
+    O(B d^2) through diag(H covariance H^T), with no factorization.
     """
     if contexts.ndim != 2 or contexts.shape[1] != posterior.d:
         raise DimError(
             f"contexts shape {contexts.shape} does not match posterior d={posterior.d}"
         )
-    means = contexts @ posterior.mean
+    variances = np.einsum("ij,ij->i", contexts @ posterior.covariance, contexts)
+    return contexts @ posterior.mean, variances
+
+
+def sample_scores(
+    posterior: ArmPosterior, contexts: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One Thompson score per context row, each from its own weight draw.
+
+    A score h.w with w ~ N(mean, covariance) is N(h.mean, h.covariance.h)
+    (:func:`score_moments`), so B independent scores need B scalar normals.
+    Degenerate beliefs return ``contexts @ mean`` exactly and draw nothing.
+    """
+    means, variances = score_moments(posterior, contexts)
     if posterior.degenerate:
         return means
-    variances = np.einsum("ij,ij->i", contexts @ posterior.covariance, contexts)
     return means + np.sqrt(np.maximum(variances, 0.0)) * rng.standard_normal(len(contexts))
 
 

@@ -7,8 +7,9 @@ batch), and picks the argmax; ties resolve to the lowest arm index.
 Feedback groups the batch's pairs by chosen arm and applies one conjugate
 update per arm, leaving unchosen arms untouched.
 
-Also provided: a LinUCB baseline that picks a single arm for the whole batch
-from the batch-mean context (a per-pair mode sits behind a flag), and a
+Also provided: a LinUCB baseline, the zero-prior state (prior and noise
+variance 1) routed on a UCB score instead of a draw, one arm for the whole
+batch from the batch-mean context (a per-pair mode sits behind a flag); and a
 fixed-weight ablation that mixes softmaxed offline ranking scores with
 softmaxed online sampled scores.
 
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimError, FormatError, InputError, NumericalError
+from .errors import ConfigError, DimError, FormatError, InputError
 from .features import PairEmbedding
 from .gaussian import (
     ArmPosterior,
@@ -35,6 +36,7 @@ from .gaussian import (
     posterior_to_dict,
     sample_scores,
     sample_weights,
+    score_moments,
 )
 from .offline import OfflineRouterModel
 from .serialize import read_json, write_json
@@ -203,25 +205,6 @@ def route_batch(
     return _decisions(batch, contexts, *route_arrays(state, contexts, rng))
 
 
-def _decisions_by_id(
-    decisions: Sequence[RoutingDecision], rewards: Mapping[str, float]
-) -> dict[str, RoutingDecision]:
-    """Index a batch's decisions by pair_id; every pair_id once, every reward known."""
-    by_id = {dec.pair_id: dec for dec in decisions}
-    if len(by_id) != len(decisions):
-        counts = Counter(dec.pair_id for dec in decisions)
-        repeated = sorted(pair_id for pair_id, n in counts.items() if n > 1)
-        raise InputError(f"duplicate pair_id(s) in one batch: {repeated[:3]}")
-    unknown = set(rewards) - set(by_id)
-    if unknown:
-        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
-    return by_id
-
-
-def _decision_contexts(decisions: Sequence[RoutingDecision], d: int) -> np.ndarray:
-    return np.stack([dec.context for dec in decisions]) if decisions else np.empty((0, d))
-
-
 def observe_feedback(
     state: OnlineRouterState,
     decisions: Sequence[RoutingDecision],
@@ -232,13 +215,20 @@ def observe_feedback(
     Arms that received no pair keep their exact posterior objects.  Every
     rewarded pair_id must appear among the decisions, and no pair_id twice.
     """
-    _decisions_by_id(decisions, rewards)
+    pair_ids = [dec.pair_id for dec in decisions]
+    if len(set(pair_ids)) != len(pair_ids):
+        repeated = sorted(pair_id for pair_id, n in Counter(pair_ids).items() if n > 1)
+        raise InputError(f"duplicate pair_id(s) in one batch: {repeated[:3]}")
+    unknown = set(rewards) - set(pair_ids)
+    if unknown:
+        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
+    contexts = [dec.context for dec in decisions]
     return observe_arrays(
         state,
-        _decision_contexts(decisions, state.d),
+        np.stack(contexts) if contexts else np.empty((0, state.d)),
         [dec.chosen_arm for dec in decisions],
-        [rewards.get(dec.pair_id, 0.0) for dec in decisions],
-        np.array([dec.pair_id in rewards for dec in decisions], dtype=bool),
+        [rewards.get(pair_id, 0.0) for pair_id in pair_ids],
+        np.array([pair_id in rewards for pair_id in pair_ids], dtype=bool),
     )
 
 
@@ -250,19 +240,6 @@ def _rows_by_arm(chosen, n_arms, keep=None):
     if keep is not None:
         rows = rows[keep[rows]]
     return rows, np.searchsorted(chosen[rows], np.arange(n_arms + 1))
-
-
-def _check_step(d: int, contexts, chosen, rewards) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step's (contexts[B, d], chosen[B], rewards[B]) as arrays, checked once."""
-    contexts = np.asarray(contexts, dtype=np.float64)
-    chosen = np.asarray(chosen, dtype=np.int64)
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n = len(chosen)
-    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, d):
-        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={d}")
-    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
-        raise InputError("observation contexts and rewards must be finite")
-    return contexts, chosen, rewards
 
 
 def observe_arrays(
@@ -280,7 +257,14 @@ def observe_arrays(
     checked once, then each arm sees its rows in batch order.  Arms that
     received no rewarded row keep their exact posterior objects.
     """
-    contexts, chosen, rewards = _check_step(state.d, contexts, chosen, rewards)
+    contexts = np.asarray(contexts, dtype=np.float64)
+    chosen = np.asarray(chosen, dtype=np.int64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    n, d = len(chosen), state.d
+    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, d):
+        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={d}")
+    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
+        raise InputError("observation contexts and rewards must be finite")
     rows, ends = _rows_by_arm(chosen, state.n_arms, rewarded)
     new_arms = [
         _update_rows(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
@@ -296,55 +280,30 @@ def observe_arrays(
 # LinUCB baseline
 
 
-@dataclass
-class LinUcbState:
-    """Per-arm ridge statistics A = I + sum(h h^T), b = sum(r h)."""
-
-    a_matrices: list[np.ndarray]
-    b_vectors: list[np.ndarray]
-    step: int = 0
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.a_matrices)
-
-    @property
-    def d(self) -> int:
-        return self.a_matrices[0].shape[0]
-
-
-def init_linucb(n_arms: int, d: int) -> LinUcbState:
-    if n_arms < 1 or d < 1:
-        raise ConfigError("n_arms and d must be >= 1")
-    return LinUcbState(
-        a_matrices=[np.eye(d) for _ in range(n_arms)],
-        b_vectors=[np.zeros(d) for _ in range(n_arms)],
-    )
-
-
 def route_linucb_arrays(
-    state: LinUcbState, contexts: np.ndarray, alpha: float, per_pair: bool = False
+    state: OnlineRouterState, contexts: np.ndarray, alpha: float, per_pair: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(chosen arm per row, (B, N) UCB scores); one arm for the whole batch,
-    scored on the mean context, unless per_pair."""
+    """(chosen arm per row, (B, N) UCB scores h.mean + alpha sqrt(h.covariance.h));
+    one arm for the whole batch, scored on the mean context, unless per_pair.
+
+    With a zero prior of variance 1 and noise variance 1, an arm's mean and
+    covariance are LinUCB's ridge estimate A^-1 b and A^-1, where
+    A = I + sum(h h^T) and b = sum(r h).
+    """
     if not 0.0 <= alpha < np.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     points = contexts if per_pair else contexts.mean(axis=0)[None]
     scores = np.empty((len(points), state.n_arms))
-    for n, (a, b) in enumerate(zip(state.a_matrices, state.b_vectors)):
-        try:  # one solve for theta = A^-1 b and every point's spread A^-1 h
-            solved = np.linalg.solve(a, np.column_stack([b, points.T]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular design matrix for arm {n}") from exc
-        spreads = np.einsum("ij,ji->i", points, solved[:, 1:])
-        scores[:, n] = points @ solved[:, 0] + alpha * np.sqrt(np.maximum(spreads, 0.0))
+    for n, arm in enumerate(state.arms):
+        means, variances = score_moments(arm, points)
+        scores[:, n] = means + alpha * np.sqrt(np.maximum(variances, 0.0))
     if not per_pair:
         scores = np.tile(scores, (len(contexts), 1))
     return np.argmax(scores, axis=1), scores
 
 
 def route_linucb(
-    state: LinUcbState,
+    state: OnlineRouterState,
     batch: Sequence[tuple[str, PairEmbedding]],
     alpha: float,
     per_pair: bool = False,
@@ -356,35 +315,11 @@ def route_linucb(
     return _decisions(batch, contexts, *route_linucb_arrays(state, contexts, alpha, per_pair))
 
 
-def update_linucb_arrays(
-    state: LinUcbState,
-    contexts: np.ndarray,
-    chosen: Sequence[int] | np.ndarray,
-    rewards: Sequence[float] | np.ndarray,
-) -> LinUcbState:
-    """Add H^T H and H^T r of each arm's rows; checked and grouped as in observe_arrays."""
-    contexts, chosen, rewards = _check_step(state.d, contexts, chosen, rewards)
-    rows, ends = _rows_by_arm(chosen, state.n_arms)
-    groups = [rows[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])]
-    a_new = [a + contexts[g].T @ contexts[g] for a, g in zip(state.a_matrices, groups)]
-    b_new = [b + rewards[g] @ contexts[g] for b, g in zip(state.b_vectors, groups)]
-    return LinUcbState(a_matrices=a_new, b_vectors=b_new, step=state.step + 1)
-
-
 def update_linucb(
-    state: LinUcbState,
-    decisions: Sequence[RoutingDecision],
-    rewards: Mapping[str, float],
-) -> LinUcbState:
-    """:func:`update_linucb_arrays` over the rewarded decisions, in reward order."""
-    by_id = _decisions_by_id(decisions, rewards)
-    rewarded = [by_id[pair_id] for pair_id in rewards]
-    return update_linucb_arrays(
-        state,
-        _decision_contexts(rewarded, state.d),
-        [dec.chosen_arm for dec in rewarded],
-        list(rewards.values()),
-    )
+    state: OnlineRouterState, decisions: Sequence[RoutingDecision], rewards: Mapping[str, float]
+) -> OnlineRouterState:
+    """LinUCB's feedback is the conjugate update: :func:`observe_feedback`."""
+    return observe_feedback(state, decisions, rewards)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,11 @@ from .offline import (
 )
 from .online import (
     OnlineRouterState,
-    init_linucb,
     init_router,
     observe_arrays,
     route_arrays,
     route_linucb_arrays,
     route_weighted_batch,
-    update_linucb_arrays,
 )
 from .rewards import (
     DEFAULT_LIGHT_COMPARATORS,
@@ -478,6 +476,12 @@ class ReplayConfig:
         RewardHistory(capacity=self.history_capacity)  # raises ConfigError on a bad capacity
         if not 0.0 <= self.linucb_alpha < np.inf:
             raise ConfigError(f"linucb_alpha must be finite and >= 0, got {self.linucb_alpha}")
+        if not 0.0 < self.sigma_sq < np.inf:
+            raise ConfigError(f"sigma_sq must be finite and > 0, got {self.sigma_sq}")
+        if self.prior_variance is not None and not 0.0 < self.prior_variance < np.inf:
+            raise ConfigError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
+        if self.light_c < 1:
+            raise ConfigError(f"light_c must be >= 1, got {self.light_c}")
         if self.offline_prior is not None:
             self.offline_prior = np.asarray(self.offline_prior, dtype=np.float64)
 
@@ -591,8 +595,8 @@ ROUTERS = {
         lambda state, run, h, rows: route_linucb_arrays(
             state, h, run.config.linucb_alpha, run.config.linucb_per_pair
         ),
-        lambda run: init_linucb(run.n_arms, run.d),
-        update_linucb_arrays,
+        lambda run: init_router(run.n_arms, run.d),  # ridge: prior and noise variance 1
+        observe_arrays,
     ),
     "thompson": RouterKind(
         "thompson", "bandit",
@@ -719,7 +723,7 @@ def run_replay(
     bandit then gets a rewards array built from surrogate losses of its chosen
     annotations.  All strategies share the same frozen dataset, so runs with
     equal seeds are paired across strategies.  ``final_state_out`` receives a
-    Thompson or weighted router's final state.
+    bandit router's final state.
     """
     config = config or ReplayConfig()
     kind, param = parse_router(router)
@@ -861,6 +865,8 @@ def compare_runs(
     final_annotation_accuracy.  All routers must cover the same seed set.
     Bootstrap confidence intervals resample seeds with replacement.
     """
+    if n_boot < 1:
+        raise ConfigError(f"n_boot must be >= 1, got {n_boot}")
     if len(metrics) < 2:
         raise InputError("need at least two runs to compare")
     methods: list[str] = []

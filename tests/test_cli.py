@@ -200,6 +200,13 @@ class TestValidation:
             ["--router", "linucb", "--linucb-alpha", "nan"],
             ["--router", "all", "--linucb-alpha", "nan"],
             ["--router", "all", "--linucb-alpha", "-1"],
+            ["--sigma-sq", "nan"],
+            ["--router", "all", "--sigma-sq", "-1"],
+            ["--router", "all", "--sigma-sq", "0"],
+            ["--router", "all", "--prior-variance", "-1"],
+            ["--router", "all", "--prior-variance", "nan"],
+            ["--router", "all", "--light-c", "0", "--reward-variant", "light_advantage"],
+            ["--router", "all", "--light-c", "2", "--reward-variant", "light_advantage"],
         ],
     )
     def test_bad_run_sim_option_exits_2(self, tmp_path, scenario_file, capsys, extra):
@@ -274,6 +281,38 @@ class TestValidation:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps writes NaN
         assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    SUMMARY = "router,seed,final_annotation_accuracy\n"
+
+    def compare(self, tmp_path, text, *extra):
+        path = tmp_path / "summary.csv"
+        path.write_text("# run-sim\n" + text, encoding="utf-8")
+        return main(["compare", "--summary", str(path), "--baseline", "random", *extra])
+
+    def test_bad_n_boot_exits_2(self, tmp_path, capsys):
+        runs = self.SUMMARY + "random,1,0.5\nthompson,1,0.625\n"
+        assert self.compare(tmp_path, runs, "--n-boot", "1") == 0
+        for n_boot in ("0", "-3"):
+            capsys.readouterr()
+            assert self.compare(tmp_path, runs, "--n-boot", n_boot) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "router,seed,total_rm_calls\nrandom,1,8\nthompson,1,8\n",
+            SUMMARY + "random,1,abc\nthompson,1,0.5\n",
+            SUMMARY + "random,1,nan\nthompson,1,0.5\n",
+            SUMMARY + "random,1,0.5\nthompson,1,inf\n",
+            SUMMARY + "random,x,0.5\nthompson,1,0.5\n",
+            SUMMARY + "random,1\nthompson,1,0.5\n",
+        ],
+        ids=["no-accuracy-column", "non-numeric-accuracy", "nan-accuracy", "inf-accuracy",
+             "non-integer-seed", "short-row"],
+    )
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, text):
+        assert self.compare(tmp_path, text) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -11,7 +11,6 @@ from rmrouter.online import (
     OnlineRouterState,
     RouterConfig,
     RoutingDecision,
-    init_linucb,
     init_router,
     observe_arrays,
     observe_feedback,
@@ -24,9 +23,10 @@ from rmrouter.online import (
     state_from_dict,
     state_to_dict,
     update_linucb,
-    update_linucb_arrays,
 )
 from rmrouter.serialize import dumps_doc
+
+from ridge import RidgeReference
 
 
 def embeddings_of(rows):
@@ -229,8 +229,6 @@ class TestObserveFeedback:
         ]
         with pytest.raises(InputError, match="duplicate"):
             observe_feedback(state, decisions, {"a": 1.0, "b": 0.5})
-        with pytest.raises(InputError, match="duplicate"):
-            update_linucb(init_linucb(3, 1), decisions, {"a": 1.0, "b": 0.5})
 
     def test_non_finite_reward_rejected(self):
         state = init_router(2, 1)
@@ -272,53 +270,48 @@ class TestObserveArrays:
         with pytest.raises(InputError):
             observe_arrays(init_router(2, 1), np.ones((2, 1)), [0, arm], np.zeros(2))
         with pytest.raises(InputError):
-            update_linucb_arrays(init_linucb(2, 1), np.ones((2, 1)), [arm, 0], np.zeros(2))
+            observe_arrays(init_router(2, 1), np.ones((2, 1)), [arm, 0], np.zeros(2))
 
 
 class TestLinUcb:
+    """LinUCB is a zero-prior router state (prior and noise variance 1) routed on
+    UCB scores; :class:`ridge.RidgeReference` keeps Li et al.'s A and b."""
+
     @pytest.mark.parametrize("alpha", [np.nan, np.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError):
-            route_linucb_arrays(init_linucb(2, 2), np.ones((3, 2)), alpha)
+            route_linucb_arrays(init_router(2, 2), np.ones((3, 2)), alpha)
 
     def warm_state(self):
         rng = np.random.default_rng(5)
-        return update_linucb_arrays(
-            init_linucb(3, 4), rng.standard_normal((8, 4)), rng.integers(0, 3, 8),
+        return observe_arrays(
+            init_router(3, 4), rng.standard_normal((8, 4)), rng.integers(0, 3, 8),
             rng.standard_normal(8),
         )
-
-    @staticmethod
-    def snapshot(state):
-        return [a.copy() for a in state.a_matrices], [b.copy() for b in state.b_vectors]
-
-    def assert_unchanged(self, state, before):
-        assert all(np.array_equal(a, x) for a, x in zip(state.a_matrices, before[0]))
-        assert all(np.array_equal(b, x) for b, x in zip(state.b_vectors, before[1]))
 
     @pytest.mark.parametrize("field", ["contexts", "rewards"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_update_rejected_and_state_unchanged(self, field, bad):
         state = self.warm_state()
-        before = self.snapshot(state)
+        before = state_to_dict(state)
         rng = np.random.default_rng(6)
         step = {"contexts": rng.standard_normal((8, 4)), "rewards": rng.standard_normal(8)}
         step[field][3] = bad
         with pytest.raises(InputError):
-            update_linucb_arrays(state, step["contexts"], np.arange(8) % 3, step["rewards"])
-        self.assert_unchanged(state, before)
+            observe_arrays(state, step["contexts"], np.arange(8) % 3, step["rewards"])
+        assert state_to_dict(state) == before
 
     def test_mismatched_update_shapes_rejected_and_state_unchanged(self):
         state = self.warm_state()
-        before = self.snapshot(state)
+        before = state_to_dict(state)
         for contexts, chosen, rewards in (
             (np.ones((4, 4)), [0, 1, 2], np.zeros(4)),
             (np.ones((4, 4)), [0, 1, 2, 0], np.zeros(3)),
             (np.ones((4, 3)), [0, 1, 2, 0], np.zeros(4)),
         ):
             with pytest.raises(DimError):
-                update_linucb_arrays(state, contexts, chosen, rewards)
-        self.assert_unchanged(state, before)
+                observe_arrays(state, contexts, chosen, rewards)
+        assert state_to_dict(state) == before
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -326,60 +319,50 @@ class TestLinUcb:
         d=st.integers(1, 8),
         b=st.integers(1, 12),
         steps=st.integers(1, 5),
+        per_pair=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_grouped_update_and_stacked_solve_match_per_row_reference(
-        self, n_arms, d, b, steps, seed
+    def test_update_and_scores_match_ridge_reference(
+        self, n_arms, d, b, steps, per_pair, seed
     ):
-        # reference: one np.outer per row in row order, one solve per (point, arm)
         rng = np.random.default_rng(seed)
-        state = init_linucb(n_arms, d)
-        a_ref = [np.eye(d) for _ in range(n_arms)]
-        b_ref = [np.zeros(d) for _ in range(n_arms)]
+        state, ridge = init_router(n_arms, d), RidgeReference(n_arms, d)
         for _ in range(steps):
             contexts = rng.standard_normal((b, d))
-            chosen = rng.integers(0, n_arms, b)
-            rewards = rng.standard_normal(b)
-            state = update_linucb_arrays(state, contexts, chosen, rewards)
-            for h, n, r in zip(contexts, chosen, rewards):
-                a_ref[n] = a_ref[n] + np.outer(h, h)
-                b_ref[n] = b_ref[n] + r * h
-        for n in range(n_arms):
-            assert np.allclose(state.a_matrices[n], a_ref[n], rtol=1e-12, atol=1e-12)
-            assert np.allclose(state.b_vectors[n], b_ref[n], rtol=1e-12, atol=1e-12)
-        points = rng.standard_normal((b, d))
-        _, scores = route_linucb_arrays(state, points, 0.7, per_pair=True)
-        for i, h in enumerate(points):
-            for n in range(n_arms):
-                theta = np.linalg.solve(state.a_matrices[n], state.b_vectors[n])
-                spread = h @ np.linalg.solve(state.a_matrices[n], h)
-                expected = theta @ h + 0.7 * np.sqrt(max(spread, 0.0))
-                assert scores[i, n] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            chosen, scores = route_linucb_arrays(state, contexts, 0.7, per_pair)
+            want_chosen, want_scores = ridge.route(contexts, 0.7, per_pair)
+            assert np.array_equal(chosen, want_chosen)
+            assert np.allclose(scores, want_scores, rtol=1e-10, atol=1e-12)
+            # arms drawn at random, not routed, so every arm's update sees mixed rows
+            arms, rewards = rng.integers(0, n_arms, b), rng.standard_normal(b)
+            state = observe_arrays(state, contexts, arms, rewards)
+            ridge.update(contexts, arms, rewards)
+        ridge.assert_posterior_matches(state)
 
     def test_fresh_state_ties_to_arm_zero(self):
-        state = init_linucb(3, 2)
+        state = init_router(3, 2)
         decisions = route_linucb(state, embeddings_of([[1.0, 0.0]] * 4), alpha=1.0)
         assert all(dec.chosen_arm == 0 for dec in decisions)
 
     def test_alpha_zero_is_greedy(self):
-        state = init_linucb(2, 2)
+        state = init_router(2, 2)
         h = np.array([1.0, 0.0])
         dec = [RoutingDecision("p", 1, np.array([0.0, 1.0]), h)]
         state = update_linucb(state, dec, {"p": 2.0})
         decisions = route_linucb(state, embeddings_of([[1.0, 0.0]]), alpha=0.0)
-        theta = np.linalg.solve(state.a_matrices[1], state.b_vectors[1])
+        # A = I + h h^T = diag(2, 1) and b = 2 h, so theta = A^-1 b = (1, 0)
         assert decisions[0].chosen_arm == 1
-        assert decisions[0].sampled_scores[1] == pytest.approx(theta @ h)
+        assert decisions[0].sampled_scores[1] == pytest.approx(1.0)
 
     def test_batch_mode_single_arm_for_all(self):
-        state = init_linucb(3, 2)
+        state = init_router(3, 2)
         rng = np.random.default_rng(8)
         decisions = route_linucb(state, embeddings_of(rng.standard_normal((16, 2))), alpha=1.0)
         assert len({dec.chosen_arm for dec in decisions}) == 1
 
     def test_converges_to_better_arm(self):
         rng = np.random.default_rng(9)
-        state = init_linucb(2, 2)
+        state = init_router(2, 2)
         chosen_log = []
         for _ in range(300):
             batch = embeddings_of(rng.standard_normal((4, 2)) * 0.1 + [1.0, 0.0])
@@ -394,10 +377,10 @@ class TestLinUcb:
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
-            route_linucb(init_linucb(2, 2), embeddings_of([[1.0, 0.0]]), alpha=-0.1)
+            route_linucb(init_router(2, 2), embeddings_of([[1.0, 0.0]]), alpha=-0.1)
 
     def test_per_pair_mode_scores_each_context(self):
-        state = init_linucb(2, 2)
+        state = init_router(2, 2)
         h = np.array([1.0, 0.0])
         dec = [RoutingDecision("p", 1, np.array([0.0, 1.0]), h)]
         state = update_linucb(state, dec, {"p": 2.0})
@@ -409,7 +392,7 @@ class TestLinUcb:
 
     def test_non_finite_raw_context_rejected(self):
         with pytest.raises(InputError):
-            route_linucb(init_linucb(2, 2), [("p", np.array([np.nan, 1.0]))], alpha=1.0)
+            route_linucb(init_router(2, 2), [("p", np.array([np.nan, 1.0]))], alpha=1.0)
 
 
 class TestWeightedScore:

@@ -16,12 +16,10 @@ from rmrouter.offline import (
 from rmrouter.online import (
     OnlineRouterState,
     RoutingDecision,
-    init_linucb,
     init_router,
     route_batch,
-    route_linucb,
     route_weighted_batch,
-    update_linucb,
+    state_to_dict,
 )
 from rmrouter.rewards import (
     SURROGATE_CORRECT_MEAN,
@@ -57,6 +55,7 @@ from rmrouter.sim import (
     scenario_to_dict,
 )
 
+from ridge import RidgeReference
 from scenarios import two_specialists_scenario
 
 
@@ -185,6 +184,16 @@ class TestScenarioChecks:
     def test_bad_linucb_alpha_rejected(self, alpha):
         with pytest.raises(ConfigError, match="linucb_alpha"):
             ReplayConfig(linucb_alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sigma_sq", np.nan), ("sigma_sq", np.inf), ("sigma_sq", 0.0), ("sigma_sq", -1.0),
+         ("prior_variance", np.nan), ("prior_variance", 0.0), ("prior_variance", -1.0),
+         ("light_c", 0)],
+    )
+    def test_bad_variance_or_comparator_count_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ReplayConfig(**{field: value})
 
 
 def per_row_split(scenario, prefix, cluster_ids, rng, rm_rngs, profiles):
@@ -494,6 +503,21 @@ class TestRunReplay:
             assert np.array_equal(a.arm_selection_counts, b.arm_selection_counts), router
             assert a.final_annotation_accuracy == b.final_annotation_accuracy, router
 
+    @pytest.mark.parametrize("options", [{"sigma_sq": 4.0}, {"prior_variance": 0.25}])
+    def test_linucb_ridge_ignores_variance_options(self, options):
+        """LinUCB's prior and noise variance stay 1 whatever the config says."""
+        dataset = generate_scenario(two_cluster_scenario(8, 12), 24)
+        runs = []
+        for config in (ReplayConfig(seed=24), ReplayConfig(seed=24, **options)):
+            decision_log, states = [], []
+            metrics = run_replay("linucb", dataset, config, decision_log, final_state_out=states)
+            runs.append((metrics, decision_log, state_to_dict(states[0])))
+        (a, log_a, state_a), (b, log_b, state_b) = runs
+        assert a.routing_accuracy_per_step == b.routing_accuracy_per_step
+        assert a.cumulative_regret == b.cumulative_regret
+        assert np.array_equal(a.arm_selection_counts, b.arm_selection_counts)
+        assert log_a == log_b and state_a == state_b
+
     def test_invariant_violation_raises(self):
         from rmrouter.errors import InvariantError
 
@@ -612,16 +636,19 @@ class TestCompareRuns:
 
 
 def reference_replay(router, dataset, config):
-    """The replay rebuilt from the per-pair public API (batch_quantile rewards).
+    """The replay rebuilt from the per-pair public API (batch_quantile rewards);
+    linucb from Li et al.'s ridge statistics instead.
 
     Returns (per-step accuracies, cumulative regret, selection counts, final
-    accuracy, final Thompson-state or None).
+    accuracy, final router state or linucb's RidgeReference, linucb's (B, N)
+    scores per step or None).
     """
     scenario, stream = dataset.scenario, dataset.stream
     n_arms, d, size = scenario.n_arms, scenario.d, scenario.pairs_per_step
     kind, alpha = parse_router(router)
     seed_rng = np.random.default_rng(config.seed)
     route_rng, loss_rng, _ = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
+    scores = None
     if kind == "thompson":
         injected = config.prior_mode == "injected"
         state = init_router(
@@ -634,7 +661,7 @@ def reference_replay(router, dataset, config):
             None, config.offline_prior, np.zeros_like(config.offline_prior), 0.0, n_arms
         )
     else:
-        state = init_linucb(n_arms, d)
+        state, scores = RidgeReference(n_arms, d), []
     history = RewardHistory(capacity=config.history_capacity)
     best = dataset.profiles.max(axis=0)
     accuracy, regret, counts, cum, hits = [], [], np.zeros(n_arms, dtype=np.int64), 0.0, 0
@@ -644,7 +671,13 @@ def reference_replay(router, dataset, config):
         if kind == "thompson":
             decisions = route_batch(state, batch, route_rng)
         elif kind == "linucb":
-            decisions = route_linucb(state, batch, config.linucb_alpha, config.linucb_per_pair)
+            contexts = np.stack([emb.vector for _, emb in batch])
+            picks, step_scores = state.route(contexts, config.linucb_alpha, config.linucb_per_pair)
+            scores.append(step_scores)
+            decisions = [
+                RoutingDecision(pid, int(arm), step_scores[i], contexts[i])
+                for i, ((pid, _), arm) in enumerate(zip(batch, picks))
+            ]
         else:
             contexts = np.stack([emb.vector for _, emb in batch])
             picks = route_weighted_batch(model, state, contexts, alpha, route_rng)
@@ -662,7 +695,7 @@ def reference_replay(router, dataset, config):
             batch_baseline_rewards(losses), history, config.warmup_min
         )
         if kind == "linucb":
-            state = update_linucb(state, decisions, rewards)
+            state.update(contexts, picks, [rewards[dec.pair_id] for dec in decisions])
         else:  # each arm's pairs in batch order, through the conjugate update itself
             arms = list(state.arms)
             for n in range(n_arms):
@@ -680,7 +713,7 @@ def reference_replay(router, dataset, config):
         cum += float(np.sum(best[clusters] - dataset.profiles[chosen, clusters]))
         regret.append(cum)
         counts += np.bincount(chosen, minlength=n_arms)
-    return accuracy, regret, counts, hits / stream.n, state if kind != "linucb" else None
+    return accuracy, regret, counts, hits / stream.n, state, scores
 
 
 class TestArrayReplayMatchesPerPairApi:
@@ -704,15 +737,17 @@ class TestArrayReplayMatchesPerPairApi:
     def test_bit_identical(self, dataset_and_prior, router, options):
         dataset, prior = dataset_and_prior
         config = ReplayConfig(seed=21, offline_prior=prior, **options)
-        states = []
-        got = run_replay(router, dataset, config, final_state_out=states)
-        accuracy, regret, counts, final, state = reference_replay(router, dataset, config)
+        states, decision_log = [], []
+        got = run_replay(router, dataset, config, decision_log, final_state_out=states)
+        accuracy, regret, counts, final, state, scores = reference_replay(router, dataset, config)
         assert got.routing_accuracy_per_step == accuracy
         assert got.cumulative_regret == regret
         assert np.array_equal(got.arm_selection_counts, counts)
         assert got.final_annotation_accuracy == final
-        if state is None:
-            assert states == []
+        if isinstance(state, RidgeReference):  # the same model, reached by other arithmetic
+            logged = np.array([row["sampled_scores"] for row in decision_log])
+            assert np.allclose(logged, np.concatenate(scores), rtol=1e-10, atol=1e-12)
+            state.assert_posterior_matches(states[0])
             return
         assert np.array_equal(states[0].selection_counts, state.selection_counts)
         for mine, theirs in zip(states[0].arms, state.arms):
