@@ -49,7 +49,7 @@ print("\nadvantage-style binary rewards (4 models, chosen = model 0):")
 all_losses = [0.48, 0.71, 0.66, 0.90]
 print(f"  losses={all_losses}, mean={np.mean(all_losses):.3f} -> "
       f"full advantage reward = {full_advantage_reward(all_losses, 0)}")
-comparators = sample_comparators(n_arms=4, chosen=0, c=3, rng=rng)
+comparators = sample_comparators(n_arms=4, chosen=[0], c=3, rng=rng)[0]  # one row per pair
 comp_losses = [all_losses[i] for i in comparators]
 print(f"  sampled comparators {[int(c) for c in comparators]} -> "
       f"light advantage reward = {light_advantage_reward(comp_losses, all_losses[0])}")

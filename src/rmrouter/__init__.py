@@ -96,7 +96,6 @@ from .sim import (
     RunMetrics,
     SimDataset,
     SimScenario,
-    SyntheticRm,
     compare_runs,
     fit_offline_router,
     generate_scenario,

@@ -59,8 +59,8 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.prior_mode not in PRIOR_MODES:
             raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
-        if self.sigma_sq <= 0 or self.prior_variance <= 0:
-            raise ConfigError("sigma_sq and prior_variance must be positive")
+        if not (0 < self.sigma_sq < np.inf and 0 < self.prior_variance < np.inf):
+            raise ConfigError("sigma_sq and prior_variance must be finite and positive")
 
 
 @dataclass

@@ -226,6 +226,14 @@ def normalize_step_rewards(
     return dict(zip(raw, normalized.tolist())), bounds
 
 
+def advantage_rewards(
+    chosen_losses: float | np.ndarray, comparison_losses: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """1.0 where a row's chosen loss is no greater than the mean of its comparison losses."""
+    mean = np.asarray(comparison_losses, dtype=np.float64).mean(axis=-1)
+    return (np.asarray(chosen_losses, dtype=np.float64) <= mean).astype(np.float64)
+
+
 def full_advantage_reward(all_rm_losses: Sequence[float], chosen: int) -> int:
     """1 if the chosen model's loss is no greater than the mean over all models."""
     losses = np.asarray(all_rm_losses, dtype=np.float64)
@@ -233,7 +241,7 @@ def full_advantage_reward(all_rm_losses: Sequence[float], chosen: int) -> int:
         raise InputError("all_rm_losses must be a non-empty vector")
     if not 0 <= chosen < losses.shape[0]:
         raise InputError(f"chosen index {chosen} out of range for {losses.shape[0]} models")
-    return int(losses[chosen] <= float(losses.mean()))
+    return int(advantage_rewards(losses[chosen], losses))
 
 
 def light_advantage_reward(comparator_losses: Sequence[float], chosen_loss: float) -> int:
@@ -241,17 +249,26 @@ def light_advantage_reward(comparator_losses: Sequence[float], chosen_loss: floa
     comparators = np.asarray(comparator_losses, dtype=np.float64)
     if comparators.ndim != 1 or comparators.shape[0] == 0:
         raise ConfigError("need at least one comparator loss")
-    return int(float(chosen_loss) <= float(comparators.mean()))
+    return int(advantage_rewards(chosen_loss, comparators))
 
 
 def sample_comparators(
-    n_arms: int, chosen: int, c: int, rng: np.random.Generator
+    n_arms: int, chosen: Sequence[int] | np.ndarray, c: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample c distinct comparator arms, excluding the chosen one."""
+    """(B, c) distinct comparator arms per chosen arm, excluding it; rows sorted ascending.
+
+    One (B, n_arms) draw of uniform keys with each chosen arm's key set to
+    +inf: a row's c smallest keys are a uniformly random c-subset of the
+    other arms.
+    """
     if c < 1 or c > n_arms - 1:
         raise ConfigError(f"comparator count {c} must be in [1, {n_arms - 1}]")
-    others = np.array([n for n in range(n_arms) if n != chosen])
-    return np.sort(rng.choice(others, size=c, replace=False))
+    chosen = np.asarray(chosen)
+    if chosen.ndim != 1 or np.any((chosen < 0) | (chosen >= n_arms)):
+        raise InputError(f"chosen arms must be a vector of indices in [0, {n_arms})")
+    keys = rng.random((chosen.shape[0], n_arms))
+    keys[np.arange(chosen.shape[0]), chosen] = np.inf
+    return np.sort(np.argpartition(keys, c - 1, axis=1)[:, :c], axis=1)
 
 
 def surrogate_losses(correct: Sequence[bool] | np.ndarray, rng: np.random.Generator) -> np.ndarray:

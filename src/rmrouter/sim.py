@@ -44,13 +44,11 @@ from .rewards import (
     DEFAULT_LIGHT_COMPARATORS,
     DEFAULT_WARMUP_MIN,
     RewardHistory,
+    advantage_rewards,
     batch_baseline_array,
-    full_advantage_reward,
-    light_advantage_reward,
     normalize_step_array,
     sample_comparators,
     surrogate_losses,
-    surrogate_pair_loss,
 )
 
 SCENARIO_FORMAT_VERSION = 1
@@ -86,22 +84,6 @@ class Cluster:
 
 
 @dataclass
-class SyntheticRm:
-    """A pretend reward model: per-cluster accuracy plus its own answer stream."""
-
-    rm_id: int
-    accuracy_profile: dict[int, float]
-    seed: int
-
-    def __post_init__(self) -> None:
-        for cluster_id, prob in self.accuracy_profile.items():
-            if not 0.0 <= prob <= 1.0:
-                raise ConfigError(
-                    f"accuracy for rm {self.rm_id}, cluster {cluster_id} not in [0, 1]: {prob}"
-                )
-
-
-@dataclass
 class SimScenario:
     n_arms: int
     clusters: list[Cluster]
@@ -119,6 +101,8 @@ class SimScenario:
             raise ConfigError("need at least two candidate models")
         if self.pairs_per_step < 1 or self.n_steps < 1:
             raise ConfigError("pairs_per_step and n_steps must be >= 1")
+        if self.offline_pairs < 0:
+            raise ConfigError(f"offline_pairs must be >= 0, got {self.offline_pairs}")
         if not self.seeds:
             raise ConfigError("scenario needs at least one seed")
         if len(self.arm_profiles) != self.n_arms:
@@ -138,8 +122,11 @@ class SimScenario:
         for n, profile in enumerate(self.arm_profiles):
             for cluster in self.clusters:
                 if cluster.cluster_id not in profile:
+                    raise ConfigError(f"arm {n} has no accuracy for cluster {cluster.cluster_id}")
+            for cluster_id, prob in profile.items():
+                if not 0.0 <= prob <= 1.0:  # NaN fails too
                     raise ConfigError(
-                        f"arm {n} has no accuracy for cluster {cluster.cluster_id}"
+                        f"arm {n}, cluster {cluster_id}: accuracy {prob} not in [0, 1]"
                     )
         for name in ("mixture_before", "mixture_after"):
             mix = getattr(self, name)
@@ -151,8 +138,10 @@ class SimScenario:
                 raise ConfigError(f"{name} must be a probability vector")
         if self.mixture_after is not None and self.drift_step is None:
             raise ConfigError("mixture_after requires drift_step")
-        if self.drift_step is not None and not 0 < self.drift_step < self.n_steps:
-            raise ConfigError("drift_step must lie strictly inside the run")
+        if self.drift_step is not None and not (
+            isinstance(self.drift_step, (int, np.integer)) and 0 < self.drift_step < self.n_steps
+        ):
+            raise ConfigError("drift_step must be an integer strictly inside the run")
 
     @property
     def d(self) -> int:
@@ -237,6 +226,8 @@ def scenario_from_dict(doc: dict) -> SimScenario:
         )
     except KeyError as exc:
         raise ConfigError(f"scenario document missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed scenario document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +319,6 @@ class SimDataset:
     scenario: SimScenario
     offline: SimSplit
     stream: SimSplit
-    rms: list[SyntheticRm]
     profiles: np.ndarray  # (n_arms, n_clusters)
 
 
@@ -400,15 +390,7 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     profiles = scenario.profile_matrix()
-    rms = [
-        SyntheticRm(
-            rm_id=n,
-            accuracy_profile=dict(scenario.arm_profiles[n]),
-            seed=int(rng.integers(2**63)),
-        )
-        for n in range(scenario.n_arms)
-    ]
-    rm_rngs = [np.random.default_rng(rm.seed) for rm in rms]
+    rm_rngs = [np.random.default_rng(int(rng.integers(2**63))) for _ in range(scenario.n_arms)]
 
     n_offline = scenario.offline_pairs
     offline_clusters = _draw_clusters(scenario, rng, n_offline, n_offline)
@@ -418,7 +400,7 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     drift = scenario.drift_step or scenario.n_steps
     stream_clusters = _draw_clusters(scenario, rng, per_step * scenario.n_steps, drift * per_step)
     stream = _draw_split(scenario, "str", stream_clusters, rng, rm_rngs, profiles)
-    return SimDataset(scenario=scenario, offline=offline, stream=stream, rms=rms, profiles=profiles)
+    return SimDataset(scenario=scenario, offline=offline, stream=stream, profiles=profiles)
 
 
 def _offline_index_arrays(split: SimSplit) -> tuple[np.ndarray, np.ndarray]:
@@ -685,7 +667,7 @@ def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: n
     """(raw rewards, rewards, quantile bounds or None) of one bandit step.
 
     The chosen annotations' surrogate losses come from one vector draw; the
-    advantage variants then draw their comparators pair by pair.
+    advantage variants draw all of the step's comparison losses in one more.
     """
     losses = surrogate_losses(bits, run.loss_rng)
     variant = run.config.reward_variant
@@ -694,18 +676,14 @@ def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: n
         return (raw, *normalize_step_array(raw, run.history, run.config.warmup_min))
     if variant == "neg_loss":
         return -losses, -losses, None
-    raw = np.empty(len(losses))
-    for i, arm in enumerate(chosen.tolist()):
-        if variant == "full_advantage":
-            all_losses = [
-                losses[i] if n == arm else surrogate_pair_loss(bool(correct[i, n]), run.loss_rng)
-                for n in range(run.n_arms)
-            ]
-            raw[i] = full_advantage_reward(all_losses, arm)
-        else:  # light_advantage
-            picks = sample_comparators(run.n_arms, arm, run.config.light_c, run.comp_rng)
-            comp_losses = [surrogate_pair_loss(bool(correct[i, n]), run.loss_rng) for n in picks]
-            raw[i] = light_advantage_reward(comp_losses, losses[i])
+    rows = np.arange(len(chosen))
+    if variant == "full_advantage":  # the mean over all models, the chosen one included
+        comparison = surrogate_losses(correct, run.loss_rng)
+        comparison[rows, chosen] = losses
+    else:  # light_advantage
+        picks = sample_comparators(run.n_arms, chosen, run.config.light_c, run.comp_rng)
+        comparison = surrogate_losses(correct[rows[:, None], picks], run.loss_rng)
+    raw = advantage_rewards(losses, comparison)
     return raw, raw, None
 
 

@@ -237,6 +237,33 @@ class TestValidation:
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(n_steps="x"),
+            lambda doc: doc.update(offline_pairs=-1),
+            lambda doc: doc.update(drift_step=1.5),
+            lambda doc: doc["clusters"][0].update(spread="a"),
+            lambda doc: doc.update(arm_profiles=[list(p.values()) for p in doc["arm_profiles"]]),
+            lambda doc: doc.update(clusters=5),
+            lambda doc: doc["arm_profiles"][0].update({"1": 1.5}),
+            lambda doc: doc["arm_profiles"][0].update({"1": float("nan")}),
+        ],
+        ids=["n-steps-string", "negative-offline-pairs", "fractional-drift-step",
+             "spread-string", "profiles-as-lists", "clusters-not-a-list", "accuracy-above-1",
+             "nan-accuracy"],
+    )
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, edit):
+        doc = scenario_to_dict(two_specialists_scenario(pairs_per_step=8, n_steps=6, seeds=[1]))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))  # json.dumps writes NaN
+        code = main(["run-sim", "--scenario", str(path), "--router", "random",
+                     "--out-dir", str(tmp_path / "runs")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
+
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",
                      "--prior", "injected", "--out-dir", str(tmp_path / "runs")])
@@ -269,15 +296,16 @@ class TestValidation:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda arm: arm.update(covariance=[1.0, 0.0, 1.0]),
-            lambda arm: arm.pop("mean"),
-            lambda arm: arm.update(mean=[float("nan"), 0.0]),
+            lambda doc: doc["arms"][0].update(covariance=[1.0, 0.0, 1.0]),
+            lambda doc: doc["arms"][0].pop("mean"),
+            lambda doc: doc["arms"][0].update(mean=[float("nan"), 0.0]),
+            lambda doc: doc["config"].update(sigma_sq=float("nan"), prior_variance=float("nan")),
         ],
-        ids=["covariance-length-3", "missing-mean", "nan-mean"],
+        ids=["covariance-length-3", "missing-mean", "nan-mean", "nan-config"],
     )
     def test_malformed_state_exits_2(self, tmp_path, capsys, edit):
         doc = state_to_dict(init_router(2, 2))
-        edit(doc["arms"][0])
+        edit(doc)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps writes NaN
         assert main(["inspect", str(path)]) == 2

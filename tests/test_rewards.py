@@ -13,6 +13,7 @@ from rmrouter.rewards import (
     DegenerateQuantilesWarning,
     PairLoss,
     RewardHistory,
+    advantage_rewards,
     batch_baseline_rewards,
     dpo_loss,
     full_advantage_reward,
@@ -302,9 +303,64 @@ class TestAdvantageRewards:
     def test_light_all_comparators_better(self):
         assert light_advantage_reward([0.2, 0.3, 0.25], 0.9) == 0
 
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data(), n_rows=st.integers(1, 12), n_arms=st.integers(2, 9))
+    def test_array_rule_equals_scalar_rules_row_by_row(self, data, n_rows, n_arms):
+        loss = st.floats(-5.0, 5.0, allow_nan=False)
+        losses = np.array(data.draw(st.lists(
+            st.lists(loss, min_size=n_arms, max_size=n_arms), min_size=n_rows, max_size=n_rows
+        )))
+        chosen = np.array(data.draw(st.lists(
+            st.integers(0, n_arms - 1), min_size=n_rows, max_size=n_rows
+        )))
+        rows = np.arange(n_rows)
+        full = advantage_rewards(losses[rows, chosen], losses)
+        assert full.tolist() == [
+            full_advantage_reward(list(row), arm) for row, arm in zip(losses, chosen.tolist())
+        ]
+        chosen_losses = np.array(data.draw(st.lists(loss, min_size=n_rows, max_size=n_rows)))
+        light = advantage_rewards(chosen_losses, losses)
+        assert light.tolist() == [
+            light_advantage_reward(list(row), x) for row, x in zip(losses, chosen_losses)
+        ]
+
     def test_comparator_sampling(self):
         rng = np.random.default_rng(0)
-        picks = sample_comparators(4, 1, 3, rng)
-        assert sorted(picks) == [0, 2, 3]
+        picks = sample_comparators(4, [1, 0], 3, rng)
+        assert picks.tolist() == [[0, 2, 3], [1, 2, 3]]
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data(), n_arms=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+    def test_comparator_rows_exclude_chosen_distinct_sorted(self, data, n_arms, seed):
+        c = data.draw(st.integers(1, n_arms - 1))
+        chosen = data.draw(st.lists(st.integers(0, n_arms - 1), min_size=1, max_size=20))
+        picks = sample_comparators(n_arms, np.array(chosen), c, np.random.default_rng(seed))
+        assert picks.shape == (len(chosen), c)
+        for row, arm in zip(picks.tolist(), chosen):
+            assert arm not in row
+            assert row == sorted(set(row))  # c distinct entries, ascending
+            assert all(0 <= n < n_arms for n in row)
+
+    def test_comparator_subsets_uniform(self):
+        # N = 4, c = 2: per chosen arm, each of the three 2-subsets of the
+        # other arms has probability 1/3; chi-square over all 12 cells
+        per_arm = 6000
+        chosen = np.repeat(np.arange(4), per_arm)
+        picks = sample_comparators(4, chosen, 2, np.random.default_rng(1313))
+        stat = 0.0
+        for arm in range(4):
+            rows = picks[chosen == arm]
+            for subset in itertools.combinations([n for n in range(4) if n != arm], 2):
+                observed = np.sum(np.all(rows == subset, axis=1))
+                stat += (observed - per_arm / 3) ** 2 / (per_arm / 3)
+        assert stat < 26.12  # chi-square 99.9% quantile, 4 * (3 - 1) = 8 degrees of freedom
+
+    @pytest.mark.parametrize("chosen", [[4], [0, -1], [[0]]])
+    def test_chosen_arm_out_of_range_rejected(self, chosen):
+        with pytest.raises(InputError):
+            sample_comparators(4, chosen, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c", [0, 4, 5])
+    def test_comparator_count_out_of_range_rejected(self, c):
         with pytest.raises(ConfigError):
-            sample_comparators(4, 0, 4, rng)
+            sample_comparators(4, [0], c, np.random.default_rng(0))

@@ -487,6 +487,30 @@ class TestRunReplay:
         )
         assert metrics.rm_calls_per_step == [16 + 16] * 6
 
+    def test_light_c_must_leave_a_comparator_out(self):
+        dataset = generate_scenario(two_cluster_scenario(pairs_per_step=4, n_steps=2), 14)
+        config = ReplayConfig(seed=14, reward_variant="light_advantage", light_c=2)
+        with pytest.raises(ConfigError, match="comparator count"):
+            run_replay("thompson", dataset, config)
+
+    @pytest.mark.parametrize(
+        "variant, light_c", [("full_advantage", 3), ("light_advantage", 1), ("light_advantage", 3)]
+    )
+    def test_advantage_rewards_binary_and_rerun_bitwise(self, variant, light_c):
+        dataset = generate_scenario(two_specialists_scenario(8, 10, n_filler_arms=2), 16)
+        runs = []
+        for _ in range(2):
+            reward_log, states = [], []
+            config = ReplayConfig(seed=16, reward_variant=variant, light_c=light_c)
+            metrics = run_replay("thompson", dataset, config, reward_log=reward_log,
+                                 final_state_out=states)
+            counts = metrics.arm_selection_counts.tolist()
+            runs.append((metrics.cumulative_regret, counts, reward_log, state_to_dict(states[0])))
+        log = runs[0][2]
+        assert {row["raw_reward"] for row in log} == {0.0, 1.0}
+        assert all(row["normalized_reward"] == row["raw_reward"] for row in log)
+        assert runs[0] == runs[1]
+
     def test_replay_reproducible_bitwise_every_router(self):
         dataset = generate_scenario(two_cluster_scenario(8, 20, offline_pairs=100), 15)
         prior = fit_offline_router(dataset, seed=15).model.bt_embeddings
