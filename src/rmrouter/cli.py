@@ -73,6 +73,8 @@ def _setup_logging() -> None:
 
 def _load_prior(path: str) -> np.ndarray:
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"prior file {path} does not hold a JSON object")
     version = doc.get("version")
     if version != PRIOR_FORMAT_VERSION:
         raise InputError(
@@ -395,6 +397,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     doc = read_json(args.path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{args.path} does not hold a JSON object")
     if "arms" in doc:
         state = state_from_dict(doc)
         print(f"router state: {state.n_arms} arms, d={state.d}, step={state.step}")

@@ -46,16 +46,13 @@ class ArmPosterior:
     read-only, and concurrent updates to one arm must be serialized by the
     caller.  Every field must be finite and the covariance symmetric positive
     definite; construction checks this with one Cholesky factorization, which
-    also validates beliefs loaded from state files.  ``degenerate`` opts into
-    an exactly zero covariance (point mass at the mean); it is meant for
-    ablations and tests only and cannot be updated.
+    also validates beliefs loaded from state files.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     noise_variance: float
     update_count: int = 0
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -76,14 +73,8 @@ class ArmPosterior:
         asym = float(np.max(np.abs(self.covariance - self.covariance.T))) if d else 0.0
         if asym > SYMMETRY_TOL:
             raise NonPSDError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
-        if self.degenerate:
-            if np.any(self.covariance != 0.0):
-                raise ConfigError("degenerate posteriors require an exactly zero covariance")
-            return
-        if d and not np.any(self.covariance):
-            raise NonPSDError(
-                "zero covariance is only allowed with the explicit degenerate flag", pivot=0
-            )
+        if d and not np.any(self.covariance):  # the jitter retry would accept it
+            raise NonPSDError("covariance is zero, not positive definite", pivot=0)
         robust_cholesky(self.covariance)
 
     @property
@@ -138,14 +129,12 @@ def make_prior(
 
 
 def sample_weight(posterior: ArmPosterior, rng: np.random.Generator) -> np.ndarray:
-    """One draw w ~ N(mean, covariance); the mean itself for degenerate beliefs."""
+    """One draw w ~ N(mean, covariance)."""
     return sample_weights(posterior, rng, 1)[0]
 
 
 def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent draws, shape (n, d), sharing one Cholesky factorization."""
-    if posterior.degenerate:
-        return np.tile(posterior.mean, (n, 1))
     low = robust_cholesky(posterior.covariance)
     z = rng.standard_normal((n, posterior.d))
     return posterior.mean + z @ low.T
@@ -173,11 +162,8 @@ def sample_scores(
 
     A score h.w with w ~ N(mean, covariance) is N(h.mean, h.covariance.h)
     (:func:`score_moments`), so B independent scores need B scalar normals.
-    Degenerate beliefs return ``contexts @ mean`` exactly and draw nothing.
     """
     means, variances = score_moments(posterior, contexts)
-    if posterior.degenerate:
-        return means
     return means + np.sqrt(np.maximum(variances, 0.0)) * rng.standard_normal(len(contexts))
 
 
@@ -201,8 +187,6 @@ def _update_rows(
     posterior: ArmPosterior, contexts: np.ndarray, rewards: np.ndarray
 ) -> ArmPosterior:
     """:func:`posterior_update` on checked rows: k >= 1 finite (k, d) contexts and rewards."""
-    if posterior.degenerate:
-        raise NumericalError("degenerate (zero covariance) posteriors cannot be updated")
     mean, covariance = posterior.mean, posterior.covariance
     try:
         for start in range(0, len(rewards), GAIN_ROWS):
@@ -241,6 +225,8 @@ def posterior_to_dict(posterior: ArmPosterior) -> dict:
 
 def posterior_from_dict(doc: dict) -> ArmPosterior:
     """Inverse of :func:`posterior_to_dict`; a malformed document raises FormatError."""
+    if not isinstance(doc, dict):
+        raise FormatError("posterior document must be a JSON object")
     version = doc.get("version")
     if version != POSTERIOR_FORMAT_VERSION:
         raise ConfigError(
@@ -249,13 +235,11 @@ def posterior_from_dict(doc: dict) -> ArmPosterior:
         )
     try:
         d = int(doc["d"])
-        covariance = np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d)
         return ArmPosterior(
             mean=np.asarray(doc["mean"], dtype=np.float64),
-            covariance=covariance,
+            covariance=np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d),
             noise_variance=float(doc["noise_variance"]),
             update_count=int(doc["update_count"]),
-            degenerate=not np.any(covariance),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed posterior document: {exc!r}") from exc

@@ -33,11 +33,12 @@ from .features import (
     PreferencePair,
     prefusion_vector,
 )
-from .serialize import dumps_line, iter_jsonl, read_json, write_json
+from .serialize import dumps_line, int_field, iter_jsonl, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
+INIT_SCALE = 0.02  # standard deviation of the initial head and fusion weights
 
 
 @dataclass
@@ -49,8 +50,8 @@ class BehaviorRecord:
     correct: int
 
     def __post_init__(self) -> None:
-        self.rm_index = int(self.rm_index)
-        self.correct = int(self.correct)
+        self.rm_index = int_field(self.rm_index, "rm_index", InputError)
+        self.correct = int_field(self.correct, "correct", InputError)
         if self.rm_index < 0:
             raise InputError(f"rm_index must be >= 0, got {self.rm_index}")
         if self.correct not in (0, 1):
@@ -194,17 +195,17 @@ class TrainConfig:
     seed: int = 0
     embed_dim: int = DEFAULT_EMBED_DIM
     encoder_dim: int = DEFAULT_ENCODER_DIM
-    init_scale: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("lr, epochs and batch_size must be positive")
+        # NaN fails every comparison, so each range check rejects it too
+        if not (0 <= self.lam < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ConfigError("lam and weight_decay must be finite and >= 0")
+        if not 0 < self.lr < np.inf or self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("lr must be finite and positive, epochs and batch_size >= 1")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if self.embed_dim < 1 or self.encoder_dim < 2:
+            raise ConfigError("embed_dim must be >= 1 and encoder_dim >= 2")
 
 
 @dataclass
@@ -354,17 +355,15 @@ def train_arrays(
         raise TrainError("disagreement set is empty: ranking head has no signal")
     rng = np.random.default_rng(config.seed)
     if fused:
-        fusion = FusionParams.random_init(
-            config.embed_dim, config.encoder_dim, rng, scale=config.init_scale
-        )
+        fusion = FusionParams.random_init(config.embed_dim, config.encoder_dim, rng, INIT_SCALE)
         d = config.embed_dim
     else:
         fusion, d = None, contexts.shape[1]
 
     model = OfflineRouterModel(
         fusion=fusion,
-        bt_embeddings=config.init_scale * rng.standard_normal((n_arms, d)),
-        cls_embeddings=config.init_scale * rng.standard_normal((n_arms, d)),
+        bt_embeddings=INIT_SCALE * rng.standard_normal((n_arms, d)),
+        cls_embeddings=INIT_SCALE * rng.standard_normal((n_arms, d)),
         lam=config.lam,
         n_arms=n_arms,
     )
@@ -505,6 +504,8 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> OfflineRouterModel:
+    if not isinstance(doc, dict):
+        raise FormatError("model document must be a JSON object")
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ConfigError(

@@ -2,8 +2,8 @@
 
 Each candidate model is a bandit arm holding a Gaussian belief over a linear
 weight vector.  Routing a batch draws, for every pair and arm, the score of
-an independent weight sample (configurable to one weight sample per arm per
-batch), and picks the argmax; ties resolve to the lowest arm index.
+an independent weight sample, and picks the argmax; ties resolve to the
+lowest arm index.
 Feedback groups the batch's pairs by chosen arm and applies one conjugate
 update per arm, leaving unchosen arms untouched.
 
@@ -35,7 +35,7 @@ from .gaussian import (
     posterior_from_dict,
     posterior_to_dict,
     sample_scores,
-    sample_weights,
+    sample_weights,  # not called here; the bench tracer's tests read online.sample_weights
     score_moments,
 )
 from .offline import OfflineRouterModel
@@ -54,7 +54,6 @@ class RouterConfig:
     sigma_sq: float = DEFAULT_NOISE_VARIANCE
     prior_variance: float = 1.0
     prior_mode: str = "zero"
-    resample_per_pair: bool = True
 
     def __post_init__(self) -> None:
         if self.prior_mode not in PRIOR_MODES:
@@ -124,7 +123,6 @@ def init_router(
     offline_prior: np.ndarray | None = None,
     sigma_sq: float = DEFAULT_NOISE_VARIANCE,
     prior_variance: float | None = None,
-    resample_per_pair: bool = True,
 ) -> OnlineRouterState:
     """Fresh router state; injected mode seeds each arm's mean from a prior row."""
     if n_arms < 1 or d < 1:
@@ -133,12 +131,7 @@ def init_router(
         raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
     if prior_variance is None:
         prior_variance = DEFAULT_PRIOR_VARIANCE[prior_mode]
-    config = RouterConfig(
-        sigma_sq=sigma_sq,
-        prior_variance=prior_variance,
-        prior_mode=prior_mode,
-        resample_per_pair=resample_per_pair,
-    )
+    config = RouterConfig(sigma_sq=sigma_sq, prior_variance=prior_variance, prior_mode=prior_mode)
     if prior_mode == "injected":
         if offline_prior is None:
             raise ConfigError("prior_mode='injected' requires an offline prior matrix")
@@ -179,10 +172,7 @@ def route_arrays(
     """
     scores = np.empty((contexts.shape[0], state.n_arms))
     for n, arm in enumerate(state.arms):
-        if state.config.resample_per_pair:
-            scores[:, n] = sample_scores(arm, contexts, rng)
-        else:
-            scores[:, n] = contexts @ sample_weights(arm, rng, 1)[0]
+        scores[:, n] = sample_scores(arm, contexts, rng)
     return np.argmax(scores, axis=1), scores
 
 
@@ -389,7 +379,6 @@ def state_to_dict(state: OnlineRouterState) -> dict:
             "sigma_sq": state.config.sigma_sq,
             "prior_variance": state.config.prior_variance,
             "prior_mode": state.config.prior_mode,
-            "resample_per_pair": state.config.resample_per_pair,
         },
         "selection_counts": [int(c) for c in state.selection_counts],
         "arms": [posterior_to_dict(arm) for arm in state.arms],
@@ -398,6 +387,8 @@ def state_to_dict(state: OnlineRouterState) -> dict:
 
 def state_from_dict(doc: dict) -> OnlineRouterState:
     """Inverse of :func:`state_to_dict`; a malformed document raises FormatError."""
+    if not isinstance(doc, dict):
+        raise FormatError("router state must be a JSON object")
     version = doc.get("version")
     if version != STATE_FORMAT_VERSION:
         raise ConfigError(
@@ -409,7 +400,6 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
             sigma_sq=float(cfg["sigma_sq"]),
             prior_variance=float(cfg["prior_variance"]),
             prior_mode=cfg["prior_mode"],
-            resample_per_pair=bool(cfg.get("resample_per_pair", True)),
         )
         return OnlineRouterState(
             arms=[posterior_from_dict(arm) for arm in doc["arms"]],

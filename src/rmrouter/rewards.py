@@ -81,18 +81,15 @@ class RewardHistory:
     """Record of past centered rewards used for quantile scaling.
 
     Values are kept twice as float64 arrays: in insertion order (for
-    ``capacity`` eviction and :attr:`values`) and sorted (for
-    :meth:`quantile_bounds`).  Appending a step of B values to a history of H
-    costs O(H + B log B); reading the bounds costs O(1).
+    :attr:`values`) and sorted (for :meth:`quantile_bounds`).  Appending a
+    step of B values to a history of H costs O(H + B log B); reading the
+    bounds costs O(1).
 
     Single writer: within a step, quantile reads must happen before the
     step's own rewards are appended (see :func:`normalize_step_rewards`).
     """
 
-    def __init__(self, values: Iterable[float] = (), capacity: int | None = None) -> None:
-        if not (capacity is None or isinstance(capacity, (int, np.integer)) and capacity >= 1):
-            raise ConfigError(f"history capacity must be None or an int >= 1, got {capacity!r}")
-        self.capacity = capacity
+    def __init__(self, values: Iterable[float] = ()) -> None:
         self.degenerate_events = 0
         self._order = np.empty(0, dtype=np.float64)
         self._sorted = self._order
@@ -100,12 +97,12 @@ class RewardHistory:
 
     @property
     def values(self) -> list[float]:
-        """The retained values, oldest first (a copy)."""
+        """The recorded values, oldest first (a copy)."""
         return self._order.tolist()
 
     @property
     def sorted_values(self) -> np.ndarray:
-        """The retained values in ascending order (a read-only view)."""
+        """The recorded values in ascending order (a read-only view)."""
         view = self._sorted.view()
         view.flags.writeable = False
         return view
@@ -123,14 +120,6 @@ class RewardHistory:
             self._sorted, np.searchsorted(self._sorted, new_sorted), new_sorted
         )
         self._order = np.concatenate((self._order, new))
-        excess = 0 if self.capacity is None else len(self._order) - self.capacity
-        if excess > 0:
-            evicted = np.sort(self._order[:excess])
-            self._order = self._order[excess:].copy()
-            # the j-th copy of a repeated value sits j slots after its first match
-            first = np.searchsorted(evicted, evicted)
-            slots = np.searchsorted(self._sorted, evicted) + np.arange(excess) - first
-            self._sorted = np.delete(self._sorted, slots)
 
     def __len__(self) -> int:
         return self._order.shape[0]

@@ -32,6 +32,14 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+def int_field(value: Any, name: str, error: type[Exception]) -> int:
+    """A document's integer value: an int or an integral float, never a bool."""
+    integral = isinstance(value, float) and value.is_integer()
+    if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def dumps_doc(obj: Any) -> str:
     """Pretty canonical form used for standalone JSON documents."""
     return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -42,7 +42,6 @@ from .online import (
 )
 from .rewards import (
     DEFAULT_LIGHT_COMPARATORS,
-    DEFAULT_WARMUP_MIN,
     RewardHistory,
     advantage_rewards,
     batch_baseline_array,
@@ -50,6 +49,7 @@ from .rewards import (
     sample_comparators,
     surrogate_losses,
 )
+from .serialize import int_field
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -204,22 +204,30 @@ def scenario_from_dict(doc: dict) -> SimScenario:
         raise ConfigError(
             f"unsupported scenario version {version!r}; supported: {SCENARIO_FORMAT_VERSION}"
         )
+
+    def integer(value, name: str) -> int:
+        return int_field(value, name, ConfigError)
+
     try:
         clusters = [
-            Cluster(int(c["cluster_id"]), np.asarray(c["center"], dtype=np.float64), float(c["spread"]))
+            Cluster(
+                integer(c["cluster_id"], "cluster_id"),
+                np.asarray(c["center"], dtype=np.float64),
+                float(c["spread"]),
+            )
             for c in doc["clusters"]
         ]
         profiles = [
             {int(k): float(v) for k, v in profile.items()} for profile in doc["arm_profiles"]
         ]
         return SimScenario(
-            n_arms=int(doc["n_arms"]),
+            n_arms=integer(doc["n_arms"], "n_arms"),
             clusters=clusters,
             arm_profiles=profiles,
-            pairs_per_step=int(doc["pairs_per_step"]),
-            n_steps=int(doc["n_steps"]),
-            seeds=[int(s) for s in doc["seeds"]],
-            offline_pairs=int(doc.get("offline_pairs", 0)),
+            pairs_per_step=integer(doc["pairs_per_step"], "pairs_per_step"),
+            n_steps=integer(doc["n_steps"], "n_steps"),
+            seeds=[integer(s, "seed") for s in doc["seeds"]],
+            offline_pairs=integer(doc.get("offline_pairs", 0), "offline_pairs"),
             mixture_before=doc.get("mixture_before"),
             mixture_after=doc.get("mixture_after"),
             drift_step=doc.get("drift_step"),
@@ -446,16 +454,12 @@ class ReplayConfig:
     linucb_per_pair: bool = False
     reward_variant: str = "batch_quantile"
     light_c: int = DEFAULT_LIGHT_COMPARATORS
-    warmup_min: int = DEFAULT_WARMUP_MIN
-    resample_per_pair: bool = True
-    history_capacity: int | None = None
 
     def __post_init__(self) -> None:
         if self.reward_variant not in REWARD_VARIANTS:
             raise ConfigError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
-        RewardHistory(capacity=self.history_capacity)  # raises ConfigError on a bad capacity
         if not 0.0 <= self.linucb_alpha < np.inf:
             raise ConfigError(f"linucb_alpha must be finite and >= 0, got {self.linucb_alpha}")
         if not 0.0 < self.sigma_sq < np.inf:
@@ -525,9 +529,7 @@ def _start_single(run: _Replay) -> int:
 def _start_thompson(run: _Replay) -> OnlineRouterState:
     c = run.config
     prior = c.offline_prior if c.prior_mode == "injected" else None
-    return init_router(
-        run.n_arms, run.d, c.prior_mode, prior, c.sigma_sq, c.prior_variance, c.resample_per_pair
-    )
+    return init_router(run.n_arms, run.d, c.prior_mode, prior, c.sigma_sq, c.prior_variance)
 
 
 def _mix_weight(arg: str) -> float:
@@ -673,7 +675,7 @@ def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: n
     variant = run.config.reward_variant
     if variant == "batch_quantile":
         raw = batch_baseline_array(losses)
-        return (raw, *normalize_step_array(raw, run.history, run.config.warmup_min))
+        return (raw, *normalize_step_array(raw, run.history))
     if variant == "neg_loss":
         return -losses, -losses, None
     rows = np.arange(len(chosen))
@@ -726,7 +728,7 @@ def run_replay(
     rngs = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
     run = _Replay(
         config, param, n_arms, d, stream.clusters, dataset.profiles, offline_model, *rngs,
-        RewardHistory(capacity=config.history_capacity),
+        RewardHistory(),
     )
     state = spec.start(run)
     calls = 1  # reward-model calls per pair

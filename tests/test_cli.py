@@ -248,10 +248,17 @@ class TestValidation:
             lambda doc: doc.update(clusters=5),
             lambda doc: doc["arm_profiles"][0].update({"1": 1.5}),
             lambda doc: doc["arm_profiles"][0].update({"1": float("nan")}),
+            lambda doc: doc.update(n_steps=6.9),
+            lambda doc: doc.update(pairs_per_step=True),
+            lambda doc: doc.update(seeds=[1.5]),
+            lambda doc: doc.update(n_arms=2.5),
+            lambda doc: doc.update(offline_pairs=10.5),
+            lambda doc: doc["clusters"][1].update(cluster_id=1.5),
         ],
         ids=["n-steps-string", "negative-offline-pairs", "fractional-drift-step",
              "spread-string", "profiles-as-lists", "clusters-not-a-list", "accuracy-above-1",
-             "nan-accuracy"],
+             "nan-accuracy", "fractional-n-steps", "bool-pairs-per-step", "fractional-seed",
+             "fractional-n-arms", "fractional-offline-pairs", "fractional-cluster-id"],
     )
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, edit):
         doc = scenario_to_dict(two_specialists_scenario(pairs_per_step=8, n_steps=6, seeds=[1]))
@@ -263,6 +270,66 @@ class TestValidation:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"rm_index": 1.7, "correct": 1},
+            {"rm_index": "x", "correct": 1},
+            {"rm_index": True, "correct": 1},
+            {"rm_index": 1, "correct": 0.5},
+            {"rm_index": 1, "correct": True},
+        ],
+        ids=["fractional-rm-index", "string-rm-index", "bool-rm-index", "fractional-correct",
+             "bool-correct"],
+    )
+    def test_malformed_behavior_row_exits_2(self, tmp_path, scenario_file, capsys, row):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        with open(f"{data_dir}/behavior.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"pair_id": "off-000000", **row}) + "\n")
+        lines = len(open(f"{data_dir}/behavior.jsonl").read().splitlines())
+        assert main(train_args(data_dir, str(tmp_path / "model.json"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"(line {lines})" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--lr", "inf"], ["--lr", "nan"], ["--lambda", "nan"], ["--lambda", "inf"],
+         ["--weight-decay", "nan"], ["--weight-decay", "inf"], ["--embed-dim", "0"],
+         ["--encoder-dim", "1"]],
+        ids=lambda extra: "=".join(extra).lstrip("-"),
+    )
+    def test_bad_training_setting_exits_2(self, tmp_path, scenario_file, capsys, extra):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        model_path = tmp_path / "model.json"
+        args = train_args(data_dir, str(model_path), extra=extra)
+        if extra[0] == "--embed-dim":  # it sizes the fusion layer, trained without --embeddings
+            at = args.index("--embeddings")
+            del args[at : at + 2]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("inspect", '"arms"'), ("inspect", "5"), ("export-prior", "[1]"), ("run-sim", "[1]")],
+    )
+    def test_non_object_document_exits_2(self, tmp_path, scenario_file, capsys, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        args = {
+            "inspect": ["inspect", str(path)],
+            "export-prior": ["export-prior", "--model", str(path),
+                             "--out", str(tmp_path / "prior.json")],
+            "run-sim": ["run-sim", "--scenario", scenario_file, "--router", "offline",
+                        "--prior-file", str(path), "--out-dir", str(tmp_path / "runs")],
+        }[command]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",

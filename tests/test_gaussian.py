@@ -91,16 +91,14 @@ class TestMakePrior:
 
 
 class TestSampling:
-    def test_degenerate_returns_mean(self):
-        post = ArmPosterior(
-            mean=np.array([0.5]), covariance=np.zeros((1, 1)), noise_variance=1.0, degenerate=True
-        )
-        w = sample_weight(post, np.random.default_rng(0))
-        assert np.array_equal(w, np.array([0.5]))
-
-    def test_degenerate_needs_flag(self):
-        with pytest.raises(NonPSDError):
+    def test_zero_covariance_rejected(self):
+        # the jitter retry would factor it, so the constructor checks it first
+        with pytest.raises(NonPSDError, match="zero"):
             ArmPosterior(mean=np.array([0.5]), covariance=np.zeros((1, 1)), noise_variance=1.0)
+        doc = posterior_to_dict(make_prior(2))
+        doc["covariance"] = [0.0] * 4
+        with pytest.raises(NonPSDError):
+            posterior_from_dict(doc)
 
     def test_monte_carlo_mean(self):
         post = make_prior(2, np.zeros(2), 1.0, 1.0)
@@ -155,19 +153,6 @@ class TestSampleScores:
         var = np.einsum("ij,jk,ik->i", contexts, post.covariance, contexts)
         assert np.all(np.abs(draws.mean(axis=1) - mean) < 6.0 * np.sqrt(var / n))
         assert np.all(np.abs(draws.var(axis=1) / var - 1.0) < 6.0 * np.sqrt(2.0 / n))
-
-    @settings(deadline=None)
-    @given(d=st.integers(1, 6), b=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-    def test_degenerate_is_exact_and_draws_nothing(self, d, b, seed):
-        rng = np.random.default_rng(seed)
-        mean = rng.standard_normal(d)
-        contexts = rng.standard_normal((b, d))
-        post = ArmPosterior(
-            mean=mean, covariance=np.zeros((d, d)), noise_variance=1.0, degenerate=True
-        )
-        before = rng.bit_generator.state
-        assert np.array_equal(sample_scores(post, contexts, rng), contexts @ mean)
-        assert rng.bit_generator.state == before
 
     def test_context_dimension_checked(self):
         post = make_prior(3)
@@ -249,13 +234,6 @@ class TestPosteriorUpdate:
         with pytest.raises(DimError):
             posterior_update(post, ObservationBatch([[1.0, 2.0, 3.0]], [1.0]))
 
-    def test_degenerate_cannot_update(self):
-        post = ArmPosterior(
-            mean=np.zeros(1), covariance=np.zeros((1, 1)), noise_variance=1.0, degenerate=True
-        )
-        with pytest.raises(NumericalError):
-            posterior_update(post, ObservationBatch([[1.0]], [1.0]))
-
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DimError):
             ObservationBatch([[1.0], [2.0]], [1.0])
@@ -304,7 +282,7 @@ class TestSerialization:
 class TestTwoFieldBelief:
     def test_state_is_mean_and_covariance(self):
         names = [f.name for f in dataclasses.fields(ArmPosterior)]
-        assert names == ["mean", "covariance", "noise_variance", "update_count", "degenerate"]
+        assert names == ["mean", "covariance", "noise_variance", "update_count"]
 
     def test_non_finite_mean_rejected(self):
         with pytest.raises(InputError):

@@ -157,16 +157,6 @@ class TestQuantileNormalize:
         assert abs(q_lo - np.percentile(values, 20)) < 1e-12
         assert abs(q_hi - np.percentile(values, 80)) < 1e-12
 
-    def test_capacity_ring_buffer(self):
-        history = RewardHistory(capacity=3)
-        history.extend([1.0, 2.0, 3.0, 4.0])
-        assert history.values == [2.0, 3.0, 4.0]
-
-    @pytest.mark.parametrize("capacity", [-1, 0, 2.5, "3"])
-    def test_bad_capacity_rejected(self, capacity):
-        with pytest.raises(ConfigError):
-            RewardHistory(capacity=capacity)
-
 
 class TestStepNormalization:
     def test_strictly_past_history(self):
@@ -226,22 +216,20 @@ steps = st.lists(st.lists(reward_values, max_size=12), min_size=1, max_size=12)
 
 class TestRewardHistoryProperties:
     @settings(deadline=None)
-    @given(steps=steps, capacity=st.one_of(st.none(), st.integers(1, 30)))
-    def test_sorted_array_tracks_values(self, steps, capacity):
-        history = RewardHistory(capacity=capacity)
+    @given(steps=steps)
+    def test_sorted_array_tracks_values(self, steps):
+        history = RewardHistory()
         kept: list[float] = []
         for step in steps:
             history.extend(step)
             kept.extend(step)
-            if capacity is not None:
-                kept = kept[-capacity:]
             assert history.values == kept
             assert np.array_equal(history.sorted_values, np.sort(np.asarray(kept)))
 
     @settings(deadline=None)
-    @given(steps=steps, capacity=st.one_of(st.none(), st.integers(1, 30)))
-    def test_bounds_match_sort_oracle(self, steps, capacity):
-        history = RewardHistory(capacity=capacity)
+    @given(steps=steps)
+    def test_bounds_match_sort_oracle(self, steps):
+        history = RewardHistory()
         for step in steps:
             history.extend(step)
             if len(history):

@@ -569,11 +569,6 @@ class TestRunReplay:
             acc = run_replay(router, dataset, config).final_annotation_accuracy
             assert lo <= acc <= hi, (router, acc)
 
-    @pytest.mark.parametrize("capacity", [0, -3, 2.5, "10"])
-    def test_bad_history_capacity_rejected(self, capacity):
-        with pytest.raises(ConfigError):
-            ReplayConfig(history_capacity=capacity)
-
     def test_missing_prior_rejected(self):
         dataset = generate_scenario(two_cluster_scenario(4, 2), 18)
         with pytest.raises(ConfigError):
@@ -677,7 +672,7 @@ def reference_replay(router, dataset, config):
         injected = config.prior_mode == "injected"
         state = init_router(
             n_arms, d, config.prior_mode, config.offline_prior if injected else None,
-            config.sigma_sq, config.prior_variance, config.resample_per_pair,
+            config.sigma_sq, config.prior_variance,
         )
     elif kind == "weighted":
         state = init_router(n_arms, d, sigma_sq=config.sigma_sq)
@@ -686,7 +681,7 @@ def reference_replay(router, dataset, config):
         )
     else:
         state, scores = RidgeReference(n_arms, d), []
-    history = RewardHistory(capacity=config.history_capacity)
+    history = RewardHistory()
     best = dataset.profiles.max(axis=0)
     accuracy, regret, counts, cum, hits = [], [], np.zeros(n_arms, dtype=np.int64), 0.0, 0
     for step in range(scenario.n_steps):
@@ -715,9 +710,7 @@ def reference_replay(router, dataset, config):
             PairLoss(dec.pair_id, surrogate_pair_loss(bool(bit), loss_rng))
             for dec, bit in zip(decisions, bits)
         ]
-        rewards, _ = normalize_step_rewards(
-            batch_baseline_rewards(losses), history, config.warmup_min
-        )
+        rewards, _ = normalize_step_rewards(batch_baseline_rewards(losses), history)
         if kind == "linucb":
             state.update(contexts, picks, [rewards[dec.pair_id] for dec in decisions])
         else:  # each arm's pairs in batch order, through the conjugate update itself
@@ -752,10 +745,10 @@ class TestArrayReplayMatchesPerPairApi:
         [
             ("thompson", {}),
             ("thompson", {"prior_mode": "injected"}),
-            ("thompson", {"resample_per_pair": False, "history_capacity": 40}),
+            ("thompson", {"sigma_sq": 0.5, "prior_variance": 2.0}),
             ("weighted:0.5", {}),
             ("linucb", {}),
-            ("linucb", {"linucb_per_pair": True, "warmup_min": 8}),
+            ("linucb", {"linucb_per_pair": True}),
         ],
     )
     def test_bit_identical(self, dataset_and_prior, router, options):
