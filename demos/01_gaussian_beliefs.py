@@ -8,7 +8,7 @@ the truth while the covariance trace collapses.
 
 import numpy as np
 
-from rmrouter import ObservationBatch, make_prior, posterior_update, sample_weights
+from rmrouter import make_prior, posterior_update, sample_weights
 
 rng = np.random.default_rng(0)
 
@@ -23,7 +23,7 @@ for step in range(8):
     batch_size = 2 ** (step + 1)
     contexts = rng.standard_normal((batch_size, d))
     rewards = contexts @ w_true + rng.normal(0, 0.5, size=batch_size)
-    posterior = posterior_update(posterior, ObservationBatch(contexts, rewards))
+    posterior = posterior_update(posterior, contexts, rewards)
     seen += batch_size
     gap = np.linalg.norm(posterior.mean - w_true)
     print(f"{seen:>5}  {gap:>14.4f}  {np.trace(posterior.covariance):>11.4f}")

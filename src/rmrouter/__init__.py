@@ -40,7 +40,6 @@ from .features import (
 )
 from .gaussian import (
     ArmPosterior,
-    ObservationBatch,
     make_prior,
     posterior_update,
     sample_scores,
@@ -67,26 +66,21 @@ from .offline import (
 from .online import (
     OnlineRouterState,
     RouterConfig,
-    RoutingDecision,
     init_router,
     load_state,
     observe_feedback,
     route_batch,
     route_linucb,
-    route_weighted_batch,
     route_weighted_score,
     save_state,
     update_linucb,
 )
 from .rewards import (
-    PairLoss,
     RewardHistory,
-    batch_baseline_rewards,
+    advantage_rewards,
+    batch_baseline_array,
     dpo_loss,
-    full_advantage_reward,
-    light_advantage_reward,
     normalize_step_rewards,
-    quantile_normalize,
     sample_comparators,
     surrogate_pair_loss,
 )

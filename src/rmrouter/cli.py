@@ -202,8 +202,6 @@ def _expand_routers(args: argparse.Namespace, n_arms: int, have_prior: bool) -> 
     """Return (run_name, router_spec) entries; run_name distinguishes prior modes."""
     if args.router != "all":
         specs = args.router.split(",")
-        for spec in specs:
-            parse_router(spec)  # validates, raises ConfigError on bad names
         injected = args.prior == "injected"
         return [(f"{s}-injected" if injected and s == "thompson" else s, s) for s in specs]
     # every router but the oracle, its parameter filled in from the options; the
@@ -296,20 +294,19 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(scenario.seeds)
     except ValueError as exc:
         raise ConfigError(f"--seeds must be a comma list of integers: {exc}") from exc
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must not repeat, got {seeds}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     prior = _load_prior(args.prior_file) if args.prior_file else None
     if args.prior == "injected" and prior is None:
         raise InputError("--prior injected requires --prior-file")
-    needs_prior = [
-        spec
-        for spec in (args.router.split(",") if args.router != "all" else [])
-        if reads_offline_prior(parse_router(spec)[0], args.prior)
-    ]
+    # every spec is parsed (ConfigError on a bad one) before any output is written
+    routers = _expand_routers(args, scenario.n_arms, prior is not None)
+    kinds = {spec: parse_router(spec)[0] for _, spec in routers}
+    needs_prior = [spec for spec, kind in kinds.items() if reads_offline_prior(kind, args.prior)]
     if needs_prior and prior is None:
         raise InputError(f"router(s) {needs_prior} require --prior-file")
-
-    routers = _expand_routers(args, scenario.n_arms, prior is not None)
     base_config = {
         "sigma_sq": args.sigma_sq,
         "prior_variance": args.prior_variance,

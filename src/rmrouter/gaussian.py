@@ -2,7 +2,10 @@
 
 Every routing arm keeps a belief w ~ N(mean, covariance) over the weights of a
 linear reward model r = w.h + noise.  The mean and the positive definite
-covariance are its whole state, updated by the Kalman step of posterior_update.
+covariance are its whole state.  :func:`posterior_update` applies the Kalman
+step for a block of (context, reward) rows; :func:`sample_scores` draws one
+Thompson score per context row and :func:`score_moments` gives the score's
+mean and variance.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
+from .serialize import int_field
 
 POSTERIOR_FORMAT_VERSION = 1
 
@@ -82,33 +86,6 @@ class ArmPosterior:
         return self.mean.shape[0]
 
 
-@dataclass
-class ObservationBatch:
-    """Contexts and rewards assigned to a single arm within one step."""
-
-    contexts: np.ndarray
-    rewards: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.contexts = np.atleast_2d(np.asarray(self.contexts, dtype=np.float64))
-        self.rewards = np.atleast_1d(np.asarray(self.rewards, dtype=np.float64))
-        if len(self.rewards) == 0:
-            self.contexts = self.contexts.reshape(0, self.contexts.shape[-1])
-        if self.contexts.shape[0] != self.rewards.shape[0]:
-            raise DimError(
-                f"{self.contexts.shape[0]} contexts but {self.rewards.shape[0]} rewards"
-            )
-        if not (np.isfinite(self.rewards).all() and np.isfinite(self.contexts).all()):
-            raise InputError("observation contexts and rewards must be finite")
-
-    @classmethod
-    def empty(cls, d: int) -> "ObservationBatch":
-        return cls(np.zeros((0, d)), np.zeros(0))
-
-    def __len__(self) -> int:
-        return self.rewards.shape[0]
-
-
 def make_prior(
     d: int,
     prior_mean: np.ndarray | None = None,
@@ -167,26 +144,26 @@ def sample_scores(
     return means + np.sqrt(np.maximum(variances, 0.0)) * rng.standard_normal(len(contexts))
 
 
-def posterior_update(posterior: ArmPosterior, batch: ObservationBatch) -> ArmPosterior:
-    """Conjugate update with a batch of (context, reward) observations.
+def posterior_update(
+    posterior: ArmPosterior, contexts: np.ndarray, rewards: np.ndarray
+) -> ArmPosterior:
+    """Conjugate update with k observation rows: (k, d) contexts and k rewards.
 
     Rows H enter GAIN_ROWS at a time by the Kalman step: with the innovation
     G = sigma^2 I + H cov H^T and the gain K = cov H^T G^-1, mean += K (r - H
     mean) and cov -= K H cov.  G is the only factorization, so k rows cost
-    O(k d^2).  An empty batch returns the posterior unchanged; the result
-    equals the fold of single-observation updates up to rounding.
+    O(k d^2).  k = 0 returns the posterior unchanged; the result equals the
+    fold of single-row updates up to rounding.  Only shapes are checked: a
+    non-finite row, like an update that overflows, raises NumericalError.
     """
-    if len(batch) == 0:
+    contexts = np.asarray(contexts, dtype=np.float64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    if rewards.ndim != 1 or contexts.shape != (rewards.shape[0], posterior.d):
+        raise DimError(
+            f"contexts {contexts.shape} and rewards {rewards.shape} do not fit d={posterior.d}"
+        )
+    if not len(rewards):
         return posterior
-    if batch.contexts.shape[1] != posterior.d:
-        raise DimError(f"context dimension {batch.contexts.shape[1]} is not d={posterior.d}")
-    return _update_rows(posterior, batch.contexts, batch.rewards)
-
-
-def _update_rows(
-    posterior: ArmPosterior, contexts: np.ndarray, rewards: np.ndarray
-) -> ArmPosterior:
-    """:func:`posterior_update` on checked rows: k >= 1 finite (k, d) contexts and rewards."""
     mean, covariance = posterior.mean, posterior.covariance
     try:
         for start in range(0, len(rewards), GAIN_ROWS):
@@ -234,12 +211,12 @@ def posterior_from_dict(doc: dict) -> ArmPosterior:
             f"supported: {POSTERIOR_FORMAT_VERSION}"
         )
     try:
-        d = int(doc["d"])
+        d = int_field(doc["d"], "d", FormatError, minimum=0)
         return ArmPosterior(
             mean=np.asarray(doc["mean"], dtype=np.float64),
             covariance=np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d),
             noise_variance=float(doc["noise_variance"]),
-            update_count=int(doc["update_count"]),
+            update_count=int_field(doc["update_count"], "update_count", FormatError, minimum=0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed posterior document: {exc!r}") from exc

@@ -554,12 +554,21 @@ def save_behavior(path, records: Sequence[BehaviorRecord], meta: dict | None = N
 
 
 def load_behavior(path) -> list[BehaviorRecord]:
+    """Behaviour rows, at most one per (pair_id, rm_index)."""
     records: list[BehaviorRecord] = []
+    seen: dict[tuple[str, int], int] = {}
     for lineno, obj in iter_jsonl(path):
         try:
-            records.append(BehaviorRecord(obj["pair_id"], obj["rm_index"], obj["correct"]))
-        except (KeyError, TypeError) as exc:
+            record = BehaviorRecord(obj["pair_id"], obj["rm_index"], obj["correct"])
+            first = seen.setdefault((record.pair_id, record.rm_index), lineno)
+        except (KeyError, TypeError) as exc:  # TypeError: also an unhashable pair_id
             raise FormatError(f"invalid behavior row: {exc}", line=lineno) from exc
         except InputError as exc:
             raise FormatError(str(exc), line=lineno) from exc
+        if first != lineno:
+            raise FormatError(
+                f"pair {record.pair_id!r} model {record.rm_index} repeats line {first}",
+                line=lineno,
+            )
+        records.append(record)
     return records

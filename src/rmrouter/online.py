@@ -1,17 +1,19 @@
 """Online reward-model selection via per-pair Thompson sampling.
 
 Each candidate model is a bandit arm holding a Gaussian belief over a linear
-weight vector.  Routing a batch draws, for every pair and arm, the score of
-an independent weight sample, and picks the argmax; ties resolve to the
-lowest arm index.
-Feedback groups the batch's pairs by chosen arm and applies one conjugate
-update per arm, leaving unchosen arms untouched.
+weight vector.  One step works on arrays: :func:`route_batch` draws, for
+every context row and arm, the score of an independent weight sample, and
+picks the argmax; ties resolve to the lowest arm index.
+:func:`observe_feedback` groups the rows by chosen arm and applies one
+conjugate update per arm (:func:`rmrouter.gaussian.posterior_update`),
+leaving unchosen arms untouched.
 
-Also provided: a LinUCB baseline, the zero-prior state (prior and noise
-variance 1) routed on a UCB score instead of a draw, one arm for the whole
-batch from the batch-mean context (a per-pair mode sits behind a flag); and a
-fixed-weight ablation that mixes softmaxed offline ranking scores with
-softmaxed online sampled scores.
+Also provided: a LinUCB baseline (:func:`route_linucb`, :func:`update_linucb`),
+the zero-prior state (prior and noise variance 1) routed on a UCB score
+instead of a draw, one arm for the whole batch from the batch-mean context
+unless ``per_pair``; and a fixed-weight ablation (:func:`route_weighted_score`)
+that mixes softmaxed offline ranking scores with softmaxed online sampled
+scores.
 
 Routing is read-only and may run concurrently on one state snapshot;
 feedback returns a new state and needs exclusive access.  The replay harness
@@ -20,26 +22,24 @@ alternates route -> observe strictly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimError, FormatError, InputError
-from .features import PairEmbedding
 from .gaussian import (
     ArmPosterior,
-    _update_rows,
     make_prior,
     posterior_from_dict,
     posterior_to_dict,
+    posterior_update,
     sample_scores,
     sample_weights,  # not called here; the bench tracer's tests read online.sample_weights
     score_moments,
 )
 from .offline import OfflineRouterModel
-from .serialize import read_json, write_json
+from .serialize import int_field, read_json, write_json
 
 STATE_FORMAT_VERSION = 1
 
@@ -97,25 +97,6 @@ class OnlineRouterState:
         return self.arms[0].d
 
 
-@dataclass
-class RoutingDecision:
-    """One routed pair: the chosen arm and every arm's sampled score.
-
-    ``context`` keeps the pair's embedding so that feedback can be applied
-    later; it is not part of the serialized decision log.
-    """
-
-    pair_id: str
-    chosen_arm: int
-    sampled_scores: np.ndarray
-    context: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.sampled_scores = np.asarray(self.sampled_scores, dtype=np.float64)
-        if self.chosen_arm != int(np.argmax(self.sampled_scores)):
-            raise InputError("chosen_arm must attain the maximum sampled score")
-
-
 def init_router(
     n_arms: int,
     d: int,
@@ -149,103 +130,42 @@ def init_router(
     return OnlineRouterState(arms=arms, config=config)
 
 
-def _context_matrix(batch: Sequence[tuple[str, PairEmbedding]], d: int) -> np.ndarray:
-    vectors = []
-    for _, emb in batch:
-        vec = emb.vector if isinstance(emb, PairEmbedding) else np.asarray(emb, dtype=np.float64)
-        if vec.shape != (d,):
-            raise DimError(f"embedding shape {vec.shape} does not match router d={d}")
-        vectors.append(vec)
-    contexts = np.stack(vectors)
+def _checked_contexts(state: OnlineRouterState, contexts) -> np.ndarray:
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.ndim != 2 or contexts.shape[1] != state.d:
+        raise DimError(f"contexts shape {contexts.shape} does not match router d={state.d}")
     if not np.isfinite(contexts).all():
         raise InputError("contexts must be finite")
     return contexts
 
 
-def route_arrays(
+def route_batch(
     state: OnlineRouterState, contexts: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Thompson-route every context row: (chosen arm per row, (B, N) sampled scores).
+    """Thompson-route every (B, d) context row: (chosen arm per row, (B, N) sampled scores).
 
     Scores are drawn arm by arm (arm-major order) so results are reproducible
     for a given generator state; each row picks its argmax, lowest arm on ties.
+    Does not mutate the state.
     """
+    contexts = _checked_contexts(state, contexts)
     scores = np.empty((contexts.shape[0], state.n_arms))
     for n, arm in enumerate(state.arms):
         scores[:, n] = sample_scores(arm, contexts, rng)
     return np.argmax(scores, axis=1), scores
 
 
-def _decisions(batch, contexts, chosen, scores) -> list[RoutingDecision]:
-    return [
-        RoutingDecision(pair_id, int(chosen[i]), scores[i].copy(), contexts[i].copy())
-        for i, (pair_id, _) in enumerate(batch)
-    ]
-
-
-def route_batch(
-    state: OnlineRouterState,
-    batch: Sequence[tuple[str, PairEmbedding]],
-    rng: np.random.Generator,
-) -> list[RoutingDecision]:
-    """:func:`route_arrays` over (pair_id, embedding) pairs; does not mutate the state."""
-    if not batch:
-        return []
-    contexts = _context_matrix(batch, state.d)
-    return _decisions(batch, contexts, *route_arrays(state, contexts, rng))
-
-
 def observe_feedback(
-    state: OnlineRouterState,
-    decisions: Sequence[RoutingDecision],
-    rewards: Mapping[str, float],
-) -> OnlineRouterState:
-    """Batch-update the arms chosen in ``decisions`` with their rewards.
-
-    Arms that received no pair keep their exact posterior objects.  Every
-    rewarded pair_id must appear among the decisions, and no pair_id twice.
-    """
-    pair_ids = [dec.pair_id for dec in decisions]
-    if len(set(pair_ids)) != len(pair_ids):
-        repeated = sorted(pair_id for pair_id, n in Counter(pair_ids).items() if n > 1)
-        raise InputError(f"duplicate pair_id(s) in one batch: {repeated[:3]}")
-    unknown = set(rewards) - set(pair_ids)
-    if unknown:
-        raise InputError(f"rewards for unknown pair_id(s): {sorted(unknown)[:3]}")
-    contexts = [dec.context for dec in decisions]
-    return observe_arrays(
-        state,
-        np.stack(contexts) if contexts else np.empty((0, state.d)),
-        [dec.chosen_arm for dec in decisions],
-        [rewards.get(pair_id, 0.0) for pair_id in pair_ids],
-        np.array([pair_id in rewards for pair_id in pair_ids], dtype=bool),
-    )
-
-
-def _rows_by_arm(chosen, n_arms, keep=None):
-    """Rows (those ``keep`` marks) stably sorted by arm; arm n's are rows[ends[n]:ends[n + 1]]."""
-    rows = np.argsort(chosen, kind="stable")
-    if len(rows) and not 0 <= chosen[rows[0]] <= chosen[rows[-1]] < n_arms:
-        raise InputError(f"chosen arms must lie in [0, {n_arms})")
-    if keep is not None:
-        rows = rows[keep[rows]]
-    return rows, np.searchsorted(chosen[rows], np.arange(n_arms + 1))
-
-
-def observe_arrays(
     state: OnlineRouterState,
     contexts: np.ndarray,
     chosen: Sequence[int] | np.ndarray,
     rewards: Sequence[float] | np.ndarray,
-    rewarded: np.ndarray | None = None,
 ) -> OnlineRouterState:
-    """Update each arm once with the rewarded rows routed to it.
+    """Update each arm once with the rows routed to it.
 
     Row i of ``contexts`` was routed to arm ``chosen[i]`` and earned
-    ``rewards[i]``.  Every row counts as a selection; with a boolean
-    ``rewarded`` mask only the rows it marks update a posterior.  The step is
-    checked once, then each arm sees its rows in batch order.  Arms that
-    received no rewarded row keep their exact posterior objects.
+    ``rewards[i]``.  The step is checked once, then each arm sees its rows in
+    batch order.  Arms that received no row keep their exact posterior objects.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     chosen = np.asarray(chosen, dtype=np.int64)
@@ -255,9 +175,13 @@ def observe_arrays(
         raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={d}")
     if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
         raise InputError("observation contexts and rewards must be finite")
-    rows, ends = _rows_by_arm(chosen, state.n_arms, rewarded)
+    # rows stably sorted by arm: arm n's are rows[ends[n]:ends[n + 1]]
+    rows = np.argsort(chosen, kind="stable")
+    if n and not 0 <= chosen[rows[0]] <= chosen[rows[-1]] < state.n_arms:
+        raise InputError(f"chosen arms must lie in [0, {state.n_arms})")
+    ends = np.searchsorted(chosen[rows], np.arange(state.n_arms + 1))
     new_arms = [
-        _update_rows(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
+        posterior_update(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
         for arm, lo, hi in zip(state.arms, ends[:-1], ends[1:])
     ]
     counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
@@ -270,7 +194,7 @@ def observe_arrays(
 # LinUCB baseline
 
 
-def route_linucb_arrays(
+def route_linucb(
     state: OnlineRouterState, contexts: np.ndarray, alpha: float, per_pair: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(chosen arm per row, (B, N) UCB scores h.mean + alpha sqrt(h.covariance.h));
@@ -282,6 +206,7 @@ def route_linucb_arrays(
     """
     if not 0.0 <= alpha < np.inf:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    contexts = _checked_contexts(state, contexts)
     points = contexts if per_pair else contexts.mean(axis=0)[None]
     scores = np.empty((len(points), state.n_arms))
     for n, arm in enumerate(state.arms):
@@ -292,24 +217,14 @@ def route_linucb_arrays(
     return np.argmax(scores, axis=1), scores
 
 
-def route_linucb(
-    state: OnlineRouterState,
-    batch: Sequence[tuple[str, PairEmbedding]],
-    alpha: float,
-    per_pair: bool = False,
-) -> list[RoutingDecision]:
-    """:func:`route_linucb_arrays` over (pair_id, embedding) pairs."""
-    if not batch:
-        return []
-    contexts = _context_matrix(batch, state.d)
-    return _decisions(batch, contexts, *route_linucb_arrays(state, contexts, alpha, per_pair))
-
-
 def update_linucb(
-    state: OnlineRouterState, decisions: Sequence[RoutingDecision], rewards: Mapping[str, float]
+    state: OnlineRouterState,
+    contexts: np.ndarray,
+    chosen: Sequence[int] | np.ndarray,
+    rewards: Sequence[float] | np.ndarray,
 ) -> OnlineRouterState:
     """LinUCB's feedback is the conjugate update: :func:`observe_feedback`."""
-    return observe_feedback(state, decisions, rewards)
+    return observe_feedback(state, contexts, chosen, rewards)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +238,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def route_weighted_batch(
+def route_weighted_score(
     offline_model: OfflineRouterModel,
     zero_prior_state: OnlineRouterState,
     contexts: np.ndarray,
@@ -338,33 +253,15 @@ def route_weighted_batch(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 2 or contexts.shape[1] != zero_prior_state.d:
-        raise DimError(
-            f"contexts shape {contexts.shape} does not match router d={zero_prior_state.d}"
-        )
+    contexts = _checked_contexts(zero_prior_state, contexts)
     if offline_model.bt_embeddings.shape != (zero_prior_state.n_arms, zero_prior_state.d):
         raise DimError("offline model and online state disagree on the arms or dimension")
-    if not np.isfinite(contexts).all():
-        raise InputError("contexts must be finite")
     offline = contexts @ offline_model.bt_embeddings.T
     sampled = np.column_stack(
         [sample_scores(arm, contexts, rng) for arm in zero_prior_state.arms]
     )
     mixed = alpha * softmax(offline) + (1.0 - alpha) * softmax(sampled)
     return np.argmax(mixed, axis=1)
-
-
-def route_weighted_score(
-    offline_model: OfflineRouterModel,
-    zero_prior_state: OnlineRouterState,
-    h,
-    alpha: float,
-    rng: np.random.Generator,
-) -> int:
-    """:func:`route_weighted_batch` for a single context."""
-    vec = h.vector if isinstance(h, PairEmbedding) else np.asarray(h, dtype=np.float64)
-    return int(route_weighted_batch(offline_model, zero_prior_state, vec[None], alpha, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +301,11 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
         return OnlineRouterState(
             arms=[posterior_from_dict(arm) for arm in doc["arms"]],
             config=config,
-            step=int(doc["step"]),
-            selection_counts=np.asarray(doc["selection_counts"], dtype=np.int64),
+            step=int_field(doc["step"], "step", FormatError, minimum=0),
+            selection_counts=[
+                int_field(c, "selection_counts", FormatError, minimum=0)
+                for c in doc["selection_counts"]
+            ],
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed router state: {exc!r}") from exc

@@ -1,18 +1,19 @@
-"""Loss-to-reward conversion for the online router.
+"""Loss-to-reward conversion for the online router, on one step's arrays.
 
 The default pipeline centers each pair's training loss against the batch
-mean, then rescales that centered value into [0, 1] against the 20th/80th
-percentiles of all previously seen centered values.  Two comparison-based
-variants return a binary advantage of the chosen model against the average
-loss of all models, or of a random subset of them.
+mean (:func:`batch_baseline_array`), then rescales that centered value into
+[0, 1] against the 20th/80th percentiles of all previously seen centered
+values (:func:`normalize_step_rewards` over a :class:`RewardHistory`).  Two
+comparison-based variants return a binary advantage of the chosen model
+against the average loss of all models, or of a random subset of them
+(:func:`advantage_rewards`, with comparators from :func:`sample_comparators`).
+In the replay harness, :func:`surrogate_pair_loss` stands in for the losses.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,17 +50,6 @@ def dpo_loss(
     return float(np.logaddexp(0.0, -margin))
 
 
-@dataclass
-class PairLoss:
-    pair_id: str
-    loss: float
-
-    def __post_init__(self) -> None:
-        self.loss = float(self.loss)
-        if not np.isfinite(self.loss):
-            raise InputError(f"loss for {self.pair_id!r} is not finite")
-
-
 def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
     """Centered rewards: batch mean loss minus each pair's own loss (sum ~ 0).
 
@@ -69,12 +59,6 @@ def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
     if losses.shape[0] == 0:
         raise InputError("cannot compute a batch baseline over an empty batch")
     return sum(losses.tolist()) / losses.shape[0] - losses
-
-
-def batch_baseline_rewards(losses: Sequence[PairLoss]) -> dict[str, float]:
-    """:func:`batch_baseline_array` keyed by pair_id."""
-    centered = batch_baseline_array([pl.loss for pl in losses])
-    return dict(zip((pl.pair_id for pl in losses), centered.tolist()))
 
 
 class RewardHistory:
@@ -169,22 +153,7 @@ def _scale(values: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray
     return np.clip((values - q_lo) / (q_hi - q_lo), 0.0, 1.0)
 
 
-def quantile_normalize(
-    r: float, history: RewardHistory, warmup_min: int = DEFAULT_WARMUP_MIN
-) -> float:
-    """Rescale a centered reward into [0, 1] against historical percentiles.
-
-    With fewer than ``warmup_min`` historical values the percentiles are not
-    trusted yet and the reward passes through clamp((r + 1) / 2, 0, 1).  A
-    non-finite reward raises :class:`InputError`.
-    """
-    r = float(r)
-    if not math.isfinite(r):
-        raise InputError("reward must be finite")
-    return float(_scale(np.float64(r), _scaling_bounds(history, warmup_min)))
-
-
-def normalize_step_array(
+def normalize_step_rewards(
     raw: Sequence[float] | np.ndarray,
     history: RewardHistory,
     warmup_min: int = DEFAULT_WARMUP_MIN,
@@ -205,40 +174,12 @@ def normalize_step_array(
     return _scale(raw, bounds), bounds
 
 
-def normalize_step_rewards(
-    raw: Mapping[str, float],
-    history: RewardHistory,
-    warmup_min: int = DEFAULT_WARMUP_MIN,
-) -> tuple[dict[str, float], tuple[float, float] | None]:
-    """:func:`normalize_step_array` keyed by pair_id."""
-    normalized, bounds = normalize_step_array(list(raw.values()), history, warmup_min)
-    return dict(zip(raw, normalized.tolist())), bounds
-
-
 def advantage_rewards(
     chosen_losses: float | np.ndarray, comparison_losses: Sequence[float] | np.ndarray
 ) -> np.ndarray:
     """1.0 where a row's chosen loss is no greater than the mean of its comparison losses."""
     mean = np.asarray(comparison_losses, dtype=np.float64).mean(axis=-1)
     return (np.asarray(chosen_losses, dtype=np.float64) <= mean).astype(np.float64)
-
-
-def full_advantage_reward(all_rm_losses: Sequence[float], chosen: int) -> int:
-    """1 if the chosen model's loss is no greater than the mean over all models."""
-    losses = np.asarray(all_rm_losses, dtype=np.float64)
-    if losses.ndim != 1 or losses.shape[0] == 0:
-        raise InputError("all_rm_losses must be a non-empty vector")
-    if not 0 <= chosen < losses.shape[0]:
-        raise InputError(f"chosen index {chosen} out of range for {losses.shape[0]} models")
-    return int(advantage_rewards(losses[chosen], losses))
-
-
-def light_advantage_reward(comparator_losses: Sequence[float], chosen_loss: float) -> int:
-    """Same rule as the full advantage, against a sampled comparator subset."""
-    comparators = np.asarray(comparator_losses, dtype=np.float64)
-    if comparators.ndim != 1 or comparators.shape[0] == 0:
-        raise ConfigError("need at least one comparator loss")
-    return int(advantage_rewards(chosen_loss, comparators))
 
 
 def sample_comparators(
@@ -260,16 +201,13 @@ def sample_comparators(
     return np.sort(np.argpartition(keys, c - 1, axis=1)[:, :c], axis=1)
 
 
-def surrogate_losses(correct: Sequence[bool] | np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Synthetic stand-ins for per-pair training losses in the replay harness.
+def surrogate_pair_loss(
+    correct: Sequence[bool] | np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Synthetic stand-ins for the training loss of each pair in the replay harness.
 
     Correct annotations land low, incorrect ones high; the one vector draw
     consumes the generator as one draw per pair, in order, would.
     """
     means = np.where(np.asarray(correct, bool), SURROGATE_CORRECT_MEAN, SURROGATE_INCORRECT_MEAN)
     return rng.normal(means, SURROGATE_STD)
-
-
-def surrogate_pair_loss(correct: bool, rng: np.random.Generator) -> float:
-    """:func:`surrogate_losses` for a single pair."""
-    return float(surrogate_losses([correct], rng)[0])

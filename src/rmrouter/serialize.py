@@ -32,11 +32,16 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
-def int_field(value: Any, name: str, error: type[Exception]) -> int:
-    """A document's integer value: an int or an integral float, never a bool."""
+def int_field(
+    value: Any, name: str, error: type[Exception], minimum: int | None = None
+) -> int:
+    """A document's integer value: an int or an integral float, never a bool,
+    and at least ``minimum`` if given."""
     integral = isinstance(value, float) and value.is_integer()
     if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
+        if minimum is None or value >= minimum:
+            return int(value)
+        raise error(f"{name} must be at least {minimum}, got {value!r}")
     raise error(f"{name} must be an integer, got {value!r}")
 
 

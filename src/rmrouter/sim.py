@@ -35,19 +35,20 @@ from .offline import (
 from .online import (
     OnlineRouterState,
     init_router,
-    observe_arrays,
-    route_arrays,
-    route_linucb_arrays,
-    route_weighted_batch,
+    observe_feedback,
+    route_batch,
+    route_linucb,
+    route_weighted_score,
+    update_linucb,
 )
 from .rewards import (
     DEFAULT_LIGHT_COMPARATORS,
     RewardHistory,
     advantage_rewards,
     batch_baseline_array,
-    normalize_step_array,
+    normalize_step_rewards,
     sample_comparators,
-    surrogate_losses,
+    surrogate_pair_loss,
 )
 from .serialize import int_field
 
@@ -562,7 +563,9 @@ class RouterKind:
 
 
 # the only list of router names; ``run-sim --router all`` runs them in this
-# order, without the oracle, then reruns the injected-prior ones
+# order, without the oracle, then reruns the injected-prior ones.  The hooks
+# call the online functions by their module-level names at call time, so a
+# tracer that rebinds those names sees every call.
 ROUTERS = {
     "single": RouterKind(
         "single:<arm>", "fixed", lambda arm, run, h, rows: (np.full(len(h), arm), None),
@@ -576,16 +579,16 @@ ROUTERS = {
     "uwo": RouterKind("uwo", "ensemble"),
     "linucb": RouterKind(
         "linucb", "bandit",
-        lambda state, run, h, rows: route_linucb_arrays(
+        lambda state, run, h, rows: route_linucb(
             state, h, run.config.linucb_alpha, run.config.linucb_per_pair
         ),
         lambda run: init_router(run.n_arms, run.d),  # ridge: prior and noise variance 1
-        observe_arrays,
+        lambda state, *step: update_linucb(state, *step),
     ),
     "thompson": RouterKind(
         "thompson", "bandit",
-        lambda state, run, h, rows: route_arrays(state, h, run.rng),
-        _start_thompson, observe_arrays, "injected",
+        lambda state, run, h, rows: route_batch(state, h, run.rng),
+        _start_thompson, lambda state, *step: observe_feedback(state, *step), "injected",
     ),
     "offline": RouterKind(
         "offline", "fixed",
@@ -595,10 +598,10 @@ ROUTERS = {
     "weighted": RouterKind(
         "weighted:<alpha>", "bandit",
         lambda state, run, h, rows: (
-            route_weighted_batch(run.offline_model, state, h, run.param, run.rng), None
+            route_weighted_score(run.offline_model, state, h, run.param, run.rng), None
         ),
         lambda run: init_router(run.n_arms, run.d, sigma_sq=run.config.sigma_sq),
-        observe_arrays, "always", _mix_weight,
+        lambda state, *step: observe_feedback(state, *step), "always", _mix_weight,
     ),
     "oracle": RouterKind(
         "oracle", "oracle",
@@ -671,20 +674,20 @@ def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: n
     The chosen annotations' surrogate losses come from one vector draw; the
     advantage variants draw all of the step's comparison losses in one more.
     """
-    losses = surrogate_losses(bits, run.loss_rng)
+    losses = surrogate_pair_loss(bits, run.loss_rng)
     variant = run.config.reward_variant
     if variant == "batch_quantile":
         raw = batch_baseline_array(losses)
-        return (raw, *normalize_step_array(raw, run.history))
+        return (raw, *normalize_step_rewards(raw, run.history))
     if variant == "neg_loss":
         return -losses, -losses, None
     rows = np.arange(len(chosen))
     if variant == "full_advantage":  # the mean over all models, the chosen one included
-        comparison = surrogate_losses(correct, run.loss_rng)
+        comparison = surrogate_pair_loss(correct, run.loss_rng)
         comparison[rows, chosen] = losses
     else:  # light_advantage
         picks = sample_comparators(run.n_arms, chosen, run.config.light_c, run.comp_rng)
-        comparison = surrogate_losses(correct[rows[:, None], picks], run.loss_rng)
+        comparison = surrogate_pair_loss(correct[rows[:, None], picks], run.loss_rng)
     raw = advantage_rewards(losses, comparison)
     return raw, raw, None
 

@@ -12,10 +12,8 @@ import numpy as np
 from scipy import stats
 
 from rmrouter.cli import main
-from rmrouter.features import PairEmbedding
 from rmrouter.gaussian import (
     ArmPosterior,
-    ObservationBatch,
     make_prior,
     posterior_update,
 )
@@ -28,12 +26,10 @@ from rmrouter.online import (
     state_to_dict,
 )
 from rmrouter.rewards import (
-    PairLoss,
     RewardHistory,
-    batch_baseline_rewards,
-    full_advantage_reward,
-    light_advantage_reward,
-    quantile_normalize,
+    advantage_rewards,
+    batch_baseline_array,
+    normalize_step_rewards,
 )
 from rmrouter.serialize import dumps_doc, write_json
 from rmrouter.sim import ReplayConfig, generate_scenario, run_replay, scenario_to_dict
@@ -73,12 +69,10 @@ def test_c1_batched_update_equals_sequential_fold():
         )
         contexts = rng.standard_normal((k, d))
         rewards = rng.standard_normal(k)
-        batched = posterior_update(post, ObservationBatch(contexts, rewards))
+        batched = posterior_update(post, contexts, rewards)
         folded = post
         for i in range(k):
-            folded = posterior_update(
-                folded, ObservationBatch(contexts[i : i + 1], rewards[i : i + 1])
-            )
+            folded = posterior_update(folded, contexts[i : i + 1], rewards[i : i + 1])
         worst = max(
             worst,
             float(np.max(np.abs(batched.mean - folded.mean), initial=0.0)),
@@ -94,7 +88,7 @@ def test_c1_batched_update_equals_sequential_fold():
 
 def test_c2_hand_worked_update():
     post = make_prior(1, np.zeros(1), prior_variance=1.0, noise_variance=1.0)
-    updated = posterior_update(post, ObservationBatch([[1.0]], [1.0]))
+    updated = posterior_update(post, [[1.0]], [1.0])
     err = max(abs(updated.mean[0] - 0.5), abs(updated.covariance[0, 0] - 0.5))
     report("C2 hand-worked 1-d update", err < 1e-12, f"(err={err:.2e})")
 
@@ -143,11 +137,11 @@ def test_c5_bandit_convergence():
         state = init_router(2, 4, prior_mode="zero", sigma_sq=1.0, prior_variance=1.0)
         picks = []
         for t in range(1000):
-            h = np.concatenate([[1.0], 0.3 * rng.standard_normal(3)])
-            dec = route_batch(state, [(f"p{t}", PairEmbedding.of(h))], rng)[0]
-            reward = float(w_true[dec.chosen_arm] @ h + rng.normal(0, 0.5))
-            state = observe_feedback(state, [dec], {f"p{t}": reward})
-            picks.append(dec.chosen_arm)
+            h = np.concatenate([[1.0], 0.3 * rng.standard_normal(3)])[None]
+            chosen, _ = route_batch(state, h, rng)
+            reward = float(w_true[chosen[0]] @ h[0] + rng.normal(0, 0.5))
+            state = observe_feedback(state, h, chosen, [reward])
+            picks.append(chosen[0])
         return float(np.mean(np.asarray(picks[800:]) == 0))
 
     fracs = np.array([run_seed(s) for s in range(20)])
@@ -204,15 +198,15 @@ def test_c8_reward_pipeline():
         values = list(rng.normal(0, 1, size=size))
         history = RewardHistory(values=values)
         r = float(rng.normal(0, 1.5))
-        if quantile_normalize(r, history) != sort_oracle_normalize(r, values):
+        if normalize_step_rewards([r], history)[0][0] != sort_oracle_normalize(r, values):
             exact = False
             break
 
     sums_ok = True
     for _ in range(100):
         size = int(rng.integers(1, 65))
-        losses = [PairLoss(str(i), float(rng.normal(0.6, 0.2))) for i in range(size)]
-        if abs(sum(batch_baseline_rewards(losses).values())) >= 1e-9 * size:
+        losses = [float(rng.normal(0.6, 0.2)) for _ in range(size)]
+        if abs(sum(batch_baseline_array(losses).tolist())) >= 1e-9 * size:
             sums_ok = False
             break
 
@@ -221,12 +215,12 @@ def test_c8_reward_pipeline():
     for perm in itertools.permutations(base):
         mean_all = sum(perm) / 4.0
         for chosen in range(4):
-            if full_advantage_reward(list(perm), chosen) != int(perm[chosen] <= mean_all):
+            if advantage_rewards(perm[chosen], perm) != int(perm[chosen] <= mean_all):
                 adv_ok = False
             others = [perm[i] for i in range(4) if i != chosen]
             for comb in itertools.combinations(others, 3):
                 want = int(perm[chosen] <= sum(comb) / 3.0)
-                if light_advantage_reward(list(comb), perm[chosen]) != want:
+                if advantage_rewards(perm[chosen], comb) != want:
                     adv_ok = False
     report(
         "C8 reward pipeline vs brute-force oracles",
@@ -294,9 +288,9 @@ def test_c10_determinism_and_round_trip(tmp_path):
     model_doc = dumps_doc(model_to_dict(model))
     model_doc2 = dumps_doc(model_to_dict(model_from_dict(model_to_dict(model))))
     state = init_router(3, 4, prior_mode="injected", offline_prior=rng.standard_normal((3, 4)))
-    batch = [(f"p{i}", PairEmbedding.of(rng.standard_normal(4))) for i in range(6)]
-    decisions = route_batch(state, batch, rng)
-    state = observe_feedback(state, decisions, {pid: 0.3 for pid, _ in batch})
+    contexts = rng.standard_normal((6, 4))
+    chosen, _ = route_batch(state, contexts, rng)
+    state = observe_feedback(state, contexts, chosen, np.full(6, 0.3))
     state_doc = dumps_doc(state_to_dict(state))
     state_doc2 = dumps_doc(state_to_dict(state_from_dict(state_to_dict(state))))
     round_trip = model_doc == model_doc2 and state_doc == state_doc2

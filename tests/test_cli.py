@@ -207,6 +207,7 @@ class TestValidation:
             ["--router", "all", "--prior-variance", "nan"],
             ["--router", "all", "--light-c", "0", "--reward-variant", "light_advantage"],
             ["--router", "all", "--light-c", "2", "--reward-variant", "light_advantage"],
+            ["--seeds", "1,1"],
         ],
     )
     def test_bad_run_sim_option_exits_2(self, tmp_path, scenario_file, capsys, extra):
@@ -217,6 +218,24 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error: ")
         # checked before the first run: no partial output
         assert not list(tmp_path.glob("runs/*.metrics.jsonl"))
+
+    @pytest.mark.parametrize("alpha", ["nan", "1.5"])
+    def test_router_all_bad_weighted_alpha_writes_nothing(
+        self, tmp_path, scenario_file, capsys, alpha
+    ):
+        doc = read_json(scenario_file)
+        n_arms, d = doc["n_arms"], len(doc["clusters"][0]["center"])
+        prior = tmp_path / "prior.json"
+        write_json(prior, {"version": 1, "n_arms": n_arms, "d": d,
+                           "bt_embeddings": np.eye(n_arms, d).tolist()})
+        out_dir = tmp_path / "runs"
+        code = main(["run-sim", "--scenario", scenario_file, "--router", "all",
+                     "--weighted-alpha", alpha, "--prior-file", str(prior),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "weighted alpha" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "field, value", [("center", np.nan), ("center", np.inf), ("spread", np.nan),
@@ -294,6 +313,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"(line {lines})" in err
 
+    @pytest.mark.parametrize("flip", [False, True], ids=["exact-copy", "other-correct"])
+    def test_repeated_behavior_row_exits_2(self, tmp_path, scenario_file, capsys, flip):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        path = f"{data_dir}/behavior.jsonl"
+        lines = open(path, encoding="utf-8").read().splitlines()
+        row = json.loads(lines[1])  # line 1 is the provenance line
+        if flip:
+            row["correct"] = 1 - row["correct"]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
+        model_path = tmp_path / "model.json"
+        assert main(train_args(data_dir, str(model_path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and row["pair_id"] in err
+        assert "repeats line 2" in err and f"(line {len(lines) + 1})" in err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [["--lr", "inf"], ["--lr", "nan"], ["--lambda", "nan"], ["--lambda", "inf"],
@@ -367,8 +405,16 @@ class TestValidation:
             lambda doc: doc["arms"][0].pop("mean"),
             lambda doc: doc["arms"][0].update(mean=[float("nan"), 0.0]),
             lambda doc: doc["config"].update(sigma_sq=float("nan"), prior_variance=float("nan")),
+            lambda doc: doc.update(step=1.7),
+            lambda doc: doc.update(step=-4),
+            lambda doc: doc["selection_counts"].__setitem__(0, -5),
+            lambda doc: doc["arms"][0].update(update_count=-2),
+            lambda doc: doc["arms"][0].update(update_count=True),
+            lambda doc: doc["arms"][1].update(d=2.5),  # truncated, it would fit the arm
         ],
-        ids=["covariance-length-3", "missing-mean", "nan-mean", "nan-config"],
+        ids=["covariance-length-3", "missing-mean", "nan-mean", "nan-config",
+             "fractional-step", "negative-step", "negative-selection-count",
+             "negative-update-count", "bool-update-count", "fractional-d"],
     )
     def test_malformed_state_exits_2(self, tmp_path, capsys, edit):
         doc = state_to_dict(init_router(2, 2))

@@ -11,7 +11,6 @@ from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, Nume
 from rmrouter.gaussian import (
     GAIN_ROWS,
     ArmPosterior,
-    ObservationBatch,
     make_prior,
     posterior_from_dict,
     posterior_to_dict,
@@ -61,12 +60,13 @@ def symmetrized_reference_update(post, contexts, rewards):
 
 
 def random_batch(rng, d, repeated):
-    """k in [0, 16] rows; with ``repeated``, rows are drawn from k // 4 + 1 contexts."""
+    """(contexts, rewards) of k in [0, 16] rows; with ``repeated``, rows are drawn
+    from k // 4 + 1 contexts."""
     k = int(rng.integers(0, 17))
     contexts = rng.standard_normal((k, d))
     if repeated:
         contexts = contexts[rng.integers(0, k // 4 + 1, size=k)]
-    return ObservationBatch(contexts.reshape(k, d), rng.standard_normal(k))
+    return contexts.reshape(k, d), rng.standard_normal(k)
 
 
 class TestMakePrior:
@@ -165,24 +165,23 @@ class TestSampleScores:
 class TestPosteriorUpdate:
     def test_hand_worked_single_observation(self):
         post = make_prior(1, np.zeros(1), 1.0, 1.0)
-        updated = posterior_update(post, ObservationBatch([[1.0]], [1.0]))
+        updated = posterior_update(post, [[1.0]], [1.0])
         assert abs(updated.mean[0] - 0.5) < 1e-12
         assert abs(updated.covariance[0, 0] - 0.5) < 1e-12
         assert updated.update_count == 1
 
     def test_empty_batch_is_identity(self):
         post = make_prior(3, np.zeros(3), 1.0, 1.0)
-        updated = posterior_update(post, ObservationBatch.empty(3))
+        updated = posterior_update(post, np.zeros((0, 3)), np.zeros(0))
         assert updated is post
 
     def test_batch_equals_two_sequential(self):
         rng = np.random.default_rng(5)
         post = make_prior(2, np.zeros(2), 1.0, 1.0)
         h = rng.standard_normal(2)
-        batch = ObservationBatch([h, h], [0.3, -0.7])
-        together = posterior_update(post, batch)
-        one = posterior_update(post, ObservationBatch([h], [0.3]))
-        two = posterior_update(one, ObservationBatch([h], [-0.7]))
+        together = posterior_update(post, [h, h], [0.3, -0.7])
+        one = posterior_update(post, [h], [0.3])
+        two = posterior_update(one, [h], [-0.7])
         assert np.allclose(together.mean, two.mean, atol=1e-8)
         assert np.allclose(together.covariance, two.covariance, atol=1e-8)
 
@@ -197,7 +196,7 @@ class TestPosteriorUpdate:
             k = int(rng.integers(1, 6))
             contexts = rng.standard_normal((k, d))
             rewards = rng.standard_normal(k)
-            updated = posterior_update(post, ObservationBatch(contexts, rewards))
+            updated = posterior_update(post, contexts, rewards)
             m, c = mean.copy(), cov.copy()
             for i in range(k):
                 m, c = naive_single_update(m, c, noise, contexts[i], rewards[i])
@@ -214,8 +213,7 @@ class TestPosteriorUpdate:
                 noise_variance=1.0,
             )
             k = int(rng.integers(1, 8))
-            batch = ObservationBatch(rng.standard_normal((k, d)), rng.standard_normal(k))
-            updated = posterior_update(post, batch)
+            updated = posterior_update(post, rng.standard_normal((k, d)), rng.standard_normal(k))
             gap_eigs = np.linalg.eigvalsh(post.covariance - updated.covariance)
             assert np.all(gap_eigs >= -1e-10)
 
@@ -226,23 +224,28 @@ class TestPosteriorUpdate:
         post = make_prior(d, np.zeros(d), 1.0, 1.0)
         contexts = rng.standard_normal((5000, d))
         rewards = contexts @ w_true + rng.normal(0, 1.0, size=5000)
-        post = posterior_update(post, ObservationBatch(contexts, rewards))
+        post = posterior_update(post, contexts, rewards)
         assert np.all(np.abs(post.mean - w_true) < 0.05)
 
     def test_dim_mismatch_rejected(self):
         post = make_prior(2, np.zeros(2), 1.0, 1.0)
         with pytest.raises(DimError):
-            posterior_update(post, ObservationBatch([[1.0, 2.0, 3.0]], [1.0]))
+            posterior_update(post, [[1.0, 2.0, 3.0]], [1.0])
 
     def test_mismatched_lengths_rejected(self):
+        post = make_prior(1, np.zeros(1), 1.0, 1.0)
         with pytest.raises(DimError):
-            ObservationBatch([[1.0], [2.0]], [1.0])
+            posterior_update(post, [[1.0], [2.0]], [1.0])
+        with pytest.raises(DimError):
+            posterior_update(post, [[1.0]], 1.0)
 
     def test_non_finite_observations_rejected(self):
-        with pytest.raises(InputError):
-            ObservationBatch([[1.0]], [float("nan")])
-        with pytest.raises(InputError):
-            ObservationBatch([[float("inf")]], [1.0])
+        # only shapes are checked up front; a non-finite row never yields a posterior
+        post = make_prior(1, np.zeros(1), 1.0, 1.0)
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            posterior_update(post, [[1.0]], [float("nan")])
+        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+            posterior_update(post, [[float("inf")]], [1.0])
 
 
 class TestSerialization:
@@ -307,7 +310,7 @@ class TestTwoFieldBelief:
     def test_overflowing_update_raises_numerical_error(self):
         post = make_prior(2, np.zeros(2), 1.0, 1.0)
         with pytest.raises(NumericalError), np.errstate(over="ignore"):
-            posterior_update(post, ObservationBatch([[1e300, 1e300]], [1.0]))
+            posterior_update(post, [[1e300, 1e300]], [1.0])
 
     def test_batch_past_gain_rows_matches_information_form(self):
         # four full chunks of GAIN_ROWS rows and one partial chunk
@@ -317,9 +320,7 @@ class TestTwoFieldBelief:
         mean0 = rng.standard_normal(d)
         contexts = rng.standard_normal((k, d))
         rewards = rng.standard_normal(k)
-        post = posterior_update(
-            make_prior(d, mean0, prior_variance, noise), ObservationBatch(contexts, rewards)
-        )
+        post = posterior_update(make_prior(d, mean0, prior_variance, noise), contexts, rewards)
         mean, precision = information_form(mean0, prior_variance, noise, contexts, rewards)
         assert post.update_count == k
         assert np.linalg.norm(post.mean - mean) <= 1e-9 * np.linalg.norm(mean)
@@ -342,7 +343,7 @@ class TestTwoFieldBelief:
         post = ArmPosterior(mean=rng.standard_normal(d), covariance=cov, noise_variance=noise)
         contexts = rng.standard_normal((k, d)) / np.sqrt(d)
         rewards = rng.standard_normal(k)
-        updated = posterior_update(post, ObservationBatch(contexts, rewards))
+        updated = posterior_update(post, contexts, rewards)
         mean, cov_ref = symmetrized_reference_update(post, contexts, rewards)
         scale = np.linalg.norm(mean) + np.linalg.norm(post.mean)
         assert np.linalg.norm(updated.mean - mean) <= 1e-12 * scale
@@ -368,9 +369,9 @@ class TestTwoFieldBelief:
         post = make_prior(d, mean0, prior_variance, noise)
         batches = [random_batch(rng, d, repeated) for _ in range(n_steps)]
         for batch in batches:
-            post = posterior_update(post, batch)
-        contexts = np.concatenate([b.contexts for b in batches])
-        rewards = np.concatenate([b.rewards for b in batches])
+            post = posterior_update(post, *batch)
+        contexts = np.concatenate([contexts for contexts, _ in batches])
+        rewards = np.concatenate([rewards for _, rewards in batches])
         mean, precision = information_form(mean0, prior_variance, noise, contexts, rewards)
         assert post.update_count == len(rewards)
         assert np.linalg.norm(post.mean - mean) <= 1e-9 * np.linalg.norm(mean)
@@ -388,11 +389,11 @@ class TestTwoFieldBelief:
         post = make_prior(d, rng.standard_normal(d), rng.uniform(0.01, 2.0), rng.uniform(0.1, 5.0))
         batches = [random_batch(rng, d, repeated=False) for _ in range(before + after)]
         for batch in batches[:before]:
-            post = posterior_update(post, batch)
+            post = posterior_update(post, *batch)
         loaded = posterior_from_dict(json.loads(dumps_doc(posterior_to_dict(post))))
         for batch in batches[before:]:
-            post = posterior_update(post, batch)
-            loaded = posterior_update(loaded, batch)
+            post = posterior_update(post, *batch)
+            loaded = posterior_update(loaded, *batch)
         assert np.array_equal(loaded.mean, post.mean)
         assert np.array_equal(loaded.covariance, post.covariance)
         assert loaded.update_count == post.update_count

@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.rewards import (
     DegenerateQuantilesWarning,
-    PairLoss,
     RewardHistory,
     advantage_rewards,
-    batch_baseline_rewards,
+    batch_baseline_array,
     dpo_loss,
-    full_advantage_reward,
-    light_advantage_reward,
     normalize_step_rewards,
-    quantile_normalize,
     sample_comparators,
 )
 
@@ -68,29 +64,30 @@ class TestDpoLoss:
 
 class TestBatchBaseline:
     def test_arithmetic_case(self):
-        rewards = batch_baseline_rewards(
-            [PairLoss("a", 1.0), PairLoss("b", 2.0), PairLoss("c", 3.0)]
-        )
-        assert rewards == {"a": 1.0, "b": 0.0, "c": -1.0}
+        assert batch_baseline_array([1.0, 2.0, 3.0]).tolist() == [1.0, 0.0, -1.0]
 
     def test_equal_losses_all_zero(self):
-        rewards = batch_baseline_rewards([PairLoss(str(i), 0.7) for i in range(5)])
-        assert all(v == 0.0 for v in rewards.values())
+        assert batch_baseline_array([0.7] * 5).tolist() == [0.0] * 5
 
     def test_single_pair_zero(self):
-        assert batch_baseline_rewards([PairLoss("only", 2.5)]) == {"only": 0.0}
+        assert batch_baseline_array([2.5]).tolist() == [0.0]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InputError):
-            batch_baseline_rewards([])
+            batch_baseline_array([])
 
     def test_rewards_sum_to_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             size = int(rng.integers(1, 65))
-            losses = [PairLoss(str(i), float(rng.normal(0.6, 0.3))) for i in range(size)]
-            total = sum(batch_baseline_rewards(losses).values())
+            total = batch_baseline_array(rng.normal(0.6, 0.3, size=size)).sum()
             assert abs(total) < 1e-9 * size
+
+
+def quantile_normalize(r, history):
+    """One reward scaled against ``history``; a step of one (which it records)."""
+    normalized, _ = normalize_step_rewards([r], history)
+    return float(normalized[0])
 
 
 class TestQuantileNormalize:
@@ -136,7 +133,7 @@ class TestQuantileNormalize:
         rng = np.random.default_rng(1)
         history = RewardHistory(values=list(rng.normal(0, 1, size=100)))
         points = np.sort(rng.normal(0, 2, size=50))
-        outputs = [quantile_normalize(float(r), history) for r in points]
+        outputs = normalize_step_rewards(points, history)[0].tolist()
         assert all(0.0 <= v <= 1.0 for v in outputs)
         assert all(b >= a for a, b in zip(outputs, outputs[1:]))
 
@@ -162,25 +159,25 @@ class TestStepNormalization:
     def test_strictly_past_history(self):
         """A step's own rewards must not influence their normalization."""
         history = RewardHistory(values=list(np.linspace(0.0, 1.0, 41)))
-        raw = {"x": 0.5, "y": 100.0}  # the huge y would shift the quantiles if included
+        raw = [0.5, 100.0]  # the huge second value would shift the quantiles if included
         normalized, bounds = normalize_step_rewards(raw, history)
         assert bounds == (0.2, 0.8)
-        assert abs(normalized["x"] - 0.5) < 1e-12
-        assert normalized["y"] == 1.0
+        assert abs(normalized[0] - 0.5) < 1e-12
+        assert normalized[1] == 1.0
         assert len(history) == 43  # appended after normalization
 
     def test_warmup_reports_no_bounds(self):
         history = RewardHistory()
-        normalized, bounds = normalize_step_rewards({"x": 0.0}, history)
+        normalized, bounds = normalize_step_rewards([0.0], history)
         assert bounds is None
-        assert normalized["x"] == 0.5
+        assert normalized.tolist() == [0.5]
 
     def test_non_finite_step_leaves_history_unchanged(self):
         history = RewardHistory(values=[1.0] * 40)  # degenerate: would warn first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError):
-                normalize_step_rewards({"x": 0.3, "y": math.nan, "z": 0.1}, history)
+                normalize_step_rewards([0.3, math.nan, 0.1], history)
         assert len(history) == 40
         assert history.degenerate_events == 0
 
@@ -193,13 +190,12 @@ class TestStepNormalization:
 
     def test_degenerate_step_warns_and_counts_once(self):
         history = RewardHistory(values=[1.0] * 40)
-        raw = {f"p{i}": float(i) for i in range(5)}
         with pytest.warns(DegenerateQuantilesWarning) as record:
-            normalized, bounds = normalize_step_rewards(raw, history)
+            normalized, bounds = normalize_step_rewards(np.arange(5.0), history)
         assert len(record) == 1
         assert history.degenerate_events == 1
         assert bounds == (1.0, 1.0)
-        assert set(normalized.values()) == {0.5}
+        assert normalized.tolist() == [0.5] * 5
 
 
 def bits(x):
@@ -247,10 +243,9 @@ class TestRewardHistoryProperties:
     def test_step_matches_per_pair_oracle_bitwise(self, past, step):
         history = RewardHistory(values=past)
         snapshot = history.values
-        raw = {f"p{i}": r for i, r in enumerate(step)}
-        normalized, bounds = normalize_step_rewards(raw, history, warmup_min=1)
-        for pair_id, r in raw.items():
-            assert bits(normalized[pair_id]) == bits(sort_oracle_normalize(r, snapshot))
+        normalized, bounds = normalize_step_rewards(step, history, warmup_min=1)
+        for value, r in zip(normalized.tolist(), step):
+            assert bits(value) == bits(sort_oracle_normalize(r, snapshot))
         assert bounds == (
             sort_oracle_percentile(snapshot, 20.0),
             sort_oracle_percentile(snapshot, 80.0),
@@ -258,15 +253,23 @@ class TestRewardHistoryProperties:
         assert history.values == snapshot + step
 
 
+def advantage_reference(chosen_loss, comparison_losses):
+    """One row's rule: 1 if the chosen loss is no greater than the comparison mean."""
+    return int(chosen_loss <= np.mean(comparison_losses))
+
+
 class TestAdvantageRewards:
     def test_equal_losses_reward_one(self):
-        assert full_advantage_reward([1.0, 1.0, 1.0, 1.0], 2) == 1
+        losses = np.ones(4)
+        assert advantage_rewards(losses[2], losses) == 1.0
 
     def test_above_mean_reward_zero(self):
-        assert full_advantage_reward([2.0, 1.0, 1.0, 1.0], 0) == 0
+        losses = np.array([2.0, 1.0, 1.0, 1.0])
+        assert advantage_rewards(losses[0], losses) == 0.0
 
     def test_below_mean_reward_one(self):
-        assert full_advantage_reward([0.5, 1.0, 1.0, 1.0], 0) == 1
+        losses = np.array([0.5, 1.0, 1.0, 1.0])
+        assert advantage_rewards(losses[0], losses) == 1.0
 
     def test_full_rule_matches_enumeration(self):
         base = [0.2, 0.5, 0.8, 1.1]
@@ -274,7 +277,7 @@ class TestAdvantageRewards:
             mean = sum(perm) / 4.0
             for chosen in range(4):
                 expected = 1 if perm[chosen] <= mean else 0
-                assert full_advantage_reward(list(perm), chosen) == expected
+                assert advantage_rewards(perm[chosen], perm) == expected
 
     def test_light_rule_matches_enumeration(self):
         base = [0.2, 0.5, 0.8, 1.1]
@@ -283,13 +286,13 @@ class TestAdvantageRewards:
                 others = [perm[i] for i in range(4) if i != chosen]
                 for comb in itertools.combinations(others, 3):
                     expected = 1 if perm[chosen] <= sum(comb) / 3.0 else 0
-                    assert light_advantage_reward(list(comb), perm[chosen]) == expected
+                    assert advantage_rewards(perm[chosen], comb) == expected
 
     def test_light_all_comparators_worse(self):
-        assert light_advantage_reward([0.9, 0.8, 0.95], 0.4) == 1
+        assert advantage_rewards(0.4, [0.9, 0.8, 0.95]) == 1.0
 
     def test_light_all_comparators_better(self):
-        assert light_advantage_reward([0.2, 0.3, 0.25], 0.9) == 0
+        assert advantage_rewards(0.9, [0.2, 0.3, 0.25]) == 0.0
 
     @settings(deadline=None, max_examples=80)
     @given(data=st.data(), n_rows=st.integers(1, 12), n_arms=st.integers(2, 9))
@@ -304,12 +307,12 @@ class TestAdvantageRewards:
         rows = np.arange(n_rows)
         full = advantage_rewards(losses[rows, chosen], losses)
         assert full.tolist() == [
-            full_advantage_reward(list(row), arm) for row, arm in zip(losses, chosen.tolist())
+            advantage_reference(row[arm], row) for row, arm in zip(losses, chosen.tolist())
         ]
         chosen_losses = np.array(data.draw(st.lists(loss, min_size=n_rows, max_size=n_rows)))
         light = advantage_rewards(chosen_losses, losses)
         assert light.tolist() == [
-            light_advantage_reward(list(row), x) for row, x in zip(losses, chosen_losses)
+            advantage_reference(x, row) for row, x in zip(losses, chosen_losses)
         ]
 
     def test_comparator_sampling(self):

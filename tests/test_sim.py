@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
-from rmrouter.gaussian import ObservationBatch, posterior_update
+from rmrouter.gaussian import posterior_update
 from rmrouter.offline import (
     OfflineRouterModel,
     TrainConfig,
@@ -15,23 +15,18 @@ from rmrouter.offline import (
 )
 from rmrouter.online import (
     OnlineRouterState,
-    RoutingDecision,
     init_router,
     route_batch,
-    route_weighted_batch,
+    route_weighted_score,
     state_to_dict,
 )
 from rmrouter.rewards import (
     SURROGATE_CORRECT_MEAN,
     SURROGATE_INCORRECT_MEAN,
     SURROGATE_STD,
-    PairLoss,
     RewardHistory,
     batch_baseline_array,
-    batch_baseline_rewards,
-    normalize_step_array,
     normalize_step_rewards,
-    surrogate_losses,
     surrogate_pair_loss,
 )
 from rmrouter.sim import (
@@ -57,6 +52,7 @@ from rmrouter.sim import (
 
 from ridge import RidgeReference
 from scenarios import two_specialists_scenario
+from test_rewards import sort_oracle_percentile
 
 
 def basis_cluster(cluster_id, axis, d=8, spread=0.25):
@@ -651,12 +647,13 @@ class TestCompareRuns:
 
 
 # ---------------------------------------------------------------------------
-# the array-level replay loop against the per-pair public API
+# the replay loop against a per-pair rebuild from the public API
 
 
 def reference_replay(router, dataset, config):
-    """The replay rebuilt from the per-pair public API (batch_quantile rewards);
-    linucb from Li et al.'s ridge statistics instead.
+    """The replay rebuilt pair by pair (batch_quantile rewards): one scalar loss
+    draw per pair, and each arm's rows fed to the conjugate update in batch
+    order; linucb from Li et al.'s ridge statistics instead.
 
     Returns (per-step accuracies, cumulative regret, selection counts, final
     accuracy, final router state or linucb's RidgeReference, linucb's (B, N)
@@ -686,42 +683,31 @@ def reference_replay(router, dataset, config):
     accuracy, regret, counts, cum, hits = [], [], np.zeros(n_arms, dtype=np.int64), 0.0, 0
     for step in range(scenario.n_steps):
         rows = slice(step * size, (step + 1) * size)
-        batch = [(p.pair_id, stream.embeddings[p.pair_id]) for p in stream.pairs[rows]]
+        contexts = np.stack([stream.embeddings[p.pair_id].vector for p in stream.pairs[rows]])
         if kind == "thompson":
-            decisions = route_batch(state, batch, route_rng)
+            chosen, _ = route_batch(state, contexts, route_rng)
         elif kind == "linucb":
-            contexts = np.stack([emb.vector for _, emb in batch])
-            picks, step_scores = state.route(contexts, config.linucb_alpha, config.linucb_per_pair)
+            chosen, step_scores = state.route(
+                contexts, config.linucb_alpha, config.linucb_per_pair
+            )
             scores.append(step_scores)
-            decisions = [
-                RoutingDecision(pid, int(arm), step_scores[i], contexts[i])
-                for i, ((pid, _), arm) in enumerate(zip(batch, picks))
-            ]
         else:
-            contexts = np.stack([emb.vector for _, emb in batch])
-            picks = route_weighted_batch(model, state, contexts, alpha, route_rng)
-            decisions = [
-                RoutingDecision(pid, int(arm), np.eye(n_arms)[arm], contexts[i])
-                for i, ((pid, _), arm) in enumerate(zip(batch, picks))
-            ]
-        chosen = np.array([dec.chosen_arm for dec in decisions])
+            chosen = route_weighted_score(model, state, contexts, alpha, route_rng)
         bits = stream.correct[rows][np.arange(size), chosen]
         losses = [
-            PairLoss(dec.pair_id, surrogate_pair_loss(bool(bit), loss_rng))
-            for dec, bit in zip(decisions, bits)
+            loss_rng.normal(SURROGATE_CORRECT_MEAN if bit else SURROGATE_INCORRECT_MEAN,
+                            SURROGATE_STD)
+            for bit in bits
         ]
-        rewards, _ = normalize_step_rewards(batch_baseline_rewards(losses), history)
+        rewards, _ = normalize_step_rewards(batch_baseline_array(losses), history)
         if kind == "linucb":
-            state.update(contexts, picks, [rewards[dec.pair_id] for dec in decisions])
-        else:  # each arm's pairs in batch order, through the conjugate update itself
+            state.update(contexts, chosen, rewards)
+        else:
             arms = list(state.arms)
             for n in range(n_arms):
-                mine = [dec for dec in decisions if dec.chosen_arm == n]
+                mine = [i for i in range(size) if chosen[i] == n]
                 if mine:
-                    batch_n = ObservationBatch(
-                        [dec.context for dec in mine], [rewards[dec.pair_id] for dec in mine]
-                    )
-                    arms[n] = posterior_update(arms[n], batch_n)
+                    arms[n] = posterior_update(arms[n], contexts[mine], rewards[mine])
             counts_n = state.selection_counts + np.bincount(chosen, minlength=n_arms)
             state = OnlineRouterState(arms, state.config, state.step + 1, counts_n)
         accuracy.append(int(bits.sum()) / size)
@@ -780,9 +766,9 @@ class TestArrayRewardsMatchPerPairForms:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_one_vector_draw_equals_per_pair_draws(self, bits, seed):
-        vector = surrogate_losses(np.array(bits, dtype=np.uint8), np.random.default_rng(seed))
+        vector = surrogate_pair_loss(np.array(bits, dtype=np.uint8), np.random.default_rng(seed))
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        per_pair = [surrogate_pair_loss(bit, rng_a) for bit in bits]
+        per_pair = [float(surrogate_pair_loss([bit], rng_a)[0]) for bit in bits]
         scalar = [
             float(rng_b.normal(SURROGATE_CORRECT_MEAN if bit else SURROGATE_INCORRECT_MEAN,
                                SURROGATE_STD))
@@ -800,21 +786,20 @@ class TestArrayRewardsMatchPerPairForms:
         warmup=st.integers(1, 20),
     )
     @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
-    def test_array_normalization_equals_dict_form(self, steps, warmup):
-        by_array, by_dict = RewardHistory(), RewardHistory()
-        for step, losses in enumerate(steps):
-            ids = [f"{step}-{i}" for i in range(len(losses))]
-            raw_map = batch_baseline_rewards([PairLoss(i, x) for i, x in zip(ids, losses)])
+    def test_array_normalization_equals_per_value_reference(self, steps, warmup):
+        history, past = RewardHistory(), []
+        for losses in steps:
             raw = batch_baseline_array(losses)
             mean = sum(losses) / len(losses)  # left to right
-            assert raw.tolist() == [mean - x for x in losses] == list(raw_map.values())
-            want, want_bounds = normalize_step_rewards(raw_map, by_dict, warmup)
-            got, bounds = normalize_step_array(raw, by_array, warmup)
+            assert raw.tolist() == [mean - x for x in losses]
+            want_bounds = None
+            if len(past) >= warmup:
+                want_bounds = tuple(sort_oracle_percentile(past, q) for q in (20.0, 80.0))
+            got, bounds = normalize_step_rewards(raw, history, warmup)
             assert bounds == want_bounds
-            assert got.tolist() == list(want.values())
             assert got.tolist() == [scale_reference(r, bounds) for r in raw.tolist()]
-        assert by_array.values == by_dict.values
-        assert by_array.degenerate_events == by_dict.degenerate_events
+            past += raw.tolist()
+        assert history.values == past
 
 
 def scale_reference(r, bounds):
