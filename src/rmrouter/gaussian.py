@@ -21,6 +21,9 @@ from .serialize import int_field
 POSTERIOR_FORMAT_VERSION = 1
 
 SYMMETRY_TOL = 1e-10
+# a score variance h.cov.h below -VARIANCE_TOL * (h.h) * max(diag cov) shows an indefinite
+# covariance along h; a negative variance above that bound is rounding and reads as 0
+VARIANCE_TOL = 1e-9
 CHOLESKY_JITTER = 1e-9
 GAIN_ROWS = 64  # rows per Kalman gain: bounds the innovation matrix for any batch
 
@@ -49,8 +52,9 @@ class ArmPosterior:
     Treat instances as immutable: updates return new posteriors, sampling is
     read-only, and concurrent updates to one arm must be serialized by the
     caller.  Every field must be finite and the covariance symmetric positive
-    definite; construction checks this with one Cholesky factorization, which
-    also validates beliefs loaded from state files.
+    definite.  The constructor checks this in full (:meth:`validate`); an
+    update's result skips that O(d^3) check, which runs again where a belief
+    leaves the replay or is written out.
     """
 
     mean: np.ndarray
@@ -62,6 +66,11 @@ class ArmPosterior:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.covariance = np.asarray(self.covariance, dtype=np.float64)
         self.noise_variance = float(self.noise_variance)
+        self.validate()
+
+    def validate(self) -> None:
+        """Full check: shapes, finite fields, positive noise, and a symmetric
+        positive definite covariance (O(d^3)); raises a RouterError otherwise."""
         if self.mean.ndim != 1:
             raise DimError(f"mean must be a vector, got shape {self.mean.shape}")
         d = self.mean.shape[0]
@@ -80,6 +89,18 @@ class ArmPosterior:
         if d and not np.any(self.covariance):  # the jitter retry would accept it
             raise NonPSDError("covariance is zero, not positive definite", pivot=0)
         robust_cholesky(self.covariance)
+
+    @classmethod
+    def _updated(cls, mean, covariance, noise_variance, update_count) -> ArmPosterior:
+        """An update's result without the full check: only an O(d^2) finiteness
+        and an O(d) positive-diagonal check, raising NumericalError."""
+        finite = np.isfinite(mean).all() and np.isfinite(covariance).all()
+        if not (finite and (covariance.diagonal() > 0.0).all()):
+            raise NumericalError("update gives a non-finite belief or a non-positive variance")
+        posterior = object.__new__(cls)
+        posterior.mean, posterior.covariance = mean, covariance
+        posterior.noise_variance, posterior.update_count = noise_variance, update_count
+        return posterior
 
     @property
     def d(self) -> int:
@@ -122,13 +143,19 @@ def score_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(h.mean, h.covariance.h) per context row: the mean and variance of the score h.w.
 
-    O(B d^2) through diag(H covariance H^T), with no factorization.
+    O(B d^2) through diag(H covariance H^T), with no factorization.  A
+    variance below the VARIANCE_TOL bound raises NumericalError.
     """
     if contexts.ndim != 2 or contexts.shape[1] != posterior.d:
         raise DimError(
             f"contexts shape {contexts.shape} does not match posterior d={posterior.d}"
         )
     variances = np.einsum("ij,ij->i", contexts @ posterior.covariance, contexts)
+    if variances.min(initial=0.0) < 0.0:
+        scale = VARIANCE_TOL * posterior.covariance.diagonal().max()
+        if np.any(variances < -scale * np.einsum("ij,ij->i", contexts, contexts)):
+            raise NumericalError("covariance is indefinite along a scored context")
+        variances = np.maximum(variances, 0.0)
     return contexts @ posterior.mean, variances
 
 
@@ -141,7 +168,7 @@ def sample_scores(
     (:func:`score_moments`), so B independent scores need B scalar normals.
     """
     means, variances = score_moments(posterior, contexts)
-    return means + np.sqrt(np.maximum(variances, 0.0)) * rng.standard_normal(len(contexts))
+    return means + np.sqrt(variances) * rng.standard_normal(len(contexts))
 
 
 def posterior_update(
@@ -153,8 +180,10 @@ def posterior_update(
     G = sigma^2 I + H cov H^T and the gain K = cov H^T G^-1, mean += K (r - H
     mean) and cov -= K H cov.  G is the only factorization, so k rows cost
     O(k d^2).  k = 0 returns the posterior unchanged; the result equals the
-    fold of single-row updates up to rounding.  Only shapes are checked: a
-    non-finite row, like an update that overflows, raises NumericalError.
+    fold of single-row updates up to rounding.  Only shapes are checked up
+    front, and the result only for finite fields and a positive diagonal: a
+    non-finite row, an overflow or an innovation that does not factor raises
+    NumericalError.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
@@ -178,18 +207,17 @@ def posterior_update(
                 raise NumericalError(f"innovation overflows or its solve fails (info {info})")
             mean = mean + gain_t.T @ (rewards[start : start + GAIN_ROWS] - h @ mean)
             covariance = covariance - h_cov.T @ gain_t
-        return ArmPosterior(
-            mean=mean,
-            covariance=0.5 * (covariance + covariance.T),
-            noise_variance=posterior.noise_variance,
-            update_count=posterior.update_count + len(rewards),
-        )
-    except (InputError, NonPSDError, ValueError) as exc:  # ValueError: overflow to inf or NaN
+    except (NonPSDError, ValueError) as exc:  # ValueError: overflow to inf or NaN
         raise NumericalError(f"update does not give a valid posterior: {exc}") from exc
+    covariance = 0.5 * (covariance + covariance.T)
+    count = posterior.update_count + len(rewards)
+    return ArmPosterior._updated(mean, covariance, posterior.noise_variance, count)
 
 
 def posterior_to_dict(posterior: ArmPosterior) -> dict:
-    """Versioned JSON document: {version, d, mean, covariance (row-major), ...}."""
+    """Versioned JSON document: {version, d, mean, covariance (row-major), ...}
+    of a belief that passes the full check."""
+    posterior.validate()
     return {
         "version": POSTERIOR_FORMAT_VERSION,
         "d": posterior.d,

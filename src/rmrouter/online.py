@@ -211,7 +211,7 @@ def route_linucb(
     scores = np.empty((len(points), state.n_arms))
     for n, arm in enumerate(state.arms):
         means, variances = score_moments(arm, points)
-        scores[:, n] = means + alpha * np.sqrt(np.maximum(variances, 0.0))
+        scores[:, n] = means + alpha * np.sqrt(variances)
     if not per_pair:
         scores = np.tile(scores, (len(contexts), 1))
     return np.argmax(scores, axis=1), scores

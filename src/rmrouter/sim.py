@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, RouterError
 from .features import PairEmbedding, PreferencePair
 from .offline import (
     OfflineRouterModel,
@@ -706,7 +706,8 @@ def run_replay(
     bandit then gets a rewards array built from surrogate losses of its chosen
     annotations.  All strategies share the same frozen dataset, so runs with
     equal seeds are paired across strategies.  ``final_state_out`` receives a
-    bandit router's final state.
+    bandit router's final state once every arm passes the full belief check;
+    an arm that fails it raises InvariantError.
     """
     config = config or ReplayConfig()
     kind, param = parse_router(router)
@@ -792,6 +793,11 @@ def run_replay(
     )
     metrics.validate(batch_size, n_steps)
     if final_state_out is not None and isinstance(state, OnlineRouterState):
+        for n, arm in enumerate(state.arms):  # the full check that updates skip
+            try:
+                arm.validate()
+            except RouterError as exc:
+                raise InvariantError(f"arm {n} ends the replay with an invalid belief: {exc}")
         final_state_out.append(state)
     return metrics
 

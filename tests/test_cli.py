@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from rmrouter import sim
 from rmrouter.cli import main
+from rmrouter.errors import NonPSDError
 from rmrouter.features import load_dataset, load_embeddings
+from rmrouter.gaussian import ArmPosterior
 from rmrouter.offline import load_behavior, load_model
 from rmrouter.online import init_router, save_state, state_to_dict
 from rmrouter.serialize import read_json, write_json
@@ -369,6 +372,41 @@ class TestValidation:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @staticmethod
+    def indefinite_first_arm(state):
+        """``state`` with arm 0's covariance made indefinite through the unchecked
+        update constructor; its diagonal stays positive."""
+        arm = state.arms[0]
+        cov = arm.covariance.copy()
+        cov[0, 1] = cov[1, 0] = cov[0, 0] + cov[1, 1]
+        state.arms[0] = ArmPosterior._updated(arm.mean, cov, arm.noise_variance, arm.update_count)
+        return state
+
+    def test_indefinite_final_state_exits_1_without_writing_it(
+        self, tmp_path, scenario_file, capsys, monkeypatch
+    ):
+        # the last step's update leaves arm 0 indefinite; no later route or update sees it
+        def observe_then_corrupt(state, *step):
+            state = observe(state, *step)
+            return self.indefinite_first_arm(state) if state.step == 6 else state
+
+        observe = sim.observe_feedback
+        monkeypatch.setattr(sim, "observe_feedback", observe_then_corrupt)
+        out_dir = tmp_path / "runs"
+        code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",
+                     "--seeds", "1", "--out-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: arm 0 ends the replay with an invalid belief")
+        assert "Traceback" not in err
+        assert not list(out_dir.glob("thompson_1.*"))
+
+    def test_save_state_refuses_indefinite_arm(self, tmp_path):
+        path = tmp_path / "state.json"
+        with pytest.raises(NonPSDError):
+            save_state(path, self.indefinite_first_arm(init_router(2, 3)))
+        assert not path.exists()
+
     def test_injected_without_prior_file_exits_2(self, tmp_path, scenario_file):
         code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",
                      "--prior", "injected", "--out-dir", str(tmp_path / "runs")])
@@ -402,6 +440,7 @@ class TestValidation:
         "edit",
         [
             lambda doc: doc["arms"][0].update(covariance=[1.0, 0.0, 1.0]),
+            lambda doc: doc["arms"][0].update(covariance=[1.0, 2.0, 2.0, 1.0]),
             lambda doc: doc["arms"][0].pop("mean"),
             lambda doc: doc["arms"][0].update(mean=[float("nan"), 0.0]),
             lambda doc: doc["config"].update(sigma_sq=float("nan"), prior_variance=float("nan")),
@@ -412,8 +451,8 @@ class TestValidation:
             lambda doc: doc["arms"][0].update(update_count=True),
             lambda doc: doc["arms"][1].update(d=2.5),  # truncated, it would fit the arm
         ],
-        ids=["covariance-length-3", "missing-mean", "nan-mean", "nan-config",
-             "fractional-step", "negative-step", "negative-selection-count",
+        ids=["covariance-length-3", "indefinite-covariance", "missing-mean", "nan-mean",
+             "nan-config", "fractional-step", "negative-step", "negative-selection-count",
              "negative-update-count", "bool-update-count", "fractional-d"],
     )
     def test_malformed_state_exits_2(self, tmp_path, capsys, edit):

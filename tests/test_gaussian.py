@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
+from rmrouter import gaussian
 from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, NumericalError
 from rmrouter.gaussian import (
     GAIN_ROWS,
@@ -19,6 +20,7 @@ from rmrouter.gaussian import (
     sample_scores,
     sample_weight,
     sample_weights,
+    score_moments,
 )
 from rmrouter.serialize import dumps_doc
 
@@ -160,6 +162,17 @@ class TestSampleScores:
             sample_scores(post, np.zeros((2, 4)), np.random.default_rng(0))
         with pytest.raises(DimError):
             sample_scores(post, np.zeros(3), np.random.default_rng(0))
+
+    def test_indefinite_direction_raises_and_rounding_reads_as_zero(self):
+        # an update result skips the full check, so scoring checks the routed directions
+        bad = ArmPosterior._updated(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 3)
+        with pytest.raises(NumericalError, match="indefinite"):
+            sample_scores(bad, np.array([[1.0, 1.0], [1.0, -1.0]]), np.random.default_rng(0))
+        assert score_moments(bad, np.array([[1.0, 1.0]]))[1][0] == 6.0
+        near = -1.0 - 1e-12  # h.cov.h = -2e-12 along (1, 1): rounding, within the bound
+        post = ArmPosterior._updated(np.zeros(2), np.array([[1.0, near], [near, 1.0]]), 1.0, 3)
+        assert score_moments(post, np.array([[1.0, 1.0]]))[1][0] == 0.0
+        assert sample_scores(post, np.array([[1.0, 1.0]]), np.random.default_rng(0))[0] == 0.0
 
 
 class TestPosteriorUpdate:
@@ -397,3 +410,55 @@ class TestTwoFieldBelief:
         assert np.array_equal(loaded.mean, post.mean)
         assert np.array_equal(loaded.covariance, post.covariance)
         assert loaded.update_count == post.update_count
+
+
+class TestUncheckedUpdateResult:
+    def test_update_factors_only_the_innovation(self, monkeypatch):
+        shapes = []
+        factor = gaussian.robust_cholesky
+        prior, rng = make_prior(5), np.random.default_rng(2)
+        monkeypatch.setattr(
+            gaussian, "robust_cholesky", lambda mat: shapes.append(mat.shape) or factor(mat)
+        )
+        posterior_update(prior, rng.standard_normal((3, 5)), rng.standard_normal(3))
+        assert shapes == [(3, 3)]
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        d=st.integers(1, 16),
+        log_noise=st.floats(-8.0, 0.0),
+        log_scale=st.floats(0.0, 6.0),
+        repeats=st.integers(1, 10_000),
+        extra=st.integers(0, GAIN_ROWS),
+        prior_variance=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_singular_updates_pass_full_check_or_raise(
+        self, d, log_noise, log_scale, repeats, extra, prior_variance, seed
+    ):
+        # noise variance down to 1e-8, one row repeated up to 1e4 times and contexts
+        # scaled by up to 1e6: each GAIN_ROWS chunk either raises NumericalError or
+        # gives a posterior that passes the full check and equals, bit for bit, the
+        # checked constructor's result
+        rng = np.random.default_rng(seed)
+        post = make_prior(d, rng.standard_normal(d), prior_variance, 10.0**log_noise)
+        scale = 10.0**log_scale
+        contexts = scale * np.vstack(
+            [np.repeat(rng.standard_normal((1, d)), repeats, axis=0),
+             rng.standard_normal((extra, d))]
+        )
+        rewards = rng.standard_normal(len(contexts))
+        for start in range(0, len(rewards), GAIN_ROWS):
+            rows = slice(start, start + GAIN_ROWS)
+            try:
+                updated = posterior_update(post, contexts[rows], rewards[rows])
+            except NumericalError:
+                return
+            checked = ArmPosterior(
+                updated.mean, updated.covariance, updated.noise_variance, updated.update_count
+            )
+            for name in ("mean", "covariance", "noise_variance", "update_count"):
+                ours, theirs = getattr(updated, name), getattr(checked, name)
+                assert type(ours) is type(theirs)
+                assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+            post = updated
