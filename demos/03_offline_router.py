@@ -1,10 +1,11 @@
 """Offline router: profile the model pool, train both heads, route by ranking.
 
-A synthetic pool of four reward models is profiled on a labelled corpus
-(one correctness bit per pair and model).  Pairs where one model is right and
-another wrong train the pairwise ranking head; every bit trains the auxiliary
-per-model classifier.  Routing picks the argmax ranking score, and the
-ranking matrix is exported as the online router's prior.
+A synthetic pool of four reward models is profiled on a labelled corpus: a
+(pairs x models) matrix of correctness bits.  Pairs where one model is right
+and another wrong become (row, winner, loser) rows that train the pairwise
+ranking head; every bit trains the auxiliary per-model classifier.  Routing
+picks the argmax ranking score, and the ranking matrix is exported as the
+online router's prior.
 """
 
 import numpy as np
@@ -12,10 +13,9 @@ import numpy as np
 from rmrouter import (
     Cluster,
     SimScenario,
-    collect_behavior,
     export_prior,
     extract_disagreements,
-    route_offline,
+    routing_accuracy,
 )
 from rmrouter.sim import fit_offline_router, generate_scenario
 
@@ -37,12 +37,12 @@ scenario = SimScenario(
 )
 dataset = generate_scenario(scenario, 0)
 
-records = collect_behavior(dataset.offline.pairs, dataset.offline.pool())
-samples = extract_disagreements(records)
-per_arm = {n: float(np.mean([r.correct for r in records if r.rm_index == n])) for n in range(4)}
-print(f"offline corpus: {dataset.offline.n} pairs, {len(records)} behavior bits")
-print("per-model marginal accuracy:", {k: round(v, 3) for k, v in per_arm.items()})
-print(f"disagreement samples for the ranking head: {len(samples)}")
+correct = dataset.offline.correct  # (pairs, models) correctness bits
+bt_index, beh_index = extract_disagreements(correct)
+per_arm = {n: round(float(acc), 3) for n, acc in enumerate(correct.mean(axis=0))}
+print(f"offline corpus: {dataset.offline.n} pairs, {len(beh_index)} behavior bits")
+print("per-model marginal accuracy:", per_arm)
+print(f"disagreement samples for the ranking head: {len(bt_index)}")
 
 result = fit_offline_router(dataset, seed=0)
 model = result.model
@@ -50,12 +50,9 @@ print(f"\ntraining: {len(result.history)} epochs, "
       f"final combined loss {result.history[-1]['total_loss']:.4f}")
 
 stream = dataset.stream
-row_of = {p.pair_id: i for i, p in enumerate(stream.pairs)}
-hits = []
-for pair in stream.pairs:
-    chosen = route_offline(model, stream.embeddings[pair.pair_id])
-    hits.append(stream.correct[row_of[pair.pair_id], chosen])
-print(f"held-out routing accuracy on the stream: {np.mean(hits):.4f}")
+every_bit = np.ones(stream.correct.shape, dtype=bool)
+accuracy = routing_accuracy(model, stream.contexts, stream.correct, every_bit)
+print(f"held-out routing accuracy on the stream: {accuracy:.4f}")
 print(f"(best single model would get {dataset.profiles.mean(axis=1).max():.3f} on average; "
       f"the per-cluster oracle {dataset.profiles.max(axis=0).mean():.3f})")
 

@@ -47,18 +47,13 @@ from .gaussian import (
     sample_weights,
 )
 from .offline import (
-    BehaviorRecord,
-    DisagreementSample,
     OfflineRouterModel,
     TrainConfig,
     TrainResult,
-    bt_loss,
-    cls_loss,
     collect_behavior,
     export_prior,
     extract_disagreements,
     load_model,
-    route_offline,
     routing_accuracy,
     save_model,
     train_offline,

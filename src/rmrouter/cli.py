@@ -30,11 +30,18 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FormatError, InputError, InvariantError, RouterError
-from .features import load_dataset, load_embeddings, save_dataset, save_embeddings
+from .features import (
+    HashingEncoder,
+    load_dataset,
+    load_embeddings,
+    prefusion_vector,
+    save_dataset,
+    save_embeddings,
+)
 from .offline import (
     TrainConfig,
-    collect_behavior,
     export_prior,
+    extract_disagreements,
     load_behavior,
     load_model,
     model_from_dict,
@@ -43,7 +50,7 @@ from .offline import (
     save_model,
     train_offline,
 )
-from .online import save_state, state_from_dict
+from .online import state_from_dict, state_to_dict
 from .serialize import read_json, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
@@ -111,20 +118,20 @@ def cmd_collect_behavior(args: argparse.Namespace) -> int:
     if split.n == 0:
         raise InputError(f"scenario produces no pairs for split {args.split!r}")
     os.makedirs(args.out_dir, exist_ok=True)
-    records = collect_behavior(split.pairs, split.pool())
     meta = {"command": "collect-behavior", "scenario": args.scenario, "seed": args.seed,
             "split": args.split}
     save_dataset(os.path.join(args.out_dir, "dataset.jsonl"), split.pairs)
     save_embeddings(os.path.join(args.out_dir, "embeddings.jsonl"), split.embeddings)
-    save_behavior(os.path.join(args.out_dir, "behavior.jsonl"), records, meta=meta)
+    save_behavior(os.path.join(args.out_dir, "behavior.jsonl"), map(split.pair_id, range(split.n)),
+                  split.correct, meta=meta)
     write_json(os.path.join(args.out_dir, "manifest.json"), {"config": meta, "n_pairs": split.n})
-    print(f"wrote {split.n} pairs ({len(records)} behavior records) to {args.out_dir}")
+    print(f"wrote {split.n} pairs ({split.correct.size} behavior records) to {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_train_offline(args: argparse.Namespace) -> int:
     pairs = load_dataset(args.dataset)
-    records = load_behavior(args.behavior)
+    correct, observed = load_behavior(args.behavior, [p.pair_id for p in pairs])
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
     config = TrainConfig(
         lam=args.lam,
@@ -143,24 +150,29 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     perm = rng.permutation(len(pairs))
     n_holdout = int(round(args.holdout * len(pairs)))
-    holdout_ids = {pairs[i].pair_id for i in perm[:n_holdout]}
-    train_pairs = [p for p in pairs if p.pair_id not in holdout_ids]
-    train_records = [r for r in records if r.pair_id not in holdout_ids]
-    if not train_pairs:
+    holdout = np.zeros(len(pairs), dtype=bool)
+    holdout[perm[:n_holdout]] = True
+    train = ~holdout
+    if not train.any():
         raise InputError("holdout split leaves no training pairs")
+    # one context row per pair, held-out ones included, all checked before training
+    if embeddings is None:
+        encoder = HashingEncoder(config.encoder_dim)
+        contexts = np.stack([prefusion_vector(pair, encoder) for pair in pairs])
+    else:
+        missing = [p.pair_id for p in pairs if p.pair_id not in embeddings]
+        if missing:
+            raise InputError(f"no embedding for pair(s) {missing[:3]}...")
+        contexts = np.stack([embeddings[p.pair_id].vector for p in pairs])
 
-    result = train_offline(train_pairs, train_records, config, embeddings=embeddings)
+    bt_index, beh_index = extract_disagreements(correct[train], observed[train])
+    result = train_offline(
+        contexts[train], bt_index, beh_index, correct.shape[1], config, fused=embeddings is None
+    )
     model = result.model
 
     if n_holdout:
-        if embeddings is not None:
-            holdout_embs = {pid: embeddings[pid] for pid in holdout_ids}
-        else:
-            holdout_embs = {
-                p.pair_id: model.embed(p) for p in pairs if p.pair_id in holdout_ids
-            }
-        holdout_records = [r for r in records if r.pair_id in holdout_ids]
-        acc = routing_accuracy(model, holdout_embs, holdout_records)
+        acc = routing_accuracy(model, contexts[holdout], correct[holdout], observed[holdout])
         print(f"held-out routing accuracy: {acc:.4f}")
     else:
         print("held-out routing accuracy: n/a (no holdout)")
@@ -219,12 +231,17 @@ def _expand_routers(args: argparse.Namespace, n_arms: int, have_prior: bool) -> 
     return routers
 
 
-def _run_one_seed(payload: tuple) -> list[dict]:
-    """Worker: run every requested router for one seed; returns summary rows."""
+def _run_one_seed(payload: tuple) -> list[tuple[dict, list[tuple]]]:
+    """Worker: run every requested router for one seed.
+
+    Returns a summary row per router and the (path, content, meta) of its
+    output files, for the caller to write once every replay has ended; a
+    None meta marks a JSON document, any other a JSONL file.
+    """
     (scenario_doc, seed, routers, base_config, out_dir, scenario_path) = payload
     scenario = scenario_from_dict(scenario_doc)
     dataset = generate_scenario(scenario, seed)
-    rows = []
+    runs = []
     for run_name, spec in routers:
         config = ReplayConfig(**{**base_config, "seed": seed})
         if run_name == "thompson-injected":
@@ -256,35 +273,31 @@ def _run_one_seed(payload: tuple) -> list[dict]:
             "prior_mode": config.prior_mode,
             "reward_variant": config.reward_variant,
         }
-        write_jsonl(
-            base + ".metrics.jsonl",
-            (
-                {
-                    "step": t,
-                    "routing_accuracy": metrics.routing_accuracy_per_step[t],
-                    "cumulative_regret": metrics.cumulative_regret[t],
-                    "rm_calls": metrics.rm_calls_per_step[t],
-                }
-                for t in range(scenario.n_steps)
-            ),
-            meta=meta,
-        )
-        if decision_log:
-            write_jsonl(base + ".decisions.jsonl", decision_log, meta=meta)
-        if reward_log:
-            write_jsonl(base + ".rewards.jsonl", reward_log, meta=meta)
-        if kind == "thompson" and state_out:
-            save_state(base + ".state.json", state_out[0])
-        rows.append(
+        step_rows = [
             {
-                "router": run_name,
-                "seed": seed,
-                "final_annotation_accuracy": metrics.final_annotation_accuracy,
-                "total_rm_calls": int(sum(metrics.rm_calls_per_step)),
-                "mean_uwo_weight": metrics.mean_uwo_weight,
+                "step": t,
+                "routing_accuracy": metrics.routing_accuracy_per_step[t],
+                "cumulative_regret": metrics.cumulative_regret[t],
+                "rm_calls": metrics.rm_calls_per_step[t],
             }
-        )
-    return rows
+            for t in range(scenario.n_steps)
+        ]
+        files = [(base + ".metrics.jsonl", step_rows, meta)]
+        if decision_log:
+            files.append((base + ".decisions.jsonl", decision_log, meta))
+        if reward_log:
+            files.append((base + ".rewards.jsonl", reward_log, meta))
+        if kind == "thompson" and state_out:
+            files.append((base + ".state.json", state_to_dict(state_out[0]), None))
+        row = {
+            "router": run_name,
+            "seed": seed,
+            "final_annotation_accuracy": metrics.final_annotation_accuracy,
+            "total_rm_calls": int(sum(metrics.rm_calls_per_step)),
+            "mean_uwo_weight": metrics.mean_uwo_weight,
+        }
+        runs.append((row, files))
+    return runs
 
 
 def cmd_run_sim(args: argparse.Namespace) -> int:
@@ -330,7 +343,13 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     else:
         per_seed = [_run_one_seed(p) for p in payloads]
 
-    rows = [row for rows_ in per_seed for row in rows_]
+    # no file is written until every replay of every seed has ended
+    for path, content, meta in (f for runs in per_seed for _, files in runs for f in files):
+        if meta is None:
+            write_json(path, content)
+        else:
+            write_jsonl(path, content, meta=meta)
+    rows = [row for runs in per_seed for row, _ in runs]
     rows.sort(key=lambda r: (routers_index(routers, r["router"]), r["seed"]))
     _write_csv(
         os.path.join(args.out_dir, "summary.csv"),

@@ -1,39 +1,33 @@
-"""Offline router: collect per-model correctness, train ranking + classifier heads.
+"""Offline router: per-model correctness bits in, ranking and classifier heads out.
 
 Each candidate reward model is profiled on a labelled preference dataset,
-producing one correctness bit per (pair, model).  Pairs on which one model is
-right and another wrong become ordered (winner, loser) samples for a pairwise
-logistic ranking head; all bits feed an auxiliary per-model binary classifier.
-Both heads are linear in the pair embedding: score = <h, E[n]> with one
-embedding row per model.  Routing takes the argmax of the ranking head, whose
-embedding matrix doubles as the prior for the online router.
+giving a (P, N) matrix of correctness bits, one per (pair, model), and a
+mask of the cells that have a bit.  :func:`extract_disagreements` turns the
+matrix into two index arrays: (row, winner, loser) wherever one model is
+right and another wrong, for a pairwise logistic ranking head, and
+(row, model, bit) for every bit, for an auxiliary per-model binary
+classifier.  Both heads are linear in the pair embedding: score = <h, E[n]>
+with one embedding row per model.  Routing takes the argmax of the ranking
+head, whose embedding matrix doubles as the prior for the online router.
 
-Training minimizes ranking_loss + lam * classifier_loss with mini-batch
-gradient descent and decoupled weight decay.  When precomputed pair
-embeddings are supplied they are used directly as contexts; otherwise
-contexts come from the hashing encoder through a trainable fusion layer.
+:func:`train_offline` minimizes ranking_loss + lam * classifier_loss over one
+context row per pair with mini-batch gradient descent and decoupled weight
+decay.  The rows are precomputed pair embeddings, or pre-fusion text vectors
+that a trainable fusion layer maps to embeddings.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, DimError, FormatError, InputError, TrainError
-from .features import (
-    DEFAULT_EMBED_DIM,
-    DEFAULT_ENCODER_DIM,
-    FusionParams,
-    HashingEncoder,
-    PairEmbedding,
-    PreferencePair,
-    prefusion_vector,
-)
-from .serialize import dumps_line, int_field, iter_jsonl, read_json, write_json
+from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, FusionParams
+from .serialize import int_field, iter_jsonl, read_json, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -41,70 +35,29 @@ MODEL_FORMAT_VERSION = 1
 INIT_SCALE = 0.02  # standard deviation of the initial head and fusion weights
 
 
-@dataclass
-class BehaviorRecord:
-    """Whether model ``rm_index`` labelled pair ``pair_id`` correctly."""
-
-    pair_id: str
-    rm_index: int
-    correct: int
-
-    def __post_init__(self) -> None:
-        self.rm_index = int_field(self.rm_index, "rm_index", InputError)
-        self.correct = int_field(self.correct, "correct", InputError)
-        if self.rm_index < 0:
-            raise InputError(f"rm_index must be >= 0, got {self.rm_index}")
-        if self.correct not in (0, 1):
-            raise InputError(f"correct must be 0 or 1, got {self.correct}")
+def collect_behavior(answers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(P, N) correctness bits: 1 where model n's answer to pair p is its label."""
+    return (answers == labels[:, None]).astype(np.uint8)
 
 
-@dataclass
-class DisagreementSample:
-    """Ordered (winner, loser) model pair on a single preference pair."""
+def extract_disagreements(
+    correct: np.ndarray, observed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (bt, beh) index arrays of :func:`loss_and_grads` for a (P, N) bit matrix.
 
-    pair_id: str
-    winner_rm: int
-    loser_rm: int
-
-    def __post_init__(self) -> None:
-        if self.winner_rm == self.loser_rm:
-            raise InputError("winner and loser must differ")
-
-
-class RmPool(Protocol):
-    """Anything that can answer which response a given model prefers."""
-
-    n_arms: int
-
-    def preference(self, rm_index: int, pair: PreferencePair) -> str: ...
-
-
-def collect_behavior(dataset: Sequence[PreferencePair], oracle: RmPool) -> list[BehaviorRecord]:
-    """One record per (pair, model): correct iff the model matches the label."""
-    records: list[BehaviorRecord] = []
-    for pair in dataset:
-        if pair.label is None:
-            raise InputError(f"pair {pair.pair_id!r} has no ground-truth label")
-        for n in range(oracle.n_arms):
-            answer = oracle.preference(n, pair)
-            records.append(BehaviorRecord(pair.pair_id, n, int(answer == pair.label)))
-    return records
-
-
-def extract_disagreements(records: Sequence[BehaviorRecord]) -> list[DisagreementSample]:
-    """All ordered (correct, incorrect) model pairs, per preference pair."""
-    by_pair: dict[str, list[BehaviorRecord]] = {}
-    for rec in records:
-        by_pair.setdefault(rec.pair_id, []).append(rec)
-    samples: list[DisagreementSample] = []
-    for pair_id, recs in by_pair.items():
-        recs = sorted(recs, key=lambda r: r.rm_index)
-        winners = [r.rm_index for r in recs if r.correct == 1]
-        losers = [r.rm_index for r in recs if r.correct == 0]
-        samples.extend(
-            DisagreementSample(pair_id, w, l) for w in winners for l in losers
-        )
-    return samples
+    ``observed`` masks the cells that have a bit; None means all of them.
+    ``beh`` rows are (row, rm, correct) for every observed cell, row-major.
+    ``bt`` rows are (row, winner, loser) for every observed right winner and
+    observed wrong loser of a row, row-major, so winners then losers ascend.
+    """
+    right = correct.astype(bool)
+    if observed is None:
+        cells, bits, wrong = np.indices(right.shape).reshape(2, -1), correct.ravel(), ~right
+    else:
+        cells, bits, wrong = np.nonzero(observed), correct[observed], observed & ~right
+        right &= observed
+    beh = np.column_stack([*cells, bits])
+    return np.argwhere(right[:, :, None] & wrong[:, None, :]), beh
 
 
 @dataclass
@@ -135,42 +88,6 @@ class OfflineRouterModel:
     @property
     def d(self) -> int:
         return self.bt_embeddings.shape[1]
-
-    def embed(self, pair: PreferencePair, encoder=None) -> PairEmbedding:
-        if self.fusion is None:
-            raise ConfigError("model was trained on precomputed embeddings; supply vectors")
-        from .features import embed_pair
-
-        return embed_pair(pair, self.fusion, encoder=encoder)
-
-
-def _context_vector(h) -> np.ndarray:
-    return h.vector if isinstance(h, PairEmbedding) else np.asarray(h, dtype=np.float64)
-
-
-def bt_scores(model: OfflineRouterModel, h) -> np.ndarray:
-    """Per-model ranking scores <h, E_bt[n]>."""
-    return model.bt_embeddings @ _context_vector(h)
-
-
-def bt_loss(model: OfflineRouterModel, h, sample: DisagreementSample) -> float:
-    """-log sigmoid of the winner-minus-loser score gap."""
-    scores = bt_scores(model, h)
-    gap = scores[sample.winner_rm] - scores[sample.loser_rm]
-    return float(np.logaddexp(0.0, -gap))
-
-
-def cls_loss(model: OfflineRouterModel, h, record: BehaviorRecord) -> float:
-    """Binary cross-entropy of the per-model correctness logit."""
-    z = float(model.cls_embeddings[record.rm_index] @ _context_vector(h))
-    if record.correct:
-        return float(np.logaddexp(0.0, -z))
-    return float(np.logaddexp(0.0, z))
-
-
-def route_offline(model: OfflineRouterModel, h) -> int:
-    """Index of the highest-scoring model; ties resolve to the lowest index."""
-    return int(np.argmax(bt_scores(model, h)))
 
 
 def export_prior(model: OfflineRouterModel) -> np.ndarray:
@@ -214,6 +131,16 @@ class TrainResult:
     history: list[dict]
 
 
+def _head_inputs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
+    """The heads' input rows: ``contexts`` through the fusion layer, or as given."""
+    if model.fusion is not None:
+        pre = contexts @ model.fusion.weight.T + model.fusion.bias
+        return np.tanh(pre) if model.fusion.activation == "tanh" else pre
+    if contexts.shape[1] != model.d:
+        raise DimError(f"context dimension {contexts.shape[1]} does not match model d={model.d}")
+    return contexts
+
+
 def loss_and_grads(
     model: OfflineRouterModel,
     contexts: np.ndarray,
@@ -233,15 +160,7 @@ def loss_and_grads(
     bt_index = np.asarray(bt_index, dtype=np.int64).reshape(-1, 3)
     beh_index = np.asarray(beh_index, dtype=np.int64).reshape(-1, 3)
 
-    if model.fusion is not None:
-        pre = contexts @ model.fusion.weight.T + model.fusion.bias
-        h_all = np.tanh(pre) if model.fusion.activation == "tanh" else pre
-    else:
-        if contexts.shape[1] != model.d:
-            raise DimError(
-                f"context dimension {contexts.shape[1]} does not match model d={model.d}"
-            )
-        h_all = contexts
+    h_all = _head_inputs(model, contexts)
 
     # Both heads are read from per-pair score matrices (P x N) and take their
     # gradients through a score gradient G accumulated per (row, arm) cell:
@@ -285,58 +204,7 @@ def loss_and_grads(
     return losses, grads
 
 
-def _build_index_arrays(
-    pairs: Sequence[PreferencePair],
-    records: Sequence[BehaviorRecord],
-    samples: Sequence[DisagreementSample],
-    n_arms: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    row_of = {pair.pair_id: i for i, pair in enumerate(pairs)}
-    for rec in records:
-        if rec.pair_id not in row_of:
-            raise InputError(f"behavior record references unknown pair {rec.pair_id!r}")
-        if rec.rm_index >= n_arms:
-            raise InputError(f"rm_index {rec.rm_index} out of range for n_arms={n_arms}")
-    beh = np.array(
-        [[row_of[r.pair_id], r.rm_index, r.correct] for r in records], dtype=np.int64
-    ).reshape(-1, 3)
-    bt = np.array(
-        [[row_of[s.pair_id], s.winner_rm, s.loser_rm] for s in samples], dtype=np.int64
-    ).reshape(-1, 3)
-    return bt, beh
-
-
 def train_offline(
-    pairs: Sequence[PreferencePair],
-    records: Sequence[BehaviorRecord],
-    config: TrainConfig | None = None,
-    embeddings: Mapping[str, PairEmbedding] | None = None,
-) -> TrainResult:
-    """Train the two heads (and the fusion layer, unless embeddings are given).
-
-    Checks the records, turns them into index arrays and the pairs into
-    context rows, then trains through :func:`train_arrays`.
-    """
-    config = config or TrainConfig()
-    if not pairs:
-        raise InputError("training dataset is empty")
-    n_arms = 1 + max(rec.rm_index for rec in records) if records else 0
-    if n_arms < 2:
-        raise InputError("need behavior records for at least two models")
-    samples = extract_disagreements(records)
-    bt_index, beh_index = _build_index_arrays(pairs, records, samples, n_arms)
-    if embeddings is None:
-        encoder = HashingEncoder(config.encoder_dim)
-        contexts = np.stack([prefusion_vector(pair, encoder) for pair in pairs])
-    else:
-        missing = [p.pair_id for p in pairs if p.pair_id not in embeddings]
-        if missing:
-            raise InputError(f"no embedding for pair(s) {missing[:3]}...")
-        contexts = np.stack([embeddings[p.pair_id].vector for p in pairs])
-    return train_arrays(contexts, bt_index, beh_index, n_arms, config, fused=embeddings is None)
-
-
-def train_arrays(
     contexts: np.ndarray,
     bt_index: np.ndarray,
     beh_index: np.ndarray,
@@ -417,7 +285,7 @@ def _epoch_batches(
 
     Minibatch k covers the pairs ``perm[k * batch_size : (k + 1) * batch_size]``
     and holds ``batches[cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order,
-    then record order, with column 0 rewritten to the pair's offset inside
+    then in ``index`` order, with column 0 rewritten to the pair's offset inside
     the minibatch.
     """
     pos = np.empty_like(perm)
@@ -457,26 +325,25 @@ def _apply_sgd_step(
 
 
 def routing_accuracy(
-    model: OfflineRouterModel,
-    embeddings: Mapping[str, PairEmbedding],
-    records: Sequence[BehaviorRecord],
+    model: OfflineRouterModel, contexts: np.ndarray, correct: np.ndarray, observed: np.ndarray
 ) -> float:
-    """Fraction of pairs whose routed model has a correct behavior bit."""
-    bits: dict[str, dict[int, int]] = {}
-    for rec in records:
-        bits.setdefault(rec.pair_id, {})[rec.rm_index] = rec.correct
-    hits, total = 0, 0
-    for pair_id, per_rm in bits.items():
-        if pair_id not in embeddings:
-            continue
-        chosen = route_offline(model, embeddings[pair_id])
-        if chosen not in per_rm:
-            raise InputError(f"missing behavior bit for pair {pair_id!r}, rm {chosen}")
-        hits += per_rm[chosen]
-        total += 1
-    if total == 0:
-        raise InputError("no pairs with both embeddings and behavior records")
-    return hits / total
+    """Fraction of pairs with behaviour bits whose routed model is correct.
+
+    ``contexts`` holds one row per pair as :func:`loss_and_grads` takes them;
+    each pair goes to the argmax of its ranking scores, ties to the lowest
+    index.  A pair without bits is skipped, and one without a bit for its
+    routed model raises :class:`InputError`.
+    """
+    chosen = np.argmax(_head_inputs(model, contexts) @ model.bt_embeddings.T, axis=1)
+    rows = np.flatnonzero(observed.any(axis=1))
+    if not len(rows):
+        raise InputError("no pairs with behavior records")
+    chosen = chosen[rows]
+    unseen = np.flatnonzero(~observed[rows, chosen])
+    if len(unseen):
+        row, rm = rows[unseen[0]], chosen[unseen[0]]
+        raise InputError(f"missing behavior bit for pair row {row}, rm {rm}")
+    return float(correct[rows, chosen].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -540,35 +407,52 @@ def load_model(path) -> OfflineRouterModel:
     return model_from_dict(read_json(path))
 
 
-def save_behavior(path, records: Sequence[BehaviorRecord], meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if meta is not None:
-            fh.write(dumps_line({"_meta": meta}) + "\n")
-        for rec in records:
-            fh.write(
-                dumps_line(
-                    {"pair_id": rec.pair_id, "rm_index": rec.rm_index, "correct": rec.correct}
-                )
-                + "\n"
-            )
+def save_behavior(
+    path, pair_ids: Iterable[str], correct: np.ndarray, meta: dict | None = None
+) -> None:
+    """One row per cell of the (P, N) bit matrix, row-major; row p is ``pair_ids[p]``."""
+    rows = (
+        {"pair_id": pair_id, "rm_index": n, "correct": bit}
+        for pair_id, bits in zip(pair_ids, correct.tolist())
+        for n, bit in enumerate(bits)
+    )
+    write_jsonl(path, rows, meta=meta)
 
 
-def load_behavior(path) -> list[BehaviorRecord]:
-    """Behaviour rows, at most one per (pair_id, rm_index)."""
-    records: list[BehaviorRecord] = []
-    seen: dict[tuple[str, int], int] = {}
+def load_behavior(path, pair_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(P, N) correctness bits and their observed mask over the rows ``pair_ids``.
+
+    N is one more than the highest model index, and every lower model needs a
+    row too; each (pair_id, rm_index) cell may appear once.
+    """
+    row_of = {pair_id: p for p, pair_id in enumerate(pair_ids)}
+    first_line: dict[tuple[int, int], int] = {}  # insertion order matches bits
+    bits: list[int] = []
     for lineno, obj in iter_jsonl(path):
         try:
-            record = BehaviorRecord(obj["pair_id"], obj["rm_index"], obj["correct"])
-            first = seen.setdefault((record.pair_id, record.rm_index), lineno)
-        except (KeyError, TypeError) as exc:  # TypeError: also an unhashable pair_id
+            pair_id = obj["pair_id"]
+            rm = int_field(obj["rm_index"], "rm_index", InputError, minimum=0)
+            bit = int_field(obj["correct"], "correct", InputError)
+            if bit not in (0, 1):
+                raise InputError(f"correct must be 0 or 1, got {bit}")
+            if pair_id not in row_of:  # TypeError: also an unhashable pair_id
+                raise InputError(f"behavior row names unknown pair {pair_id!r}")
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"invalid behavior row: {exc}", line=lineno) from exc
         except InputError as exc:
             raise FormatError(str(exc), line=lineno) from exc
+        first = first_line.setdefault((row_of[pair_id], rm), lineno)
         if first != lineno:
-            raise FormatError(
-                f"pair {record.pair_id!r} model {record.rm_index} repeats line {first}",
-                line=lineno,
-            )
-        records.append(record)
-    return records
+            raise FormatError(f"pair {pair_id!r} model {rm} repeats line {first}", line=lineno)
+        bits.append(bit)
+    cells = np.array(list(first_line), dtype=np.int64).reshape(-1, 2).T
+    # checked before allocating anything N wide: N is at most the row count
+    models = np.unique(cells[1])
+    gaps = np.flatnonzero(models != np.arange(len(models)))
+    if len(gaps):
+        raise FormatError(f"model {gaps[0]} has no behavior row, but model {models[-1]} has")
+    correct = np.zeros((len(row_of), len(models)), dtype=np.uint8)
+    observed = np.zeros(correct.shape, dtype=bool)
+    correct[tuple(cells)] = bits
+    observed[tuple(cells)] = True
+    return correct, observed

@@ -30,7 +30,9 @@ from .offline import (
     OfflineRouterModel,
     TrainConfig,
     TrainResult,
-    train_arrays,
+    collect_behavior,
+    extract_disagreements,
+    train_offline,
 )
 from .online import (
     OnlineRouterState,
@@ -289,23 +291,6 @@ class SimSplit:
         """pair_id -> embedding; each lookup's vector is a view of its context row."""
         return _RowEmbeddings(self)
 
-    @property
-    def n_arms(self) -> int:
-        return self.answers.shape[1]
-
-    def preference(self, rm_index: int, pair: PreferencePair) -> str:
-        """Model ``rm_index``'s frozen answer to ``pair``: the split is its own RmPool."""
-        if not 0 <= rm_index < self.n_arms:
-            raise InputError(f"rm_index {rm_index} out of range")
-        try:
-            row = self.row_of(pair.pair_id)
-        except KeyError:
-            raise InputError(f"unknown pair {pair.pair_id!r}") from None
-        return str(self.answers[row, rm_index])
-
-    def pool(self) -> "SimSplit":
-        return self
-
 
 class _RowEmbeddings(Mapping):
     """Read-only mapping over a split's context rows; stores no per-pair object."""
@@ -384,7 +369,7 @@ def _draw_split(
     for arm in range(scenario.n_arms):
         hit = rm_rngs[arm].random(n) < profiles[arm, cluster_ids]
         answers[:, arm] = np.where(hit, labels, flipped)
-    correct = (answers == labels[:, None]).astype(np.uint8)
+    correct = collect_behavior(answers, labels)
     return SimSplit(prefix, contexts, cluster_ids.astype(np.int64), labels, answers, correct)
 
 
@@ -412,19 +397,6 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     return SimDataset(scenario=scenario, offline=offline, stream=stream, profiles=profiles)
 
 
-def _offline_index_arrays(split: SimSplit) -> tuple[np.ndarray, np.ndarray]:
-    """(bt, beh) index arrays of a split, as train_offline builds them from records.
-
-    ``beh`` rows are (row, rm, correct) in row-major order; ``bt`` rows are
-    (row, winner, loser) for every right winner and wrong loser, in
-    extract_disagreements' order.
-    """
-    rows, rms = np.indices(split.correct.shape).reshape(2, -1)
-    beh = np.column_stack([rows, rms, split.correct.ravel()])
-    c = split.correct.astype(bool)
-    return np.argwhere(c[:, :, None] & ~c[:, None, :]), beh
-
-
 def fit_offline_router(
     dataset: SimDataset, config: TrainConfig | None = None, seed: int = 0
 ) -> TrainResult:
@@ -435,9 +407,9 @@ def fit_offline_router(
         config = TrainConfig(
             lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
         )
-    bt_index, beh_index = _offline_index_arrays(dataset.offline)
+    bt_index, beh_index = extract_disagreements(dataset.offline.correct)
     n_arms = dataset.scenario.n_arms
-    return train_arrays(dataset.offline.contexts, bt_index, beh_index, n_arms, config)
+    return train_offline(dataset.offline.contexts, bt_index, beh_index, n_arms, config)
 
 
 # ---------------------------------------------------------------------------

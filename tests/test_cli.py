@@ -56,10 +56,10 @@ class TestPipeline:
                      "--seed", "1", "--out-dir", data_dir]) == 0
         pairs = load_dataset(f"{data_dir}/dataset.jsonl")
         embs = load_embeddings(f"{data_dir}/embeddings.jsonl")
-        records = load_behavior(f"{data_dir}/behavior.jsonl")
+        correct, observed = load_behavior(f"{data_dir}/behavior.jsonl", [p.pair_id for p in pairs])
         assert len(pairs) == 120
         assert len(embs) == 120
-        assert len(records) == 120 * 2
+        assert correct.shape == (120, 2) and observed.all()
 
         model_path = str(tmp_path / "model.json")
         loss_csv = str(tmp_path / "loss.csv")
@@ -335,6 +335,39 @@ class TestValidation:
         assert "repeats line 2" in err and f"(line {len(lines) + 1})" in err
         assert not model_path.exists()
 
+    def test_model_index_far_above_the_rest_exits_2(self, tmp_path, scenario_file, capsys):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        with open(f"{data_dir}/behavior.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"pair_id": "off-000000", "rm_index": 10**9, "correct": 1}) + "\n")
+        model_path = tmp_path / "model.json"
+        assert main(train_args(data_dir, str(model_path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model 2 has no behavior row")
+        assert not model_path.exists()
+
+    def test_held_out_pair_without_embedding_exits_2(self, tmp_path, scenario_file, capsys):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        # the ids --holdout 0.25 --seed 3 holds out, as train-offline draws them
+        pair_ids = [p.pair_id for p in load_dataset(f"{data_dir}/dataset.jsonl")]
+        perm = np.random.default_rng(3).permutation(len(pair_ids))
+        held_out = {pair_ids[i] for i in perm[:30]}
+        path = f"{data_dir}/embeddings.jsonl"
+        lines = open(path, encoding="utf-8").read().splitlines()
+        kept = [l for l in lines if json.loads(l).get("pair_id") not in held_out]
+        assert len(kept) == len(lines) - 30
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(kept) + "\n")
+        model_path = tmp_path / "model.json"
+        assert main(train_args(data_dir, str(model_path), extra=["--holdout", "0.25"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no embedding for pair(s)")
+        assert any(pair_id in err for pair_id in held_out)
+        assert not model_path.exists()
+
     @pytest.mark.parametrize(
         "extra",
         [["--lr", "inf"], ["--lr", "nan"], ["--lambda", "nan"], ["--lambda", "inf"],
@@ -385,21 +418,30 @@ class TestValidation:
     def test_indefinite_final_state_exits_1_without_writing_it(
         self, tmp_path, scenario_file, capsys, monkeypatch
     ):
-        # the last step's update leaves arm 0 indefinite; no later route or update sees it
+        # the last step's update of the second seed's replay leaves arm 0
+        # indefinite; no later route or update sees it, and the replays before
+        # it (both seed-1 routers, then seed 2's random) end cleanly
+        final_updates = []
+
         def observe_then_corrupt(state, *step):
             state = observe(state, *step)
-            return self.indefinite_first_arm(state) if state.step == 6 else state
+            if state.step == 6:
+                final_updates.append(state)
+                if len(final_updates) == 2:
+                    return self.indefinite_first_arm(state)
+            return state
 
         observe = sim.observe_feedback
         monkeypatch.setattr(sim, "observe_feedback", observe_then_corrupt)
         out_dir = tmp_path / "runs"
-        code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson",
-                     "--seeds", "1", "--out-dir", str(out_dir)])
+        code = main(["run-sim", "--scenario", scenario_file, "--router", "random,thompson",
+                     "--seeds", "1,2", "--out-dir", str(out_dir)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: arm 0 ends the replay with an invalid belief")
         assert "Traceback" not in err
-        assert not list(out_dir.glob("thompson_1.*"))
+        assert len(final_updates) == 2
+        assert not list(out_dir.iterdir())
 
     def test_save_state_refuses_indefinite_arm(self, tmp_path):
         path = tmp_path / "state.json"

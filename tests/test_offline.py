@@ -6,48 +6,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from rmrouter.errors import ConfigError, InputError, TrainError
-from rmrouter.features import FusionParams, PairEmbedding, PreferencePair
+from rmrouter.errors import ConfigError, FormatError, InputError, TrainError
+from rmrouter.features import FusionParams, HashingEncoder, PreferencePair, prefusion_vector
 from rmrouter.offline import (
-    BehaviorRecord,
-    DisagreementSample,
     OfflineRouterModel,
     TrainConfig,
     _epoch_batches,
-    bt_loss,
-    bt_scores,
-    cls_loss,
     collect_behavior,
     export_prior,
     extract_disagreements,
+    load_behavior,
     loss_and_grads,
     model_from_dict,
     model_to_dict,
-    route_offline,
     routing_accuracy,
+    save_behavior,
     train_offline,
 )
 from rmrouter.serialize import dumps_doc
 
+from disagreements import reference_index_arrays
+
 LOG2 = math.log(2.0)
 
 
-class TablePool:
-    """RM pool answering from a fixed {pair_id: [answers]} table."""
-
-    def __init__(self, table):
-        self.table = table
-        self.n_arms = len(next(iter(table.values())))
-
-    def preference(self, rm_index, pair):
-        return self.table[pair.pair_id][rm_index]
-
-
-def make_pairs(n, label="A"):
-    return [
-        PreferencePair(f"p{i}", f"prompt {i}", "first answer", "second answer", label)
-        for i in range(n)
-    ]
+def route(model, contexts):
+    """Argmax of the ranking scores per row, ties to the lowest index."""
+    return np.argmax(contexts @ model.bt_embeddings.T, axis=1)
 
 
 def random_model(rng, n_arms=3, d=4, lam=0.2, with_fusion=False, d_enc=3):
@@ -65,54 +50,77 @@ def random_model(rng, n_arms=3, d=4, lam=0.2, with_fusion=False, d_enc=3):
 
 class TestCollectBehavior:
     def test_all_correct(self):
-        pairs = make_pairs(1)
-        pool = TablePool({"p0": ["A", "A", "A", "A"]})
-        records = collect_behavior(pairs, pool)
-        assert len(records) == 4
-        assert all(r.correct == 1 for r in records)
+        correct = collect_behavior(np.array([["A", "A", "A", "A"]]), np.array(["A"]))
+        assert correct.dtype == np.uint8
+        assert correct.tolist() == [[1, 1, 1, 1]]
 
     def test_matches_truth_table(self):
-        pairs = [
-            PreferencePair("p0", "q", "a", "b", "A"),
-            PreferencePair("p1", "q", "a", "b", "B"),
-        ]
-        pool = TablePool({"p0": ["A", "B"], "p1": ["B", "B"]})
-        records = collect_behavior(pairs, pool)
-        got = {(r.pair_id, r.rm_index): r.correct for r in records}
-        assert got == {("p0", 0): 1, ("p0", 1): 0, ("p1", 0): 1, ("p1", 1): 1}
+        answers = np.array([["A", "B"], ["B", "B"]])
+        assert collect_behavior(answers, np.array(["A", "B"])).tolist() == [[1, 0], [1, 1]]
 
     def test_empty_dataset(self):
-        assert collect_behavior([], TablePool({"x": ["A"]})) == []
+        correct = collect_behavior(np.empty((0, 3), dtype="<U1"), np.empty(0, dtype="<U1"))
+        assert correct.shape == (0, 3)
 
-    def test_unlabeled_pair_rejected(self):
-        pairs = [PreferencePair("p0", "q", "a", "b")]
-        with pytest.raises(InputError):
-            collect_behavior(pairs, TablePool({"p0": ["A"]}))
+
+def bt_rows(correct, observed=None):
+    bt, _ = extract_disagreements(np.array(correct, dtype=np.uint8), observed)
+    return [tuple(row) for row in bt.tolist()]
 
 
 class TestExtractDisagreements:
     def test_ordered_enumeration(self):
-        records = [BehaviorRecord("p", n, c) for n, c in enumerate([1, 1, 0, 0])]
-        samples = extract_disagreements(records)
-        assert [(s.winner_rm, s.loser_rm) for s in samples] == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert bt_rows([[1, 1, 0, 0]]) == [(0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 1, 3)]
 
     def test_all_agree_empty(self):
         for bit in (0, 1):
-            records = [BehaviorRecord("p", n, bit) for n in range(4)]
-            assert extract_disagreements(records) == []
+            bt, beh = extract_disagreements(np.full((1, 4), bit, dtype=np.uint8))
+            assert bt.shape == (0, 3)
+            assert beh.tolist() == [[0, n, bit] for n in range(4)]
 
     def test_single_disagreement(self):
-        records = [BehaviorRecord("p", 0, 1), BehaviorRecord("p", 1, 0)]
-        samples = extract_disagreements(records)
-        assert [(s.winner_rm, s.loser_rm) for s in samples] == [(0, 1)]
+        assert bt_rows([[1, 0]]) == [(0, 0, 1)]
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n_arms=st.integers(0, 5),
+        kinds=st.lists(st.sampled_from(["random", "right", "wrong", "empty"]), max_size=8),
+        full=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_record_reference(self, n_arms, kinds, full, seed):
+        # rows of random bits with missing cells, all-agree rows and rows without
+        # any bit; ``full`` passes no mask, so every cell is observed
+        rng = np.random.default_rng(seed)
+        shape = (len(kinds), n_arms)
+        correct = rng.integers(0, 2, shape).astype(np.uint8)
+        observed = rng.random(shape) < 0.7
+        for row, kind in enumerate(kinds):
+            if kind in ("right", "wrong"):
+                correct[row] = kind == "right"
+            elif kind == "empty":
+                observed[row] = False
+        if full:
+            observed = None
+        bt, beh = extract_disagreements(correct, observed)
+        want_bt, want_beh = reference_index_arrays(correct, observed)
+        assert bt.dtype == beh.dtype == np.int64
+        assert bt.shape == want_bt.shape and beh.shape == want_beh.shape
+        assert np.array_equal(bt, want_bt) and np.array_equal(beh, want_beh)
+
+
+def pair_losses(model, h, bt=(), beh=()):
+    """Losses of one context row over the given (row, ...) index rows."""
+    bt = np.array(bt, dtype=np.int64).reshape(-1, 3)
+    beh = np.array(beh, dtype=np.int64).reshape(-1, 3)
+    return loss_and_grads(model, np.atleast_2d(h), bt, beh)[0]
 
 
 class TestLossValues:
     def test_bt_equal_scores_log2(self):
         model = random_model(np.random.default_rng(0))
         model.bt_embeddings[1] = model.bt_embeddings[0]
-        h = PairEmbedding.of(np.ones(4))
-        assert abs(bt_loss(model, h, DisagreementSample("p", 0, 1)) - LOG2) < 1e-12
+        assert abs(pair_losses(model, np.ones(4), bt=[0, 0, 1])["bt"] - LOG2) < 1e-12
 
     def test_bt_large_gap_vanishes(self):
         model = OfflineRouterModel(
@@ -122,8 +130,7 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        h = PairEmbedding.of(np.ones(1))
-        assert bt_loss(model, h, DisagreementSample("p", 0, 1)) < 1e-8
+        assert pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"] < 1e-8
 
     def test_bt_unit_gap(self):
         model = OfflineRouterModel(
@@ -133,16 +140,15 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        h = PairEmbedding.of(np.ones(1))
-        loss = bt_loss(model, h, DisagreementSample("p", 0, 1))
+        loss = pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"]
         assert abs(loss - 0.31326168751822286) < 1e-12
 
     def test_cls_zero_logit_log2_both_labels(self):
         model = random_model(np.random.default_rng(1))
         model.cls_embeddings[0] = 0.0
-        h = PairEmbedding.of(np.ones(4))
-        assert abs(cls_loss(model, h, BehaviorRecord("p", 0, 1)) - LOG2) < 1e-12
-        assert abs(cls_loss(model, h, BehaviorRecord("p", 0, 0)) - LOG2) < 1e-12
+        h = np.ones(4)
+        assert abs(pair_losses(model, h, beh=[0, 0, 1])["cls"] - LOG2) < 1e-12
+        assert abs(pair_losses(model, h, beh=[0, 0, 0])["cls"] - LOG2) < 1e-12
 
     def test_cls_logit_two_correct(self):
         model = OfflineRouterModel(
@@ -152,12 +158,10 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        h = PairEmbedding.of(np.ones(1))
-        loss = cls_loss(model, h, BehaviorRecord("p", 0, 1))
+        loss = pair_losses(model, np.ones(1), beh=[0, 0, 1])["cls"]
         assert abs(loss - 0.12692801104297252) < 1e-12
 
     def test_bt_loss_strictly_decreases_in_gap(self):
-        h = PairEmbedding.of(np.ones(1))
         losses = []
         for gap in np.linspace(-3, 3, 13):
             model = OfflineRouterModel(
@@ -167,7 +171,7 @@ class TestLossValues:
                 lam=0.0,
                 n_arms=2,
             )
-            losses.append(bt_loss(model, h, DisagreementSample("p", 0, 1)))
+            losses.append(pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"])
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -382,7 +386,18 @@ class TestEpochBatches:
         assert batches.tolist() == [[0, 0, 1], [0, 2, 0], [1, 3, 1], [0, 1, 0]]
 
 
+def all_observed(correct):
+    return np.ones(np.shape(correct), dtype=bool)
+
+
+def one_hot_at(chosen, n_arms):
+    """Bit matrix in which only each row's ``chosen`` model is right."""
+    return np.eye(n_arms, dtype=np.uint8)[chosen]
+
+
 class TestRouteOffline:
+    """Routing as ``routing_accuracy`` does it: one argmax per context row."""
+
     def test_basis_rows(self):
         model = OfflineRouterModel(
             fusion=None,
@@ -391,7 +406,10 @@ class TestRouteOffline:
             lam=0.2,
             n_arms=4,
         )
-        assert route_offline(model, PairEmbedding.of(np.eye(4)[2])) == 2
+        h = np.eye(4)[[2]]
+        for right, acc in ((2, 1.0), (1, 0.0)):
+            correct = one_hot_at([right], 4)
+            assert routing_accuracy(model, h, correct, all_observed(correct)) == acc
 
     def test_tie_breaks_to_lowest_index(self):
         model = OfflineRouterModel(
@@ -401,21 +419,22 @@ class TestRouteOffline:
             lam=0.2,
             n_arms=3,
         )
-        assert route_offline(model, PairEmbedding.of(np.ones(2))) == 0
+        correct = one_hot_at([0], 3)
+        assert routing_accuracy(model, np.ones((1, 2)), correct, all_observed(correct)) == 1.0
 
     def test_attains_max_score(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             model = random_model(rng, n_arms=int(rng.integers(2, 6)))
-            h = PairEmbedding.of(rng.standard_normal(4))
-            chosen = route_offline(model, h)
-            scores = bt_scores(model, h)
-            assert scores[chosen] == scores.max()
+            contexts = rng.standard_normal((8, 4))
+            scores = contexts @ model.bt_embeddings.T
+            correct = (scores == scores.max(axis=1, keepdims=True)).astype(np.uint8)
+            assert routing_accuracy(model, contexts, correct, all_observed(correct)) == 1.0
 
     def test_uniform_score_shift_preserves_argmax(self):
         rng = np.random.default_rng(6)
         model = random_model(rng)
-        h = PairEmbedding.of(rng.standard_normal(4))
+        contexts = rng.standard_normal((20, 4))
         shifted = OfflineRouterModel(
             fusion=None,
             bt_embeddings=model.bt_embeddings + rng.standard_normal(4),
@@ -423,78 +442,122 @@ class TestRouteOffline:
             lam=model.lam,
             n_arms=model.n_arms,
         )
-        assert route_offline(model, h) == route_offline(shifted, h)
+        correct = one_hot_at(route(model, contexts), model.n_arms)
+        assert routing_accuracy(shifted, contexts, correct, all_observed(correct)) == 1.0
+
+
+class TestRoutingAccuracy:
+    def model(self):
+        return OfflineRouterModel(None, np.eye(2), np.zeros((2, 2)), 0.2, 2)
+
+    def test_pairs_without_bits_are_skipped(self):
+        contexts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        correct = np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8)
+        observed = np.array([[True, True], [True, True], [False, False]])
+        assert routing_accuracy(self.model(), contexts, correct, observed) == 0.5
+
+    def test_missing_bit_of_routed_model_raises(self):
+        correct = np.array([[1, 1]], dtype=np.uint8)
+        observed = np.array([[True, False]])
+        with pytest.raises(InputError, match="rm 1"):
+            routing_accuracy(self.model(), np.array([[0.0, 1.0]]), correct, observed)
+
+    def test_no_bits_raise(self):
+        correct = np.zeros((2, 2), dtype=np.uint8)
+        with pytest.raises(InputError):
+            routing_accuracy(self.model(), np.eye(2), correct, correct == 1)
+
+    def test_fusion_model_routes_fused_contexts(self):
+        rng = np.random.default_rng(14)
+        model = random_model(rng, n_arms=3, d=4, with_fusion=True, d_enc=3)
+        prefusion = rng.standard_normal((10, 6))
+        fused = np.array([model.fusion.apply(row) for row in prefusion])
+        correct = one_hot_at(route(model, fused), 3)
+        assert routing_accuracy(model, prefusion, correct, all_observed(correct)) == 1.0
 
 
 def separable_training_data(rng, n_pairs=400, flip=0.02):
     """Two orthogonal context clusters, two specialist models, near-clean bits."""
-    pairs = make_pairs(n_pairs)
-    embeddings = {}
-    records = []
-    for i, pair in enumerate(pairs):
-        cluster = i % 2
-        vec = np.zeros(8)
-        vec[cluster] = 1.0
-        vec += 0.15 * rng.standard_normal(8)
-        embeddings[pair.pair_id] = PairEmbedding.of(vec / np.linalg.norm(vec))
-        for arm in range(2):
-            bit = 1 if arm == cluster else 0
-            if rng.random() < flip:
-                bit = 1 - bit
-            records.append(BehaviorRecord(pair.pair_id, arm, bit))
-    return pairs, embeddings, records
+    cluster = np.arange(n_pairs) % 2
+    contexts = np.eye(8)[cluster] + 0.15 * rng.standard_normal((n_pairs, 8))
+    contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
+    correct = np.eye(2, dtype=np.uint8)[cluster]
+    flips = rng.random((n_pairs, 2)) < flip
+    correct[flips] = 1 - correct[flips]
+    return contexts, correct
+
+
+def train_on(contexts, correct, config, fused=False):
+    bt, beh = extract_disagreements(correct)
+    return train_offline(contexts, bt, beh, correct.shape[1], config, fused=fused)
 
 
 class TestTraining:
     def test_learns_separable_clusters(self):
         rng = np.random.default_rng(7)
-        pairs, embeddings, records = separable_training_data(rng)
+        contexts, correct = separable_training_data(rng)
         train_n = 300
-        train_ids = {p.pair_id for p in pairs[:train_n]}
         config = TrainConfig(lam=0.2, lr=0.5, epochs=30, batch_size=32, seed=0)
-        result = train_offline(
-            pairs[:train_n],
-            [r for r in records if r.pair_id in train_ids],
-            config,
-            embeddings=embeddings,
-        )
-        holdout_embs = {p.pair_id: embeddings[p.pair_id] for p in pairs[train_n:]}
-        holdout_recs = [r for r in records if r.pair_id not in train_ids]
-        acc = routing_accuracy(result.model, holdout_embs, holdout_recs)
+        result = train_on(contexts[:train_n], correct[:train_n], config)
+        holdout = correct[train_n:]
+        acc = routing_accuracy(result.model, contexts[train_n:], holdout, all_observed(holdout))
         assert acc >= 0.95
         assert len(result.history) == 30
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
-        pairs, embeddings, records = separable_training_data(rng, n_pairs=40)
+        contexts, correct = separable_training_data(rng, n_pairs=40)
         config = TrainConfig(lam=0.2, lr=0.3, epochs=3, batch_size=8, seed=11)
-        a = train_offline(pairs, records, config, embeddings=embeddings)
-        b = train_offline(pairs, records, config, embeddings=embeddings)
+        a = train_on(contexts, correct, config)
+        b = train_on(contexts, correct, config)
         assert np.array_equal(a.model.bt_embeddings, b.model.bt_embeddings)
         assert np.array_equal(a.model.cls_embeddings, b.model.cls_embeddings)
         assert a.history == b.history
 
     def test_empty_disagreements_raise(self):
-        pairs = make_pairs(4)
-        records = [BehaviorRecord(p.pair_id, n, 1) for p in pairs for n in range(2)]
         with pytest.raises(TrainError):
-            train_offline(pairs, records, TrainConfig())
+            train_on(np.ones((4, 3)), np.ones((4, 2), dtype=np.uint8), TrainConfig())
 
     def test_text_path_trains_fusion(self):
         pairs = [
             PreferencePair(f"p{i}", f"topic {i % 2} question {i}", "yes indeed", "not at all", "A")
             for i in range(12)
         ]
-        records = [
-            BehaviorRecord(p.pair_id, n, 1 if (n + i) % 2 else 0)
-            for i, p in enumerate(pairs)
-            for n in range(2)
-        ]
+        encoder = HashingEncoder(32)
+        contexts = np.stack([prefusion_vector(pair, encoder) for pair in pairs])
+        correct = np.array([[(n + i) % 2 for n in range(2)] for i in range(12)], dtype=np.uint8)
         config = TrainConfig(epochs=2, batch_size=4, embed_dim=8, encoder_dim=32, seed=0)
-        result = train_offline(pairs, records, config)
+        result = train_on(contexts, correct, config, fused=True)
         assert result.model.fusion is not None
         assert result.model.d == 8
         assert result.model.fusion.encoder_dim == 32
+
+
+class TestBehaviorFile:
+    def test_round_trip_with_missing_cells(self, tmp_path):
+        path = tmp_path / "behavior.jsonl"
+        save_behavior(path, ["a", "b", "c"], np.array([[1, 0], [0, 1], [1, 1]]), meta={"k": 1})
+        lines = path.read_text().splitlines()
+        del lines[3]  # pair "b", model 0
+        path.write_text("\n".join(reversed(lines)) + "\n")
+        correct, observed = load_behavior(path, ["c", "b", "a", "d"])
+        assert correct.dtype == np.uint8
+        assert correct.tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
+        assert observed.tolist() == [[True, True], [False, True], [True, True], [False, False]]
+
+    def test_model_below_the_highest_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "behavior.jsonl"
+        path.write_text('{"pair_id": "a", "rm_index": 0, "correct": 1}\n'
+                        '{"pair_id": "a", "rm_index": 3, "correct": 0}\n')
+        with pytest.raises(FormatError, match="model 1 has no behavior row"):
+            load_behavior(path, ["a"])
+
+    def test_unknown_pair_rejected_with_line(self, tmp_path):
+        path = tmp_path / "behavior.jsonl"
+        path.write_text('{"pair_id": "a", "rm_index": 0, "correct": 1}\n'
+                        '{"pair_id": "z", "rm_index": 1, "correct": 0}\n')
+        with pytest.raises(FormatError, match=r"unknown pair 'z' \(line 2\)"):
+            load_behavior(path, ["a"])
 
 
 class TestExportAndPersistence:
@@ -510,9 +573,8 @@ class TestExportAndPersistence:
         model = random_model(rng)
         doc = model_to_dict(model)
         reloaded = model_from_dict(doc)
-        for _ in range(100):
-            h = PairEmbedding.of(rng.standard_normal(4))
-            assert route_offline(model, h) == route_offline(reloaded, h)
+        contexts = rng.standard_normal((100, 4))
+        assert np.array_equal(route(model, contexts), route(reloaded, contexts))
 
     def test_save_load_save_byte_identical(self):
         rng = np.random.default_rng(12)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, DimError, FormatError, InputError
 from rmrouter.gaussian import ArmPosterior, posterior_from_dict
-from rmrouter.offline import OfflineRouterModel, model_from_dict, route_offline
+from rmrouter.offline import OfflineRouterModel, model_from_dict
 from rmrouter.online import (
     OnlineRouterState,
     RouterConfig,
@@ -318,6 +318,11 @@ class TestLinUcb:
             route_linucb(init_router(2, 2), np.array([[np.nan, 1.0]]), alpha=1.0)
 
 
+def offline_route(model, h):
+    """The offline router's choice for one context: argmax score, lowest index on ties."""
+    return int(np.argmax(model.bt_embeddings @ h))
+
+
 class TestWeightedScore:
     def make_offline(self, rng, n_arms=3, d=4):
         return OfflineRouterModel(
@@ -334,7 +339,7 @@ class TestWeightedScore:
         state = init_router(3, 4)
         contexts = rng.standard_normal((20, 4))
         chosen = route_weighted_score(model, state, contexts, 1.0, rng)
-        assert chosen.tolist() == [route_offline(model, h) for h in contexts]
+        assert chosen.tolist() == [offline_route(model, h) for h in contexts]
 
     def test_alpha_zero_equals_thompson_single(self):
         rng_a = np.random.default_rng(11)
@@ -389,7 +394,7 @@ class TestWeightedScore:
         mix_online = route_weighted_score(model, state, contexts, 0.0, np.random.default_rng(seed))
         mix_offline = route_weighted_score(model, state, contexts, 1.0, np.random.default_rng(seed))
         assert np.array_equal(mix_online, thompson)
-        assert list(mix_offline) == [route_offline(model, h) for h in contexts]
+        assert list(mix_offline) == [offline_route(model, h) for h in contexts]
 
 
 class TestStatePersistence:

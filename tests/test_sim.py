@@ -8,7 +8,6 @@ from rmrouter.gaussian import posterior_update
 from rmrouter.offline import (
     OfflineRouterModel,
     TrainConfig,
-    _build_index_arrays,
     collect_behavior,
     extract_disagreements,
     train_offline,
@@ -39,7 +38,6 @@ from rmrouter.sim import (
     _draw_clusters,
     _draw_split,
     _majority_labels,
-    _offline_index_arrays,
     compare_runs,
     fit_offline_router,
     generate_scenario,
@@ -50,6 +48,8 @@ from rmrouter.sim import (
     scenario_to_dict,
 )
 
+from disagreements import build_index_arrays, matrix_records
+from disagreements import extract_disagreements as reference_disagreements
 from ridge import RidgeReference
 from scenarios import two_specialists_scenario
 from test_rewards import sort_oracle_percentile
@@ -150,10 +150,9 @@ class TestGenerateScenario:
     def test_collect_behavior_agrees_with_truth_table(self):
         dataset = generate_scenario(two_cluster_scenario(4, 2, offline_pairs=20), 3)
         split = dataset.offline
-        records = collect_behavior(split.pairs, split.pool())
-        row_of = {p.pair_id: i for i, p in enumerate(split.pairs)}
-        for rec in records:
-            assert rec.correct == split.correct[row_of[rec.pair_id], rec.rm_index]
+        assert np.array_equal(collect_behavior(split.answers, split.labels), split.correct)
+        for pair, answers, bits in zip(split.pairs, split.answers, split.correct.tolist()):
+            assert bits == [int(answer == pair.label) for answer in answers]
 
 
 class TestScenarioChecks:
@@ -339,18 +338,18 @@ class TestColumnarGeneration:
                                             n_filler_arms=2)
         dataset = generate_scenario(scenario, seed)
         split = dataset.offline
-        records = collect_behavior(split.pairs, split.pool())
-        want_bt, want_beh = _build_index_arrays(
-            split.pairs, records, extract_disagreements(records), scenario.n_arms
-        )
-        bt, beh = _offline_index_arrays(split)
+        pair_ids = [p.pair_id for p in split.pairs]
+        records = matrix_records(pair_ids, split.correct)
+        want_bt, want_beh = build_index_arrays(pair_ids, records, reference_disagreements(records))
+        bt, beh = extract_disagreements(split.correct)
         assert bt.dtype == beh.dtype == np.int64
         assert np.array_equal(bt, want_bt) and np.array_equal(beh, want_beh)
         config = TrainConfig(
             lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
         )
         got = fit_offline_router(dataset, seed=seed)
-        want = train_offline(split.pairs, records, config, embeddings=split.embeddings)
+        contexts = np.stack([split.embeddings[pair_id].vector for pair_id in pair_ids])
+        want = train_offline(contexts, want_bt, want_beh, scenario.n_arms, config)
         assert np.array_equal(got.model.bt_embeddings, want.model.bt_embeddings)
         assert np.array_equal(got.model.cls_embeddings, want.model.cls_embeddings)
         assert got.history == want.history
