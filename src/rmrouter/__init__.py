@@ -40,6 +40,7 @@ from .features import (
 )
 from .gaussian import (
     ArmPosterior,
+    Beliefs,
     make_prior,
     posterior_update,
     sample_scores,

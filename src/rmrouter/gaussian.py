@@ -2,18 +2,25 @@
 
 Every routing arm keeps a belief w ~ N(mean, covariance) over the weights of a
 linear reward model r = w.h + noise.  The mean and the positive definite
-covariance are its whole state.  :func:`posterior_update` applies the Kalman
-step for a block of (context, reward) rows; :func:`sample_scores` draws one
-Thompson score per context row and :func:`score_moments` gives the score's
-mean and variance.
+covariance are its whole state.  A router's N arms are one :class:`Beliefs`
+stack: means (N, d), covariances (N, d, d) and update counts (N,), with one
+noise variance.  :func:`score_moments` gives every arm's score mean and
+variance for a (B, d) block of contexts from one stacked product, and
+:func:`sample_scores` draws one Thompson score per row and arm from one
+(N, B) normal draw.  :func:`posterior_update` applies the Kalman step to the
+arms' rows with one block-diagonal innovation factorization and one solve
+per GAIN_ROWS rows, looping over arms only for H cov and the covariance
+downdate.  A single :class:`ArmPosterior` is the N = 1 case of each function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
 from .serialize import int_field
@@ -53,8 +60,9 @@ class ArmPosterior:
     read-only, and concurrent updates to one arm must be serialized by the
     caller.  Every field must be finite and the covariance symmetric positive
     definite.  The constructor checks this in full (:meth:`validate`); an
-    update's result skips that O(d^3) check, which runs again where a belief
-    leaves the replay or is written out.
+    update's result and a view of one arm of a :class:`Beliefs` stack skip
+    that O(d^3) check, which runs again where a belief leaves the replay or
+    is written out.
     """
 
     mean: np.ndarray
@@ -92,8 +100,9 @@ class ArmPosterior:
 
     @classmethod
     def _updated(cls, mean, covariance, noise_variance, update_count) -> ArmPosterior:
-        """An update's result without the full check: only an O(d^2) finiteness
-        and an O(d) positive-diagonal check, raising NumericalError."""
+        """An update's result, or a view of one stacked arm, without the full
+        check: only an O(d^2) finiteness and an O(d) positive-diagonal check,
+        raising NumericalError."""
         finite = np.isfinite(mean).all() and np.isfinite(covariance).all()
         if not (finite and (covariance.diagonal() > 0.0).all()):
             raise NumericalError("update gives a non-finite belief or a non-positive variance")
@@ -105,6 +114,59 @@ class ArmPosterior:
     @property
     def d(self) -> int:
         return self.mean.shape[0]
+
+
+@dataclass
+class Beliefs:
+    """N arm beliefs stacked along a leading arm axis, sharing one noise variance.
+
+    ``means`` is (N, d), ``covariances`` (N, d, d) and ``update_counts`` (N,).
+    Build a stack with :meth:`stack` from checked beliefs; updates return new
+    stacks and leave the rows of arms without observations as they were, bit
+    for bit.  Treat instances, and the arrays of their :attr:`arms` views, as
+    immutable.
+    """
+
+    means: np.ndarray
+    covariances: np.ndarray
+    noise_variance: float
+    update_counts: np.ndarray
+
+    @classmethod
+    def stack(cls, arms: Sequence[ArmPosterior]) -> Beliefs:
+        """One stack of copies of ``arms``, which must share d and the noise variance."""
+        if not arms:
+            raise ConfigError("router needs at least one arm")
+        d, noise = arms[0].d, arms[0].noise_variance
+        for arm in arms:
+            if arm.d != d:
+                raise DimError("all arms must share one dimension")
+            if arm.noise_variance != noise:
+                raise ConfigError("all arms must share one noise variance")
+        return cls(
+            np.stack([arm.mean for arm in arms]),
+            np.stack([arm.covariance for arm in arms]),
+            noise,
+            np.array([arm.update_count for arm in arms], dtype=np.int64),
+        )
+
+    @cached_property
+    def arms(self) -> list[ArmPosterior]:
+        """One :class:`ArmPosterior` per arm, viewing this stack's rows: for
+        serialization, inspection and the full check.  Built on first read;
+        rebinding a list item or a view's field does not change the stack."""
+        return [
+            ArmPosterior._updated(mean, covariance, self.noise_variance, int(count))
+            for mean, covariance, count in zip(self.means, self.covariances, self.update_counts)
+        ]
+
+    @property
+    def n_arms(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.means.shape[1]
 
 
 def make_prior(
@@ -139,79 +201,132 @@ def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) ->
 
 
 def score_moments(
-    posterior: ArmPosterior, contexts: np.ndarray
+    beliefs: Beliefs | ArmPosterior, contexts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(h.mean, h.covariance.h) per context row: the mean and variance of the score h.w.
+    """(h.mean, h.covariance.h) for every context row h and arm: the mean and
+    variance of the score h.w, each (B, N); (B,) for one ArmPosterior.
 
-    O(B d^2) through diag(H covariance H^T), with no factorization.  A
-    variance below the VARIANCE_TOL bound raises NumericalError.
+    O(N B d^2) through one stacked product contexts @ covariances, with no
+    factorization.  A variance below the VARIANCE_TOL bound raises
+    NumericalError naming the arm.
     """
-    if contexts.ndim != 2 or contexts.shape[1] != posterior.d:
-        raise DimError(
-            f"contexts shape {contexts.shape} does not match posterior d={posterior.d}"
-        )
-    variances = np.einsum("ij,ij->i", contexts @ posterior.covariance, contexts)
+    if isinstance(beliefs, ArmPosterior):  # the N = 1 case
+        means, variances = score_moments(Beliefs.stack([beliefs]), contexts)
+        return means[:, 0], variances[:, 0]
+    if contexts.ndim != 2 or contexts.shape[1] != beliefs.d:
+        raise DimError(f"contexts shape {contexts.shape} does not match posterior d={beliefs.d}")
+    variances = np.einsum("nbi,bi->bn", contexts @ beliefs.covariances, contexts)
     if variances.min(initial=0.0) < 0.0:
-        scale = VARIANCE_TOL * posterior.covariance.diagonal().max()
-        if np.any(variances < -scale * np.einsum("ij,ij->i", contexts, contexts)):
-            raise NumericalError("covariance is indefinite along a scored context")
+        scale = VARIANCE_TOL * beliefs.covariances.diagonal(axis1=1, axis2=2).max(axis=1)
+        bad = variances < -scale * np.einsum("ij,ij->i", contexts, contexts)[:, None]
+        if bad.any():
+            arm = int(np.nonzero(bad)[1][0])
+            raise NumericalError(f"covariance of arm {arm} is indefinite along a scored context")
         variances = np.maximum(variances, 0.0)
-    return contexts @ posterior.mean, variances
+    return contexts @ beliefs.means.T, variances
 
 
 def sample_scores(
-    posterior: ArmPosterior, contexts: np.ndarray, rng: np.random.Generator
+    beliefs: Beliefs | ArmPosterior, contexts: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One Thompson score per context row, each from its own weight draw.
+    """(B, N) Thompson scores, one per context row and arm, each from its own
+    weight draw; (B,) for one ArmPosterior.
 
     A score h.w with w ~ N(mean, covariance) is N(h.mean, h.covariance.h)
-    (:func:`score_moments`), so B independent scores need B scalar normals.
+    (:func:`score_moments`), so the scores need B N scalar normals.  They come
+    from one (N, B) draw, arm-major: the draws of N calls of size B, in arm
+    order.
     """
-    means, variances = score_moments(posterior, contexts)
-    return means + np.sqrt(variances) * rng.standard_normal(len(contexts))
+    if isinstance(beliefs, ArmPosterior):  # the N = 1 case
+        return sample_scores(Beliefs.stack([beliefs]), contexts, rng)[:, 0]
+    means, variances = score_moments(beliefs, contexts)
+    return means + np.sqrt(variances) * rng.standard_normal(variances.shape[::-1]).T
 
 
 def posterior_update(
-    posterior: ArmPosterior, contexts: np.ndarray, rewards: np.ndarray
-) -> ArmPosterior:
-    """Conjugate update with k observation rows: (k, d) contexts and k rewards.
+    beliefs: Beliefs | ArmPosterior,
+    contexts: np.ndarray,
+    rewards: np.ndarray,
+    arms: np.ndarray | None = None,
+) -> Beliefs | ArmPosterior:
+    """Conjugate update with k observation rows: (k, d) contexts, k rewards and,
+    for a stack, the arm of each row.  One ArmPosterior, with ``arms`` None,
+    is the N = 1 case and returns an ArmPosterior.
 
-    Rows H enter GAIN_ROWS at a time by the Kalman step: with the innovation
-    G = sigma^2 I + H cov H^T and the gain K = cov H^T G^-1, mean += K (r - H
-    mean) and cov -= K H cov.  G is the only factorization, so k rows cost
-    O(k d^2).  k = 0 returns the posterior unchanged; the result equals the
-    fold of single-row updates up to rounding.  Only shapes are checked up
-    front, and the result only for finite fields and a positive diagonal: a
-    non-finite row, an overflow or an innovation that does not factor raises
-    NumericalError.
+    The rows are stably sorted by arm and enter GAIN_ROWS at a time by the
+    Kalman step.  With the innovation G = sigma^2 I + H cov H^T = L L^T,
+    W = L^-1 H cov and v = L^-1 (r - H mean), an arm's step is mean += W^T v
+    and cov -= W^T W, the gain form K = cov H^T G^-1 written so that the
+    downdate is symmetric bit for bit.  The window's G is block diagonal
+    (cross-arm entries exactly 0), so one factorization and one triangular
+    solve serve every arm in it, and each block gives that arm's own step.
+    k rows cost O(k d^2).  Arms without rows keep their rows of the stack bit
+    for bit; k = 0 returns ``beliefs`` itself.  The result equals the per-arm
+    fold of single-row updates up to rounding.  Shapes and the arm range are
+    checked up front, and the result only for finite fields and a positive
+    diagonal: a non-finite row, an overflow or an innovation that does not
+    factor (the arm is named) raises NumericalError.
     """
+    if isinstance(beliefs, ArmPosterior):  # the N = 1 case
+        rewards = np.asarray(rewards, dtype=np.float64)
+        stack = Beliefs.stack([beliefs])
+        updated = posterior_update(stack, contexts, rewards, np.zeros(rewards.shape, np.int64))
+        return beliefs if updated is stack else updated.arms[0]
     contexts = np.asarray(contexts, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim != 1 or contexts.shape != (rewards.shape[0], posterior.d):
+    arms = np.asarray(arms, dtype=np.int64)
+    k, d = rewards.shape[0] if rewards.ndim else 0, beliefs.d
+    if rewards.ndim != 1 or contexts.shape != (k, d) or arms.shape != (k,):
         raise DimError(
-            f"contexts {contexts.shape} and rewards {rewards.shape} do not fit d={posterior.d}"
+            f"contexts {contexts.shape}, rewards {rewards.shape} and arms {arms.shape} "
+            f"do not fit d={d}"
         )
-    if not len(rewards):
-        return posterior
-    mean, covariance = posterior.mean, posterior.covariance
-    try:
-        for start in range(0, len(rewards), GAIN_ROWS):
-            h = contexts[start : start + GAIN_ROWS]
-            h_cov = h @ covariance
-            innovation = h_cov @ h.T  # only its lower triangle is read: no symmetrizing
-            innovation.flat[:: len(h) + 1] += posterior.noise_variance
+    if not k:
+        return beliefs
+    rows = np.argsort(arms, kind="stable")
+    arms = arms[rows]
+    if not 0 <= arms[0] <= arms[-1] < beliefs.n_arms:
+        raise InputError(f"chosen arms must lie in [0, {beliefs.n_arms})")
+    contexts, rewards = contexts[rows], rewards[rows]
+    # arm n's rows are [bounds[n], bounds[n + 1])
+    bounds = np.searchsorted(arms, np.arange(beliefs.n_arms + 1)).tolist()
+    means, covariances = beliefs.means.copy(), beliefs.covariances.copy()
+    for start in range(0, k, GAIN_ROWS):
+        stop = min(start + GAIN_ROWS, k)
+        h, r, a = contexts[start:stop], rewards[start:stop], arms[start:stop]
+        # (arm, first row, end row) of each arm with rows in the window, from start
+        blocks = [
+            (n, max(lo, start) - start, min(hi, stop) - start)
+            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if max(lo, start) < min(hi, stop)
+        ]
+        h_cov = np.empty_like(h)
+        for n, lo, hi in blocks:
+            np.matmul(h[lo:hi], covariances[n], out=h_cov[lo:hi])
+        # block diagonal, cross-arm entries exactly 0; only its lower triangle is read
+        innovation = np.where(a[:, None] == a, h_cov @ h.T, 0.0)
+        innovation.flat[:: len(h) + 1] += beliefs.noise_variance
+        try:
             low = robust_cholesky(innovation)
-            # LAPACK directly: no finiteness scan, so an overflowed factor is caught here
-            gain_t, info = dpotrs(low, h_cov, lower=1)
-            if info != 0 or not np.isfinite(low).all():
-                raise NumericalError(f"innovation overflows or its solve fails (info {info})")
-            mean = mean + gain_t.T @ (rewards[start : start + GAIN_ROWS] - h @ mean)
-            covariance = covariance - h_cov.T @ gain_t
-    except (NonPSDError, ValueError) as exc:  # ValueError: overflow to inf or NaN
-        raise NumericalError(f"update does not give a valid posterior: {exc}") from exc
-    covariance = 0.5 * (covariance + covariance.T)
-    count = posterior.update_count + len(rewards)
-    return ArmPosterior._updated(mean, covariance, posterior.noise_variance, count)
+        except NonPSDError as exc:
+            arm = int(a[exc.pivot])
+            raise NumericalError(f"innovation of arm {arm} does not factor: {exc}") from exc
+        residuals = r - np.einsum("ij,ij->i", h, means[a])
+        # [W | v] = L^-1 [H cov | r - H mean]; LAPACK directly: no finiteness scan,
+        # so an overflowed factor is caught here
+        solved, info = dtrtrs(low, np.hstack((h_cov, residuals[:, None])), lower=1)
+        if info != 0 or not np.isfinite(low).all():
+            raise NumericalError(f"innovation overflows or its solve fails (info {info})")
+        w, v = solved[:, :d], solved[:, d]
+        present, firsts, _ = zip(*blocks)
+        means[list(present)] += np.add.reduceat(w * v[:, None], firsts)
+        for n, lo, hi in blocks:  # A^T @ A runs as syrk: symmetric bit for bit
+            covariances[n] -= w[lo:hi].T @ w[lo:hi]
+    finite = np.isfinite(means).all() and np.isfinite(covariances).all()
+    if not (finite and (covariances.diagonal(axis1=1, axis2=2) > 0.0).all()):
+        raise NumericalError("update gives a non-finite belief or a non-positive variance")
+    counts = np.bincount(arms, minlength=beliefs.n_arms)
+    return Beliefs(means, covariances, beliefs.noise_variance, beliefs.update_counts + counts)
 
 
 def posterior_to_dict(posterior: ArmPosterior) -> dict:

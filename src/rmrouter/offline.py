@@ -239,11 +239,12 @@ def train_offline(
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
     n_pairs, batch_size = len(contexts), config.batch_size
+    bt_rows, beh_rows = _pair_rows(bt_index, n_pairs), _pair_rows(beh_index, n_pairs)
     for epoch in range(config.epochs):
         perm = rng.permutation(n_pairs)
         shuffled = contexts[perm]
-        bt_batches, bt_cuts = _epoch_batches(perm, batch_size, bt_index)
-        beh_batches, beh_cuts = _epoch_batches(perm, batch_size, beh_index)
+        bt_batches, bt_cuts = _epoch_batches(perm, batch_size, bt_rows)
+        beh_batches, beh_cuts = _epoch_batches(perm, batch_size, beh_rows)
         sums = {"bt": 0.0, "cls": 0.0}
         for k, start in enumerate(range(0, n_pairs, batch_size)):
             batch_bt = bt_batches[bt_cuts[k] : bt_cuts[k + 1]]
@@ -278,24 +279,34 @@ def train_offline(
     return TrainResult(model=model, history=history)
 
 
+def _pair_rows(index: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """``index`` stably sorted by its pair (column 0), and the row count of each
+    of the ``n_pairs`` pairs: sorted once per training, read every epoch."""
+    by_pair = index[np.argsort(index[:, 0], kind="stable")]
+    return by_pair, np.bincount(index[:, 0], minlength=n_pairs)
+
+
 def _epoch_batches(
-    perm: np.ndarray, batch_size: int, index: np.ndarray
+    perm: np.ndarray, batch_size: int, pair_rows: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index rows grouped by the minibatch of their pair, and the cut points.
 
-    Minibatch k covers the pairs ``perm[k * batch_size : (k + 1) * batch_size]``
-    and holds ``batches[cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order,
-    then in ``index`` order, with column 0 rewritten to the pair's offset inside
-    the minibatch.
+    ``pair_rows`` is :func:`_pair_rows` of the index.  Minibatch k covers the
+    pairs ``perm[k * batch_size : (k + 1) * batch_size]`` and holds
+    ``batches[cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order, then in
+    index order, with column 0 rewritten to the pair's offset inside the
+    minibatch.  The pairs' row ranges are concatenated in O(rows + pairs).
     """
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(len(perm))
-    at = pos[index[:, 0]]
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    batches = index[order]
-    batches[:, 0] = at % batch_size
-    return batches, np.searchsorted(at, np.arange(0, len(perm) + batch_size, batch_size))
+    by_pair, counts = pair_rows
+    lengths = counts[perm]
+    ends = np.cumsum(lengths)
+    # row j of pair perm[i]'s range comes from by_pair[first[perm[i]] + j]
+    first = np.cumsum(counts) - counts
+    rows = np.arange(lengths.sum()) + np.repeat(first[perm] - (ends - lengths), lengths)
+    batches = by_pair[rows]
+    batches[:, 0] = np.repeat(np.arange(len(perm)) % batch_size, lengths)
+    pairs_done = np.minimum(np.arange(0, len(perm) + batch_size, batch_size), len(perm))
+    return batches, np.concatenate(([0], ends))[pairs_done]
 
 
 def _apply_sgd_step(

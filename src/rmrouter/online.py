@@ -1,12 +1,15 @@
 """Online reward-model selection via per-pair Thompson sampling.
 
 Each candidate model is a bandit arm holding a Gaussian belief over a linear
-weight vector.  One step works on arrays: :func:`route_batch` draws, for
-every context row and arm, the score of an independent weight sample, and
-picks the argmax; ties resolve to the lowest arm index.
-:func:`observe_feedback` groups the rows by chosen arm and applies one
-conjugate update per arm (:func:`rmrouter.gaussian.posterior_update`),
-leaving unchosen arms untouched.
+weight vector; a router state keeps the N beliefs as one stack
+(:class:`rmrouter.gaussian.Beliefs`).  One step works on arrays:
+:func:`route_batch` draws, for every context row and arm, the score of an
+independent weight sample from one stacked product and one (N, B) normal
+draw, and picks the argmax; ties resolve to the lowest arm index.
+:func:`observe_feedback` hands the step's rows and chosen arms to one
+:func:`rmrouter.gaussian.posterior_update`, which updates each chosen arm
+with its rows through one block-diagonal factorization per window and
+leaves the others' beliefs as they were, bit for bit.
 
 Also provided: a LinUCB baseline (:func:`route_linucb`, :func:`update_linucb`),
 the zero-prior state (prior and noise variance 1) routed on a UCB score
@@ -30,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, DimError, FormatError, InputError
 from .gaussian import (
     ArmPosterior,
+    Beliefs,
     make_prior,
     posterior_from_dict,
     posterior_to_dict,
@@ -64,37 +68,33 @@ class RouterConfig:
 
 @dataclass
 class OnlineRouterState:
-    """Per-arm beliefs plus the step counter; treat instances as immutable."""
+    """Stacked arm beliefs plus the step counter; treat instances as immutable."""
 
-    arms: list[ArmPosterior]
+    beliefs: Beliefs
     config: RouterConfig
     step: int = 0
     selection_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not self.arms:
-            raise ConfigError("router needs at least one arm")
-        d = self.arms[0].d
-        noise = self.arms[0].noise_variance
-        for arm in self.arms:
-            if arm.d != d:
-                raise DimError("all arms must share one dimension")
-            if arm.noise_variance != noise:
-                raise ConfigError("all arms must share one noise variance")
         if self.selection_counts is None:
-            self.selection_counts = np.zeros(len(self.arms), dtype=np.int64)
+            self.selection_counts = np.zeros(self.n_arms, dtype=np.int64)
         else:
             self.selection_counts = np.asarray(self.selection_counts, dtype=np.int64)
-            if self.selection_counts.shape != (len(self.arms),):
+            if self.selection_counts.shape != (self.n_arms,):
                 raise DimError("selection_counts length must equal the number of arms")
 
     @property
+    def arms(self) -> list[ArmPosterior]:
+        """Per-arm views of the stack (:attr:`rmrouter.gaussian.Beliefs.arms`)."""
+        return self.beliefs.arms
+
+    @property
     def n_arms(self) -> int:
-        return len(self.arms)
+        return self.beliefs.n_arms
 
     @property
     def d(self) -> int:
-        return self.arms[0].d
+        return self.beliefs.d
 
 
 def init_router(
@@ -127,7 +127,7 @@ def init_router(
             raise ConfigError("offline_prior is only valid with prior_mode='injected'")
         means = [np.zeros(d) for _ in range(n_arms)]
     arms = [make_prior(d, mean, prior_variance, sigma_sq) for mean in means]
-    return OnlineRouterState(arms=arms, config=config)
+    return OnlineRouterState(Beliefs.stack(arms), config)
 
 
 def _checked_contexts(state: OnlineRouterState, contexts) -> np.ndarray:
@@ -148,10 +148,7 @@ def route_batch(
     for a given generator state; each row picks its argmax, lowest arm on ties.
     Does not mutate the state.
     """
-    contexts = _checked_contexts(state, contexts)
-    scores = np.empty((contexts.shape[0], state.n_arms))
-    for n, arm in enumerate(state.arms):
-        scores[:, n] = sample_scores(arm, contexts, rng)
+    scores = sample_scores(state.beliefs, _checked_contexts(state, contexts), rng)
     return np.argmax(scores, axis=1), scores
 
 
@@ -164,30 +161,19 @@ def observe_feedback(
     """Update each arm once with the rows routed to it.
 
     Row i of ``contexts`` was routed to arm ``chosen[i]`` and earned
-    ``rewards[i]``.  The step is checked once, then each arm sees its rows in
-    batch order.  Arms that received no row keep their exact posterior objects.
+    ``rewards[i]``.  One :func:`rmrouter.gaussian.posterior_update`, which
+    checks the shapes and the arm range, gives each arm its rows in batch
+    order.  Arms that received no row keep their beliefs bit for bit.  A
+    non-finite row raises InputError before any arm changes.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     chosen = np.asarray(chosen, dtype=np.int64)
     rewards = np.asarray(rewards, dtype=np.float64)
-    n, d = len(chosen), state.d
-    if chosen.shape != (n,) or rewards.shape != (n,) or contexts.shape != (n, d):
-        raise DimError(f"shapes {contexts.shape}, {chosen.shape}, {rewards.shape} vs d={d}")
     if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
         raise InputError("observation contexts and rewards must be finite")
-    # rows stably sorted by arm: arm n's are rows[ends[n]:ends[n + 1]]
-    rows = np.argsort(chosen, kind="stable")
-    if n and not 0 <= chosen[rows[0]] <= chosen[rows[-1]] < state.n_arms:
-        raise InputError(f"chosen arms must lie in [0, {state.n_arms})")
-    ends = np.searchsorted(chosen[rows], np.arange(state.n_arms + 1))
-    new_arms = [
-        posterior_update(arm, contexts[rows[lo:hi]], rewards[rows[lo:hi]]) if hi > lo else arm
-        for arm, lo, hi in zip(state.arms, ends[:-1], ends[1:])
-    ]
+    beliefs = posterior_update(state.beliefs, contexts, rewards, chosen)
     counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
-    return OnlineRouterState(
-        arms=new_arms, config=state.config, step=state.step + 1, selection_counts=counts
-    )
+    return OnlineRouterState(beliefs, state.config, state.step + 1, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +194,8 @@ def route_linucb(
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     contexts = _checked_contexts(state, contexts)
     points = contexts if per_pair else contexts.mean(axis=0)[None]
-    scores = np.empty((len(points), state.n_arms))
-    for n, arm in enumerate(state.arms):
-        means, variances = score_moments(arm, points)
-        scores[:, n] = means + alpha * np.sqrt(variances)
+    means, variances = score_moments(state.beliefs, points)
+    scores = means + alpha * np.sqrt(variances)
     if not per_pair:
         scores = np.tile(scores, (len(contexts), 1))
     return np.argmax(scores, axis=1), scores
@@ -257,9 +241,7 @@ def route_weighted_score(
     if offline_model.bt_embeddings.shape != (zero_prior_state.n_arms, zero_prior_state.d):
         raise DimError("offline model and online state disagree on the arms or dimension")
     offline = contexts @ offline_model.bt_embeddings.T
-    sampled = np.column_stack(
-        [sample_scores(arm, contexts, rng) for arm in zero_prior_state.arms]
-    )
+    sampled = sample_scores(zero_prior_state.beliefs, contexts, rng)
     mixed = alpha * softmax(offline) + (1.0 - alpha) * softmax(sampled)
     return np.argmax(mixed, axis=1)
 
@@ -299,7 +281,7 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
             prior_mode=cfg["prior_mode"],
         )
         return OnlineRouterState(
-            arms=[posterior_from_dict(arm) for arm in doc["arms"]],
+            Beliefs.stack([posterior_from_dict(arm) for arm in doc["arms"]]),
             config=config,
             step=int_field(doc["step"], "step", FormatError, minimum=0),
             selection_counts=[

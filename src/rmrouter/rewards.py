@@ -13,7 +13,7 @@ In the replay harness, :func:`surrogate_pair_loss` stands in for the losses.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,25 +64,26 @@ def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
 class RewardHistory:
     """Record of past centered rewards used for quantile scaling.
 
-    Values are kept twice as float64 arrays: in insertion order (for
-    :attr:`values`) and sorted (for :meth:`quantile_bounds`).  Appending a
-    step of B values to a history of H costs O(H + B log B); reading the
-    bounds costs O(1).
+    Values are kept twice: in insertion order as one float64 array per step
+    (joined when :attr:`values` is read) and as one sorted array (for
+    :meth:`quantile_bounds`).  Appending a step of B values to a history of H
+    costs O(H + B log B): a stable sort of the sorted history followed by the
+    step sorts the step and merges the two runs.  Reading the bounds costs O(1).
 
     Single writer: within a step, quantile reads must happen before the
     step's own rewards are appended (see :func:`normalize_step_rewards`).
     """
 
-    def __init__(self, values: Iterable[float] = ()) -> None:
+    def __init__(self, values: Sequence[float] | np.ndarray = ()) -> None:
         self.degenerate_events = 0
-        self._order = np.empty(0, dtype=np.float64)
-        self._sorted = self._order
+        self._steps: list[np.ndarray] = []
+        self._sorted = np.empty(0, dtype=np.float64)
         self.extend(values)
 
     @property
     def values(self) -> list[float]:
         """The recorded values, oldest first (a copy)."""
-        return self._order.tolist()
+        return np.concatenate(self._steps).tolist() if self._steps else []
 
     @property
     def sorted_values(self) -> np.ndarray:
@@ -94,19 +95,17 @@ class RewardHistory:
     def append(self, value: float) -> None:
         self.extend((value,))
 
-    def extend(self, values: Iterable[float]) -> None:
+    def extend(self, values: Sequence[float] | np.ndarray) -> None:
         """Validate a whole step, then merge it in; either all values land or none."""
-        new = np.fromiter(values, dtype=np.float64)
-        if not np.isfinite(new).all():
-            raise InputError("reward history values must be finite")
-        new_sorted = np.sort(new)
-        self._sorted = np.insert(
-            self._sorted, np.searchsorted(self._sorted, new_sorted), new_sorted
-        )
-        self._order = np.concatenate((self._order, new))
+        new = np.array(values, dtype=np.float64)  # a copy: the caller may reuse its array
+        if new.ndim != 1 or not np.isfinite(new).all():
+            raise InputError("reward history values must be a vector of finite numbers")
+        # the stable sort (timsort) merges the sorted history with the step's run
+        self._sorted = np.sort(np.concatenate((self._sorted, new)), kind="stable")
+        self._steps.append(new)
 
     def __len__(self) -> int:
-        return self._order.shape[0]
+        return self._sorted.shape[0]
 
     def quantile_bounds(self) -> tuple[float, float]:
         """(20th, 80th) percentiles by linear interpolation of order statistics."""

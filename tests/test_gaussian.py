@@ -12,6 +12,7 @@ from rmrouter.errors import ConfigError, DimError, InputError, NonPSDError, Nume
 from rmrouter.gaussian import (
     GAIN_ROWS,
     ArmPosterior,
+    Beliefs,
     make_prior,
     posterior_from_dict,
     posterior_to_dict,
@@ -23,6 +24,8 @@ from rmrouter.gaussian import (
     score_moments,
 )
 from rmrouter.serialize import dumps_doc
+
+import per_arm
 
 
 def random_spd(rng, d, scale=1.0):
@@ -462,3 +465,108 @@ class TestUncheckedUpdateResult:
                 assert type(ours) is type(theirs)
                 assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
             post = updated
+
+
+def random_beliefs(rng, n_arms, d, noise):
+    """A stack of N random beliefs: unit-scale means, covariances with largest
+    eigenvalue at most 2."""
+    arms = []
+    for _ in range(n_arms):
+        cov = random_spd(rng, d)
+        cov = rng.uniform(0.01, 2.0) * (cov + cov.T) / (2 * np.linalg.eigvalsh(cov)[-1])
+        arms.append(ArmPosterior(rng.standard_normal(d), cov, noise, int(rng.integers(0, 5))))
+    return Beliefs.stack(arms)
+
+
+class TestStackedBeliefs:
+    """The stacked update and scores against ``per_arm``'s arm-by-arm loops."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        n_arms=st.integers(1, 6),
+        d=st.integers(1, 8),
+        k=st.integers(0, 3 * GAIN_ROWS),
+        assignment=st.sampled_from(["random", "one arm", "skip arms"]),
+        noise=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_update_equals_per_arm_fold(self, n_arms, d, k, assignment, noise, seed):
+        # one arm may take every row (more than GAIN_ROWS of them, split over
+        # windows), and some arms may get none
+        rng = np.random.default_rng(seed)
+        beliefs = random_beliefs(rng, n_arms, d, noise)
+        contexts = rng.standard_normal((k, d)) / np.sqrt(d)
+        rewards = rng.standard_normal(k)
+        if assignment == "one arm":
+            arms = np.full(k, rng.integers(0, n_arms))
+        elif assignment == "skip arms":
+            arms = rng.choice(np.arange(0, n_arms, 2), size=k)
+        else:
+            arms = rng.integers(0, n_arms, k)
+        updated = posterior_update(beliefs, contexts, rewards, arms)
+        means, covariances = per_arm.fold(
+            beliefs.means, beliefs.covariances, noise, contexts, rewards, arms
+        )
+        counts = np.bincount(arms, minlength=n_arms)
+        assert np.array_equal(updated.update_counts, beliefs.update_counts + counts)
+        for n in range(n_arms):
+            if not counts[n]:  # bit for bit, not re-symmetrized
+                assert updated.means[n].tobytes() == beliefs.means[n].tobytes()
+                assert updated.covariances[n].tobytes() == beliefs.covariances[n].tobytes()
+                continue
+            pairs = ((updated.means[n], means[n]), (updated.covariances[n], covariances[n]))
+            for ours, want in pairs:
+                assert np.max(np.abs(ours - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n_arms=st.integers(1, 6),
+        d=st.integers(1, 8),
+        b=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_equal_per_arm_scores(self, n_arms, d, b, seed):
+        rng = np.random.default_rng(seed)
+        beliefs = random_beliefs(rng, n_arms, d, 1.0)
+        contexts = rng.standard_normal((b, d))
+        means, variances = score_moments(beliefs, contexts)
+        want_means, want_variances = per_arm.score_moments(
+            beliefs.means, beliefs.covariances, contexts
+        )
+        assert np.allclose(means, want_means, rtol=1e-12, atol=1e-12)
+        assert np.allclose(variances, want_variances, rtol=1e-12, atol=1e-12)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        scores = sample_scores(beliefs, contexts, ours)
+        want = per_arm.sample_scores(beliefs.means, beliefs.covariances, contexts, theirs)
+        assert np.allclose(scores, want, rtol=1e-12, atol=1e-12)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_views_read_the_stack(self):
+        beliefs = random_beliefs(np.random.default_rng(8), 3, 4, 0.5)
+        assert beliefs.arms is beliefs.arms  # built once
+        for n, arm in enumerate(beliefs.arms):
+            assert np.shares_memory(arm.mean, beliefs.means)
+            assert np.shares_memory(arm.covariance, beliefs.covariances)
+            assert arm.noise_variance == 0.5 and arm.update_count == beliefs.update_counts[n]
+
+    def test_stack_needs_one_dimension_and_noise(self):
+        with pytest.raises(ConfigError):
+            Beliefs.stack([])
+        with pytest.raises(DimError):
+            Beliefs.stack([make_prior(2), make_prior(3)])
+        with pytest.raises(ConfigError):
+            Beliefs.stack([make_prior(2), make_prior(2, noise_variance=0.5)])
+
+    def test_innovation_failure_names_the_arm(self):
+        # arm 2's covariance is indefinite along its row (an unchecked belief, as
+        # a loaded or corrupted state could hold): its block of the second
+        # window's innovation, 1 + h.cov.h = -1, fails even after the jitter, and
+        # the failing pivot, a sorted row of that window, maps back to arm 2
+        good = make_prior(2)
+        bad = ArmPosterior._updated(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 0)
+        beliefs = Beliefs.stack([good, good, bad, good])
+        arms = np.array([2] + [0] * 40 + [1] * 30 + [3] * 5)
+        contexts = np.random.default_rng(9).standard_normal((len(arms), 2))
+        contexts[0] = [1.0, -1.0]
+        with pytest.raises(NumericalError, match="innovation of arm 2 does not factor"):
+            posterior_update(beliefs, contexts, np.zeros(len(arms)), arms)

@@ -12,6 +12,7 @@ from rmrouter.offline import (
     OfflineRouterModel,
     TrainConfig,
     _epoch_batches,
+    _pair_rows,
     collect_behavior,
     export_prior,
     extract_disagreements,
@@ -370,7 +371,7 @@ class TestEpochBatches:
             [rng.integers(0, n_pairs, n_rows), np.arange(n_rows), rng.integers(0, 2, n_rows)]
         )
         perm = rng.permutation(n_pairs)
-        batches, cuts = _epoch_batches(perm, batch_size, index)
+        batches, cuts = _epoch_batches(perm, batch_size, _pair_rows(index, n_pairs))
         expected = partition_reference(perm, batch_size, [tuple(r) for r in index])
         assert len(cuts) == len(expected) + 1
         assert cuts[0] == 0 and cuts[-1] == n_rows
@@ -380,7 +381,7 @@ class TestEpochBatches:
 
     def test_short_last_batch_and_pairs_without_rows(self):
         index = np.array([[4, 0, 1], [1, 1, 0], [4, 2, 0], [0, 3, 1]])
-        batches, cuts = _epoch_batches(np.array([4, 2, 3, 0, 1]), 2, index)
+        batches, cuts = _epoch_batches(np.array([4, 2, 3, 0, 1]), 2, _pair_rows(index, 5))
         assert cuts.tolist() == [0, 2, 3, 4]
         # batch 0 = pairs (4, 2): pair 4's two records; batch 1 = (3, 0); batch 2 = (1,)
         assert batches.tolist() == [[0, 0, 1], [0, 2, 0], [1, 3, 1], [0, 1, 0]]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, DimError, FormatError, InputError
-from rmrouter.gaussian import ArmPosterior, posterior_from_dict
+from rmrouter.gaussian import ArmPosterior, Beliefs, posterior_from_dict
 from rmrouter.offline import OfflineRouterModel, model_from_dict
 from rmrouter.online import (
     OnlineRouterState,
@@ -21,6 +21,7 @@ from rmrouter.online import (
 )
 from rmrouter.serialize import dumps_doc
 
+import per_arm
 from ridge import RidgeReference
 
 
@@ -34,7 +35,7 @@ def degenerate_state(means, sigma_sq=1.0):
         )
         for m in means
     ]
-    return OnlineRouterState(arms=arms, config=RouterConfig(sigma_sq=sigma_sq))
+    return OnlineRouterState(Beliefs.stack(arms), RouterConfig(sigma_sq=sigma_sq))
 
 
 class TestInitRouter:
@@ -134,8 +135,9 @@ class TestObserveFeedback:
     def test_only_routed_arm_changes(self):
         state = init_router(3, 2)
         new = observe_feedback(state, np.array([[1.0, 0.0]] * 4), [1] * 4, np.ones(4))
-        assert new.arms[0] is state.arms[0]
-        assert new.arms[2] is state.arms[2]
+        for n in (0, 2):
+            assert new.arms[n].mean.tobytes() == state.arms[n].mean.tobytes()
+            assert new.arms[n].covariance.tobytes() == state.arms[n].covariance.tobytes()
         assert not np.array_equal(new.arms[1].mean, state.arms[1].mean)
         assert new.step == 1
         assert list(new.selection_counts) == [0, 4, 0]
@@ -432,3 +434,63 @@ class TestStatePersistence:
         back = state_from_dict(state_to_dict(state))
         assert list(back.selection_counts) == [0, 1]
         assert back.step == 1
+
+
+class TestStackedRouting:
+    """Every router scores all arms from one stacked product and draws in one
+    call; ``per_arm`` scores and draws arm by arm."""
+
+    def random_state(self, rng, n_arms, d):
+        state = init_router(n_arms, d, "injected", rng.standard_normal((n_arms, d)), 0.7, 0.5)
+        contexts = rng.standard_normal((4 * n_arms, d))
+        return observe_feedback(
+            state, contexts, rng.integers(0, n_arms, len(contexts)),
+            rng.standard_normal(len(contexts)),
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n_arms=st.integers(1, 6),
+        d=st.integers(1, 6),
+        b=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_thompson_and_weighted_match_per_arm_draws(self, n_arms, d, b, seed):
+        rng = np.random.default_rng(seed)
+        state = self.random_state(rng, n_arms, d)
+        beliefs = state.beliefs
+        contexts = rng.standard_normal((b, d))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        chosen, scores = route_batch(state, contexts, ours)
+        want = per_arm.sample_scores(beliefs.means, beliefs.covariances, contexts, theirs)
+        assert np.allclose(scores, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(chosen, np.argmax(want, axis=1))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        model = TestWeightedScore().make_offline(rng, n_arms, d)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        mixed = route_weighted_score(model, state, contexts, 0.5, ours)
+        want = per_arm.sample_scores(beliefs.means, beliefs.covariances, contexts, theirs)
+        offline = contexts @ model.bt_embeddings.T
+        assert np.array_equal(mixed, np.argmax(0.5 * softmax(offline) + 0.5 * softmax(want), 1))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n_arms=st.integers(1, 6),
+        d=st.integers(1, 6),
+        b=st.integers(1, 16),
+        per_pair=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linucb_matches_per_arm_moments(self, n_arms, d, b, per_pair, seed):
+        rng = np.random.default_rng(seed)
+        state = self.random_state(rng, n_arms, d)
+        contexts = rng.standard_normal((b, d))
+        chosen, scores = route_linucb(state, contexts, 0.7, per_pair)
+        points = contexts if per_pair else contexts.mean(axis=0)[None]
+        means, variances = per_arm.score_moments(
+            state.beliefs.means, state.beliefs.covariances, points
+        )
+        want = np.broadcast_to(means + 0.7 * np.sqrt(variances), scores.shape)
+        assert np.allclose(scores, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(chosen, np.argmax(want, axis=1))
