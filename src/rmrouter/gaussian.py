@@ -263,9 +263,9 @@ def posterior_update(
     k rows cost O(k d^2).  Arms without rows keep their rows of the stack bit
     for bit; k = 0 returns ``beliefs`` itself.  The result equals the per-arm
     fold of single-row updates up to rounding.  Shapes and the arm range are
-    checked up front, and the result only for finite fields and a positive
-    diagonal: a non-finite row, an overflow or an innovation that does not
-    factor (the arm is named) raises NumericalError.
+    checked up front, and the updated arms only for finite fields and a
+    positive diagonal: a non-finite row, an overflow or an innovation that
+    does not factor (the arm is named) raises NumericalError.
     """
     if isinstance(beliefs, ArmPosterior):  # the N = 1 case
         rewards = np.asarray(rewards, dtype=np.float64)
@@ -322,8 +322,10 @@ def posterior_update(
         means[list(present)] += np.add.reduceat(w * v[:, None], firsts)
         for n, lo, hi in blocks:  # A^T @ A runs as syrk: symmetric bit for bit
             covariances[n] -= w[lo:hi].T @ w[lo:hi]
-    finite = np.isfinite(means).all() and np.isfinite(covariances).all()
-    if not (finite and (covariances.diagonal(axis1=1, axis2=2) > 0.0).all()):
+    # only arms with rows changed: scan the arms from the lowest to the highest of them
+    changed = slice(arms[0], arms[-1] + 1)
+    finite = np.isfinite(means[changed]).all() and np.isfinite(covariances[changed]).all()
+    if not (finite and (covariances[changed].diagonal(axis1=1, axis2=2) > 0.0).all()):
         raise NumericalError("update gives a non-finite belief or a non-positive variance")
     counts = np.bincount(arms, minlength=beliefs.n_arms)
     return Beliefs(means, covariances, beliefs.noise_variance, beliefs.update_counts + counts)

@@ -164,33 +164,38 @@ def loss_and_grads(
 
     # Both heads are read from per-pair score matrices (P x N) and take their
     # gradients through a score gradient G accumulated per (row, arm) cell:
-    # grad_E = G^T H and grad_h = G E, with no scatter over index rows.
+    # grad_E = G^T H and grad_h = G E, with no scatter over index rows.  A
+    # head's flat cell indices row * N + arm serve its gather from the raveled
+    # scores and its bincount into G alike.
     n_rows, n_arms = h_all.shape[0], model.n_arms
     cells = n_rows * n_arms
 
     loss_bt = 0.0
-    g_bt = np.zeros((n_rows, n_arms))
     if len(bt_index):
         rows, winners, losers = bt_index.T
-        scores = h_all @ model.bt_embeddings.T
-        margin = scores[rows, winners] - scores[rows, losers]
+        at = rows * n_arms
+        at_winner, at_loser = at + winners, at + losers
+        scores = (h_all @ model.bt_embeddings.T).ravel()
+        margin = scores[at_winner] - scores[at_loser]
         loss_bt = float(np.mean(np.logaddexp(0.0, -margin)))
         g = (expit(margin) - 1.0) / len(bt_index)
-        at = rows * n_arms
-        g_bt = np.bincount(at + winners, g, cells) - np.bincount(at + losers, g, cells)
+        g_bt = np.bincount(at_winner, g, cells) - np.bincount(at_loser, g, cells)
         g_bt = g_bt.reshape(n_rows, n_arms)
+    else:
+        g_bt = np.zeros((n_rows, n_arms))
 
     loss_cls = 0.0
-    g_cls = np.zeros((n_rows, n_arms))
     if len(beh_index):
         rows, rms, delta = beh_index.T
-        z = (h_all @ model.cls_embeddings.T)[rows, rms]
-        loss_cls = float(
-            np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
-        )
-        if lam != 0.0:
-            gz = lam * (expit(z) - delta) / len(beh_index)
-            g_cls = np.bincount(rows * n_arms + rms, gz, cells).reshape(n_rows, n_arms)
+        at = rows * n_arms + rms
+        z = (h_all @ model.cls_embeddings.T).ravel()[at]
+        # delta * softplus(-z) + (1 - delta) * softplus(z), bit for bit for 0/1 bits
+        loss_cls = float(np.mean(np.logaddexp(0.0, np.where(delta, -z, z))))
+    if len(beh_index) and lam != 0.0:
+        gz = lam * (expit(z) - delta) / len(beh_index)
+        g_cls = np.bincount(at, gz, cells).reshape(n_rows, n_arms)
+    else:
+        g_cls = np.zeros((n_rows, n_arms))
 
     grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
 
@@ -303,7 +308,7 @@ def _epoch_batches(
     # row j of pair perm[i]'s range comes from by_pair[first[perm[i]] + j]
     first = np.cumsum(counts) - counts
     rows = np.arange(lengths.sum()) + np.repeat(first[perm] - (ends - lengths), lengths)
-    batches = by_pair[rows]
+    batches = np.take(by_pair, rows, axis=0)
     batches[:, 0] = np.repeat(np.arange(len(perm)) % batch_size, lengths)
     pairs_done = np.minimum(np.arange(0, len(perm) + batch_size, batch_size), len(perm))
     return batches, np.concatenate(([0], ends))[pairs_done]

@@ -570,3 +570,12 @@ class TestStackedBeliefs:
         contexts[0] = [1.0, -1.0]
         with pytest.raises(NumericalError, match="innovation of arm 2 does not factor"):
             posterior_update(beliefs, contexts, np.zeros(len(arms)), arms)
+
+    @pytest.mark.parametrize("arm", [0, 2, 3])
+    def test_overflowing_mean_of_the_only_updated_arm_raises(self, arm):
+        # h.cov.h = sigma^2 = 1 and the solve stays finite, but the gain
+        # cov h / 2 = 5e9 takes the mean past the float range; the result check
+        # scans the arms that took rows: the lowest, a middle and the highest
+        beliefs = Beliefs.stack([make_prior(2, prior_variance=1e20)] * 4)
+        with pytest.raises(NumericalError, match="non-finite"), np.errstate(over="ignore"):
+            posterior_update(beliefs, [[1e-10, 0.0]], [1e308], [arm])

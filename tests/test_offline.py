@@ -12,6 +12,7 @@ from rmrouter.offline import (
     OfflineRouterModel,
     TrainConfig,
     _epoch_batches,
+    _head_inputs,
     _pair_rows,
     collect_behavior,
     export_prior,
@@ -344,6 +345,35 @@ class TestScoreSpaceGradients:
         for name, value in ref_grads.items():
             assert rel_err(grads[name], value) < 1e-12, name
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n_arms=st.integers(1, 5),
+        n_rows=st.integers(1, 6),
+        n_beh=st.integers(1, 20),
+        with_fusion=st.booleans(),
+        lam=st.sampled_from([0.0, 0.2]),
+        log_scale=st.integers(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cls_loss_equals_two_term_blend(
+        self, n_arms, n_rows, n_beh, with_fusion, lam, log_scale, seed
+    ):
+        # one softplus of +-z per row is the two-term blend, bit for bit, for
+        # 0/1 bits, also where the logits are large enough to saturate it
+        rng = np.random.default_rng(seed)
+        d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
+        model.cls_embeddings *= 10.0**log_scale
+        contexts = rng.standard_normal((n_rows, 2 * d_enc if with_fusion else d))
+        beh = np.column_stack(
+            [rng.integers(0, n_rows, n_beh), rng.integers(0, n_arms, n_beh), rng.integers(0, 2, n_beh)]
+        )
+        rows, rms, delta = beh.T
+        z = (_head_inputs(model, contexts) @ model.cls_embeddings.T)[rows, rms]
+        blend = np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
+        losses, _ = loss_and_grads(model, contexts, np.empty((0, 3), np.int64), beh)
+        assert losses["cls"] == float(blend)
+
 
 def partition_reference(perm, batch_size, index):
     """Minibatch k: index rows whose pair is in perm[k*bs:(k+1)*bs], perm then record order."""
@@ -378,6 +408,31 @@ class TestEpochBatches:
         for k, rows in enumerate(expected):
             got = [tuple(r) for r in batches[cuts[k] : cuts[k + 1]]]
             assert got == rows, k
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n_pairs=st.integers(1, 30),
+        batch_size=st.integers(1, 9),
+        n_rows=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_equals_fancy_index(self, n_pairs, batch_size, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        index = np.column_stack(
+            [rng.integers(0, n_pairs, n_rows), rng.integers(0, 9, n_rows), rng.integers(0, 2, n_rows)]
+        )
+        pair_rows = _pair_rows(index, n_pairs)
+        by_pair = pair_rows[0].copy()
+        perm = rng.permutation(n_pairs)
+        batches, _ = _epoch_batches(perm, batch_size, pair_rows)
+        # the 2-D fancy-index gather of each pair's rows, in perm order
+        want = by_pair[np.concatenate([np.flatnonzero(by_pair[:, 0] == p) for p in perm])]
+        lengths = np.bincount(index[:, 0], minlength=n_pairs)[perm]
+        want[:, 0] = np.repeat(np.arange(n_pairs) % batch_size, lengths)
+        assert batches.dtype == want.dtype and batches.shape == want.shape
+        assert np.array_equal(batches, want)
+        # the minibatch offsets are written into a copy, not the sorted rows
+        assert np.array_equal(pair_rows[0], by_pair)
 
     def test_short_last_batch_and_pairs_without_rows(self):
         index = np.array([[4, 0, 1], [1, 1, 0], [4, 2, 0], [0, 3, 1]])

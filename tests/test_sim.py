@@ -779,6 +779,21 @@ class TestArrayRewardsMatchPerPairForms:
 
     @settings(deadline=None, max_examples=60)
     @given(
+        bits=st.lists(st.booleans(), min_size=0, max_size=130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_equals_generator_normal(self, bits, seed):
+        # mean + std * z from standard normals is what Generator.normal forms:
+        # the same values and the same generator state afterwards
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        means = np.where(bits, SURROGATE_CORRECT_MEAN, SURROGATE_INCORRECT_MEAN)
+        got = surrogate_pair_loss(np.array(bits, dtype=bool), rng_a)
+        want = rng_b.normal(means, SURROGATE_STD)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(deadline=None, max_examples=60)
+    @given(
         steps=st.lists(
             st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12),
             min_size=1,
