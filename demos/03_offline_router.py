@@ -3,7 +3,8 @@
 A synthetic pool of four reward models is profiled on a labelled corpus: a
 (pairs x models) matrix of correctness bits.  Pairs where one model is right
 and another wrong become (row, winner, loser) rows that train the pairwise
-ranking head; every bit trains the auxiliary per-model classifier.  Routing
+ranking head; the auxiliary per-model classifier trains on every bit of the
+matrix as it stands.  Routing
 picks the argmax ranking score, and the ranking matrix is exported as the
 online router's prior.
 """
@@ -38,9 +39,9 @@ scenario = SimScenario(
 dataset = generate_scenario(scenario, 0)
 
 correct = dataset.offline.correct  # (pairs, models) correctness bits
-bt_index, beh_index = extract_disagreements(correct)
+bt_index = extract_disagreements(correct)
 per_arm = {n: round(float(acc), 3) for n, acc in enumerate(correct.mean(axis=0))}
-print(f"offline corpus: {dataset.offline.n} pairs, {len(beh_index)} behavior bits")
+print(f"offline corpus: {dataset.offline.n} pairs, {correct.size} behavior bits")
 print("per-model marginal accuracy:", per_arm)
 print(f"disagreement samples for the ranking head: {len(bt_index)}")
 

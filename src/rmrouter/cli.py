@@ -41,7 +41,6 @@ from .features import (
 from .offline import (
     TrainConfig,
     export_prior,
-    extract_disagreements,
     load_behavior,
     load_model,
     model_from_dict,
@@ -165,9 +164,8 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
             raise InputError(f"no embedding for pair(s) {missing[:3]}...")
         contexts = np.stack([embeddings[p.pair_id].vector for p in pairs])
 
-    bt_index, beh_index = extract_disagreements(correct[train], observed[train])
     result = train_offline(
-        contexts[train], bt_index, beh_index, correct.shape[1], config, fused=embeddings is None
+        contexts[train], correct[train], observed[train], config, fused=embeddings is None
     )
     model = result.model
 

@@ -2,13 +2,13 @@
 
 Each candidate reward model is profiled on a labelled preference dataset,
 giving a (P, N) matrix of correctness bits, one per (pair, model), and a
-mask of the cells that have a bit.  :func:`extract_disagreements` turns the
-matrix into two index arrays: (row, winner, loser) wherever one model is
-right and another wrong, for a pairwise logistic ranking head, and
-(row, model, bit) for every bit, for an auxiliary per-model binary
-classifier.  Both heads are linear in the pair embedding: score = <h, E[n]>
-with one embedding row per model.  Routing takes the argmax of the ranking
-head, whose embedding matrix doubles as the prior for the online router.
+mask of the cells that have a bit.  Every observed bit trains an auxiliary
+per-model binary classifier, read straight from the matrix.
+:func:`extract_disagreements` lists the (row, winner, loser) triples wherever
+one model is right and another wrong, for a pairwise logistic ranking head.
+Both heads are linear in the pair embedding: score = <h, E[n]> with one
+embedding row per model.  Routing takes the argmax of the ranking head, whose
+embedding matrix doubles as the prior for the online router.
 
 :func:`train_offline` minimizes ranking_loss + lam * classifier_loss over one
 context row per pair with mini-batch gradient descent and decoupled weight
@@ -40,24 +40,19 @@ def collect_behavior(answers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (answers == labels[:, None]).astype(np.uint8)
 
 
-def extract_disagreements(
-    correct: np.ndarray, observed: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (bt, beh) index arrays of :func:`loss_and_grads` for a (P, N) bit matrix.
+def extract_disagreements(correct: np.ndarray, observed: np.ndarray | None = None) -> np.ndarray:
+    """The ranking head's (row, winner, loser) int64 rows for a (P, N) bit matrix.
 
     ``observed`` masks the cells that have a bit; None means all of them.
-    ``beh`` rows are (row, rm, correct) for every observed cell, row-major.
-    ``bt`` rows are (row, winner, loser) for every observed right winner and
-    observed wrong loser of a row, row-major, so winners then losers ascend.
+    There is one row for every observed right winner and observed wrong loser
+    of a pair row, row-major, so rows, then winners, then losers ascend.
     """
     right = correct.astype(bool)
-    if observed is None:
-        cells, bits, wrong = np.indices(right.shape).reshape(2, -1), correct.ravel(), ~right
-    else:
-        cells, bits, wrong = np.nonzero(observed), correct[observed], observed & ~right
+    wrong = ~right
+    if observed is not None:
+        wrong &= observed
         right &= observed
-    beh = np.column_stack([*cells, bits])
-    return np.argwhere(right[:, :, None] & wrong[:, None, :]), beh
+    return np.argwhere(right[:, :, None] & wrong[:, None, :])
 
 
 @dataclass
@@ -144,58 +139,55 @@ def _head_inputs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
 def loss_and_grads(
     model: OfflineRouterModel,
     contexts: np.ndarray,
-    bt_index: np.ndarray,
-    beh_index: np.ndarray,
+    bt_cells: np.ndarray,
+    bits: np.ndarray,
+    observed: np.ndarray,
     lam: float | None = None,
 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Mean losses and analytic gradients of the combined objective.
 
     ``contexts`` holds one row per pair: pre-fusion vectors when the model has
-    a fusion layer, final embeddings otherwise.  ``bt_index`` rows are
-    (pair_row, winner, loser); ``beh_index`` rows are (pair_row, rm, correct).
-    Returned gradients are for total = bt + lam * cls.
+    a fusion layer, final embeddings otherwise.  ``bits`` and ``observed`` are
+    those pairs' rows of the bit matrix and its mask; every observed cell is
+    one classifier term.  ``bt_cells`` is a (2, K) array: the flat winner and
+    loser cells ``row * N + arm`` of the K ranking rows.  Returned gradients
+    are for total = bt + lam * cls.
     """
     lam = model.lam if lam is None else float(lam)
     contexts = np.asarray(contexts, dtype=np.float64)
-    bt_index = np.asarray(bt_index, dtype=np.int64).reshape(-1, 3)
-    beh_index = np.asarray(beh_index, dtype=np.int64).reshape(-1, 3)
+    at_winner, at_loser = np.asarray(bt_cells, dtype=np.int64).reshape(2, -1)
 
     h_all = _head_inputs(model, contexts)
 
     # Both heads are read from per-pair score matrices (P x N) and take their
-    # gradients through a score gradient G accumulated per (row, arm) cell:
-    # grad_E = G^T H and grad_h = G E, with no scatter over index rows.  A
-    # head's flat cell indices row * N + arm serve its gather from the raveled
-    # scores and its bincount into G alike.
+    # gradients through a score gradient G per (row, arm) cell: grad_E = G^T H
+    # and grad_h = G E, with no scatter over index rows.  The ranking head
+    # gathers from the raveled scores at its flat cells and bincounts into G;
+    # the classifier reads and writes the observed cells, row-major.
     n_rows, n_arms = h_all.shape[0], model.n_arms
     cells = n_rows * n_arms
 
     loss_bt = 0.0
-    if len(bt_index):
-        rows, winners, losers = bt_index.T
-        at = rows * n_arms
-        at_winner, at_loser = at + winners, at + losers
+    if len(at_winner):
         scores = (h_all @ model.bt_embeddings.T).ravel()
         margin = scores[at_winner] - scores[at_loser]
-        loss_bt = float(np.mean(np.logaddexp(0.0, -margin)))
-        g = (expit(margin) - 1.0) / len(bt_index)
+        # sum / count is np.mean's own arithmetic, without its wrapper's overhead
+        loss_bt = float(np.logaddexp(0.0, -margin).sum() / len(margin))
+        g = (expit(margin) - 1.0) / len(margin)
         g_bt = np.bincount(at_winner, g, cells) - np.bincount(at_loser, g, cells)
         g_bt = g_bt.reshape(n_rows, n_arms)
     else:
         g_bt = np.zeros((n_rows, n_arms))
 
+    z = (h_all @ model.cls_embeddings.T)[observed]
+    delta = bits[observed]
     loss_cls = 0.0
-    if len(beh_index):
-        rows, rms, delta = beh_index.T
-        at = rows * n_arms + rms
-        z = (h_all @ model.cls_embeddings.T).ravel()[at]
+    if len(z):
         # delta * softplus(-z) + (1 - delta) * softplus(z), bit for bit for 0/1 bits
-        loss_cls = float(np.mean(np.logaddexp(0.0, np.where(delta, -z, z))))
-    if len(beh_index) and lam != 0.0:
-        gz = lam * (expit(z) - delta) / len(beh_index)
-        g_cls = np.bincount(at, gz, cells).reshape(n_rows, n_arms)
-    else:
-        g_cls = np.zeros((n_rows, n_arms))
+        loss_cls = float(np.logaddexp(0.0, np.where(delta, -z, z)).sum() / len(z))
+    g_cls = np.zeros((n_rows, n_arms))
+    if len(z) and lam != 0.0:
+        g_cls[observed] = lam * (expit(z) - delta) / len(z)
 
     grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
 
@@ -211,21 +203,25 @@ def loss_and_grads(
 
 def train_offline(
     contexts: np.ndarray,
-    bt_index: np.ndarray,
-    beh_index: np.ndarray,
-    n_arms: int,
+    correct: np.ndarray,
+    observed: np.ndarray | None,
     config: TrainConfig,
     fused: bool = False,
 ) -> TrainResult:
-    """Train on one context row per pair and the index arrays of :func:`loss_and_grads`.
+    """Train on one context row per pair and its row of the (P, N) bit matrix.
 
+    ``observed`` masks the cells that have a bit; None means all of them.
     With ``fused`` the rows are pre-fusion vectors and a fusion layer is
     trained as well.  Deterministic for a fixed config seed.  Raises
     :class:`TrainError` when no pair has both a correct and an incorrect
     model, since the ranking head then has no signal.
     """
+    if len(contexts) != len(correct):
+        raise DimError(f"{len(contexts)} context rows for {len(correct)} rows of bits")
+    bt_index = extract_disagreements(correct, observed)
     if not len(bt_index):
         raise TrainError("disagreement set is empty: ranking head has no signal")
+    observed = np.ones(correct.shape, dtype=bool) if observed is None else observed.astype(bool)
     rng = np.random.default_rng(config.seed)
     if fused:
         fusion = FusionParams.random_init(config.embed_dim, config.encoder_dim, rng, INIT_SCALE)
@@ -233,6 +229,7 @@ def train_offline(
     else:
         fusion, d = None, contexts.shape[1]
 
+    n_pairs, n_arms = correct.shape
     model = OfflineRouterModel(
         fusion=fusion,
         bt_embeddings=INIT_SCALE * rng.standard_normal((n_arms, d)),
@@ -243,28 +240,29 @@ def train_offline(
 
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
-    n_pairs, batch_size = len(contexts), config.batch_size
-    bt_rows, beh_rows = _pair_rows(bt_index, n_pairs), _pair_rows(beh_index, n_pairs)
+    batch_size = config.batch_size
+    bt_rows, n_bits = _pair_rows(bt_index, n_pairs), int(np.count_nonzero(observed))
     for epoch in range(config.epochs):
         perm = rng.permutation(n_pairs)
-        shuffled = contexts[perm]
-        bt_batches, bt_cuts = _epoch_batches(perm, batch_size, bt_rows)
-        beh_batches, beh_cuts = _epoch_batches(perm, batch_size, beh_rows)
+        shuffled, bits, mask = contexts[perm], correct[perm], observed[perm]
+        bt_cells, bt_cuts = _epoch_cells(perm, batch_size, bt_rows, n_arms)
         sums = {"bt": 0.0, "cls": 0.0}
         for k, start in enumerate(range(0, n_pairs, batch_size)):
-            batch_bt = bt_batches[bt_cuts[k] : bt_cuts[k + 1]]
-            batch_beh = beh_batches[beh_cuts[k] : beh_cuts[k + 1]]
-            if not len(batch_bt) and not len(batch_beh):
+            batch = slice(start, start + batch_size)
+            # a minibatch without bits has no ranking rows either
+            n_cls = int(np.count_nonzero(mask[batch]))
+            if not n_cls:
                 continue
+            batch_bt = bt_cells[:, bt_cuts[k] : bt_cuts[k + 1]]
             losses, grads = loss_and_grads(
-                model, shuffled[start : start + batch_size], batch_bt, batch_beh
+                model, shuffled[batch], batch_bt, bits[batch], mask[batch]
             )
             _apply_sgd_step(model, grads, velocity, config)
-            sums["bt"] += losses["bt"] * len(batch_bt)
-            sums["cls"] += losses["cls"] * len(batch_beh)
-        # every index row falls in exactly one minibatch, and neither set is empty
+            sums["bt"] += losses["bt"] * batch_bt.shape[1]
+            sums["cls"] += losses["cls"] * n_cls
+        # every ranking row and bit falls in exactly one minibatch
         epoch_bt = sums["bt"] / len(bt_index)
-        epoch_cls = sums["cls"] / len(beh_index)
+        epoch_cls = sums["cls"] / n_bits
         history.append(
             {
                 "epoch": epoch,
@@ -285,33 +283,35 @@ def train_offline(
 
 
 def _pair_rows(index: np.ndarray, n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """``index`` stably sorted by its pair (column 0), and the row count of each
-    of the ``n_pairs`` pairs: sorted once per training, read every epoch."""
-    by_pair = index[np.argsort(index[:, 0], kind="stable")]
+    """The (winner, loser) columns of the ranking rows ``index`` as a (2, K)
+    array, stably sorted by pair (column 0), and the row count of each of the
+    ``n_pairs`` pairs: sorted once per training, read every epoch."""
+    by_pair = index[np.argsort(index[:, 0], kind="stable"), 1:].T.copy()
     return by_pair, np.bincount(index[:, 0], minlength=n_pairs)
 
 
-def _epoch_batches(
-    perm: np.ndarray, batch_size: int, pair_rows: tuple[np.ndarray, np.ndarray]
+def _epoch_cells(
+    perm: np.ndarray, batch_size: int, pair_rows: tuple[np.ndarray, np.ndarray], n_arms: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Index rows grouped by the minibatch of their pair, and the cut points.
+    """Flat (winner, loser) cells of the ranking rows by minibatch, and the cut points.
 
-    ``pair_rows`` is :func:`_pair_rows` of the index.  Minibatch k covers the
-    pairs ``perm[k * batch_size : (k + 1) * batch_size]`` and holds
-    ``batches[cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order, then in
-    index order, with column 0 rewritten to the pair's offset inside the
-    minibatch.  The pairs' row ranges are concatenated in O(rows + pairs).
+    ``pair_rows`` is :func:`_pair_rows` of the ranking rows.  Minibatch k
+    covers the pairs ``perm[k * batch_size : (k + 1) * batch_size]`` and holds
+    ``cells[:, cuts[k] : cuts[k + 1]]``: its rows in ``perm`` order, then in
+    index order, each arm as the cell ``offset * n_arms + arm`` of the score
+    matrix, where ``offset`` is the pair's row inside the minibatch.  The
+    pairs' row ranges are concatenated in O(rows + pairs).
     """
     by_pair, counts = pair_rows
     lengths = counts[perm]
     ends = np.cumsum(lengths)
-    # row j of pair perm[i]'s range comes from by_pair[first[perm[i]] + j]
+    # row j of pair perm[i]'s range comes from by_pair[:, first[perm[i]] + j]
     first = np.cumsum(counts) - counts
     rows = np.arange(lengths.sum()) + np.repeat(first[perm] - (ends - lengths), lengths)
-    batches = np.take(by_pair, rows, axis=0)
-    batches[:, 0] = np.repeat(np.arange(len(perm)) % batch_size, lengths)
+    cells = np.take(by_pair, rows, axis=1)
+    cells += np.repeat(np.arange(len(perm)) % batch_size * n_arms, lengths)
     pairs_done = np.minimum(np.arange(0, len(perm) + batch_size, batch_size), len(perm))
-    return batches, np.concatenate(([0], ends))[pairs_done]
+    return cells, np.concatenate(([0], ends))[pairs_done]
 
 
 def _apply_sgd_step(

@@ -31,7 +31,6 @@ from .offline import (
     TrainConfig,
     TrainResult,
     collect_behavior,
-    extract_disagreements,
     train_offline,
 )
 from .online import (
@@ -407,9 +406,7 @@ def fit_offline_router(
         config = TrainConfig(
             lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
         )
-    bt_index, beh_index = extract_disagreements(dataset.offline.correct)
-    n_arms = dataset.scenario.n_arms
-    return train_offline(dataset.offline.contexts, bt_index, beh_index, n_arms, config)
+    return train_offline(dataset.offline.contexts, dataset.offline.correct, None, config)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from rmrouter.errors import ConfigError, FormatError, InputError, TrainError
+from rmrouter.errors import ConfigError, DimError, FormatError, InputError, TrainError
 from rmrouter.features import FusionParams, HashingEncoder, PreferencePair, prefusion_vector
 from rmrouter.offline import (
     OfflineRouterModel,
     TrainConfig,
-    _epoch_batches,
+    _epoch_cells,
     _head_inputs,
     _pair_rows,
     collect_behavior,
@@ -27,7 +27,7 @@ from rmrouter.offline import (
 )
 from rmrouter.serialize import dumps_doc
 
-from disagreements import reference_index_arrays
+from disagreements import behavior_rows, index_loss_and_grads, reference_index_array
 
 LOG2 = math.log(2.0)
 
@@ -66,8 +66,14 @@ class TestCollectBehavior:
 
 
 def bt_rows(correct, observed=None):
-    bt, _ = extract_disagreements(np.array(correct, dtype=np.uint8), observed)
+    bt = extract_disagreements(np.array(correct, dtype=np.uint8), observed)
     return [tuple(row) for row in bt.tolist()]
+
+
+def cells_of(bt, n_arms):
+    """The (2, K) flat winner and loser cells ``row * n_arms + arm`` of ranking rows."""
+    bt = np.asarray(bt, dtype=np.int64).reshape(-1, 3)
+    return bt[:, 0] * n_arms + bt[:, 1:].T
 
 
 class TestExtractDisagreements:
@@ -76,9 +82,8 @@ class TestExtractDisagreements:
 
     def test_all_agree_empty(self):
         for bit in (0, 1):
-            bt, beh = extract_disagreements(np.full((1, 4), bit, dtype=np.uint8))
-            assert bt.shape == (0, 3)
-            assert beh.tolist() == [[0, n, bit] for n in range(4)]
+            bt = extract_disagreements(np.full((1, 4), bit, dtype=np.uint8))
+            assert bt.shape == (0, 3) and bt.dtype == np.int64
 
     def test_single_disagreement(self):
         assert bt_rows([[1, 0]]) == [(0, 0, 1)]
@@ -104,25 +109,28 @@ class TestExtractDisagreements:
                 observed[row] = False
         if full:
             observed = None
-        bt, beh = extract_disagreements(correct, observed)
-        want_bt, want_beh = reference_index_arrays(correct, observed)
-        assert bt.dtype == beh.dtype == np.int64
-        assert bt.shape == want_bt.shape and beh.shape == want_beh.shape
-        assert np.array_equal(bt, want_bt) and np.array_equal(beh, want_beh)
+        bt = extract_disagreements(correct, observed)
+        want = reference_index_array(correct, observed)
+        assert bt.dtype == np.int64 and bt.shape == want.shape
+        assert np.array_equal(bt, want)
 
 
-def pair_losses(model, h, bt=(), beh=()):
-    """Losses of one context row over the given (row, ...) index rows."""
-    bt = np.array(bt, dtype=np.int64).reshape(-1, 3)
-    beh = np.array(beh, dtype=np.int64).reshape(-1, 3)
-    return loss_and_grads(model, np.atleast_2d(h), bt, beh)[0]
+def pair_losses(model, h, bt=(), bits=None):
+    """Losses of one context row: ranking rows (winner, loser), classifier ``bits``
+    {rm: bit} for the observed cells."""
+    correct = np.zeros((1, model.n_arms), dtype=np.uint8)
+    observed = np.zeros(correct.shape, dtype=bool)
+    for rm, bit in (bits or {}).items():
+        correct[0, rm], observed[0, rm] = bit, True
+    cells = np.array(bt, dtype=np.int64).reshape(-1, 2).T
+    return loss_and_grads(model, np.atleast_2d(h), cells, correct, observed)[0]
 
 
 class TestLossValues:
     def test_bt_equal_scores_log2(self):
         model = random_model(np.random.default_rng(0))
         model.bt_embeddings[1] = model.bt_embeddings[0]
-        assert abs(pair_losses(model, np.ones(4), bt=[0, 0, 1])["bt"] - LOG2) < 1e-12
+        assert abs(pair_losses(model, np.ones(4), bt=[(0, 1)])["bt"] - LOG2) < 1e-12
 
     def test_bt_large_gap_vanishes(self):
         model = OfflineRouterModel(
@@ -132,7 +140,7 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        assert pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"] < 1e-8
+        assert pair_losses(model, np.ones(1), bt=[(0, 1)])["bt"] < 1e-8
 
     def test_bt_unit_gap(self):
         model = OfflineRouterModel(
@@ -142,15 +150,15 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        loss = pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"]
+        loss = pair_losses(model, np.ones(1), bt=[(0, 1)])["bt"]
         assert abs(loss - 0.31326168751822286) < 1e-12
 
     def test_cls_zero_logit_log2_both_labels(self):
         model = random_model(np.random.default_rng(1))
         model.cls_embeddings[0] = 0.0
         h = np.ones(4)
-        assert abs(pair_losses(model, h, beh=[0, 0, 1])["cls"] - LOG2) < 1e-12
-        assert abs(pair_losses(model, h, beh=[0, 0, 0])["cls"] - LOG2) < 1e-12
+        assert abs(pair_losses(model, h, bits={0: 1})["cls"] - LOG2) < 1e-12
+        assert abs(pair_losses(model, h, bits={0: 0})["cls"] - LOG2) < 1e-12
 
     def test_cls_logit_two_correct(self):
         model = OfflineRouterModel(
@@ -160,7 +168,7 @@ class TestLossValues:
             lam=0.2,
             n_arms=2,
         )
-        loss = pair_losses(model, np.ones(1), beh=[0, 0, 1])["cls"]
+        loss = pair_losses(model, np.ones(1), bits={0: 1})["cls"]
         assert abs(loss - 0.12692801104297252) < 1e-12
 
     def test_bt_loss_strictly_decreases_in_gap(self):
@@ -173,7 +181,7 @@ class TestLossValues:
                 lam=0.0,
                 n_arms=2,
             )
-            losses.append(pair_losses(model, np.ones(1), bt=[0, 0, 1])["bt"])
+            losses.append(pair_losses(model, np.ones(1), bt=[(0, 1)])["bt"])
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -213,25 +221,21 @@ def random_instance(rng, with_fusion):
             for _ in range(n_bt)
         ]
     ).astype(np.int64)
-    n_beh = int(rng.integers(1, 9))
-    beh = np.stack(
-        [
-            [rng.integers(0, m), rng.integers(0, n_arms), rng.integers(0, 2)]
-            for _ in range(n_beh)
-        ]
-    ).astype(np.int64)
-    return model, contexts, bt, beh
+    correct = rng.integers(0, 2, (m, n_arms)).astype(np.uint8)
+    observed = rng.random((m, n_arms)) < 0.6
+    observed.flat[rng.integers(observed.size)] = True  # at least one classifier term
+    return model, contexts, cells_of(bt, n_arms), correct, observed
 
 
 def check_gradients(rng, with_fusion):
-    model, contexts, bt, beh = random_instance(rng, with_fusion)
+    model, *args = random_instance(rng, with_fusion)
     lam = model.lam
 
     def component(name):
-        return lambda: loss_and_grads(model, contexts, bt, beh)[0][name]
+        return lambda: loss_and_grads(model, *args)[0][name]
 
-    _, grads_total = loss_and_grads(model, contexts, bt, beh)
-    _, grads_bt_only = loss_and_grads(model, contexts, bt, beh, lam=0.0)
+    _, grads_total = loss_and_grads(model, *args)
+    _, grads_bt_only = loss_and_grads(model, *args, lam=0.0)
 
     params = {"bt_embeddings": model.bt_embeddings, "cls_embeddings": model.cls_embeddings}
     if with_fusion:
@@ -261,15 +265,15 @@ class TestGradients:
 
     def test_lambda_zero_freezes_cls_gradient(self):
         rng = np.random.default_rng(3)
-        model, contexts, bt, beh = random_instance(rng, with_fusion=False)
-        _, grads = loss_and_grads(model, contexts, bt, beh, lam=0.0)
+        model, *args = random_instance(rng, with_fusion=False)
+        _, grads = loss_and_grads(model, *args, lam=0.0)
         assert np.array_equal(grads["cls_embeddings"], np.zeros_like(model.cls_embeddings))
 
     def test_total_is_bt_plus_lambda_cls(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            model, contexts, bt, beh = random_instance(rng, with_fusion=bool(rng.integers(2)))
-            losses, _ = loss_and_grads(model, contexts, bt, beh)
+            model, *args = random_instance(rng, with_fusion=bool(rng.integers(2)))
+            losses, _ = loss_and_grads(model, *args)
             assert losses["total"] == losses["bt"] + model.lam * losses["cls"]
 
 
@@ -315,18 +319,26 @@ def scatter_loss_and_grads(model, contexts, bt_index, beh_index, lam):
     return {"bt": loss_bt, "cls": loss_cls, "total": loss_bt + lam * loss_cls}, grads
 
 
+def random_bits(rng, n_rows, n_arms, density):
+    """A random bit matrix and a mask that keeps each cell with ``density``."""
+    correct = rng.integers(0, 2, (n_rows, n_arms)).astype(np.uint8)
+    return correct, rng.random((n_rows, n_arms)) < density
+
+
 class TestScoreSpaceGradients:
     @settings(deadline=None, max_examples=150)
     @given(
         n_arms=st.integers(2, 5),
         n_rows=st.integers(1, 6),
         n_bt=st.integers(0, 12),
-        n_beh=st.integers(0, 12),
+        density=st.sampled_from([0.0, 0.4, 1.0]),
         with_fusion=st.booleans(),
         lam=st.sampled_from([0.0, 0.2, 1.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_scatter_reference(self, n_arms, n_rows, n_bt, n_beh, with_fusion, lam, seed):
+    def test_matches_scatter_reference(
+        self, n_arms, n_rows, n_bt, density, with_fusion, lam, seed
+    ):
         rng = np.random.default_rng(seed)
         d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
@@ -334,10 +346,9 @@ class TestScoreSpaceGradients:
         # few rows and arms, so rows and (row, arm) cells repeat
         winner_loser = np.argsort(rng.random((n_bt, n_arms)), axis=1)[:, :2]
         bt = np.column_stack([rng.integers(0, n_rows, n_bt), winner_loser])
-        beh = np.column_stack(
-            [rng.integers(0, n_rows, n_beh), rng.integers(0, n_arms, n_beh), rng.integers(0, 2, n_beh)]
-        )
-        losses, grads = loss_and_grads(model, contexts, bt, beh)
+        correct, observed = random_bits(rng, n_rows, n_arms, density)
+        losses, grads = loss_and_grads(model, contexts, cells_of(bt, n_arms), correct, observed)
+        beh = behavior_rows(correct, observed)
         ref_losses, ref_grads = scatter_loss_and_grads(model, contexts, bt, beh, lam)
         for name, value in ref_losses.items():
             assert abs(losses[name] - value) <= 1e-12 * max(abs(value), 1e-300), name
@@ -349,30 +360,67 @@ class TestScoreSpaceGradients:
     @given(
         n_arms=st.integers(1, 5),
         n_rows=st.integers(1, 6),
-        n_beh=st.integers(1, 20),
         with_fusion=st.booleans(),
         lam=st.sampled_from([0.0, 0.2]),
         log_scale=st.integers(-3, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cls_loss_equals_two_term_blend(
-        self, n_arms, n_rows, n_beh, with_fusion, lam, log_scale, seed
+        self, n_arms, n_rows, with_fusion, lam, log_scale, seed
     ):
-        # one softplus of +-z per row is the two-term blend, bit for bit, for
+        # one softplus of +-z per cell is the two-term blend, bit for bit, for
         # 0/1 bits, also where the logits are large enough to saturate it
         rng = np.random.default_rng(seed)
         d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
         model.cls_embeddings *= 10.0**log_scale
         contexts = rng.standard_normal((n_rows, 2 * d_enc if with_fusion else d))
-        beh = np.column_stack(
-            [rng.integers(0, n_rows, n_beh), rng.integers(0, n_arms, n_beh), rng.integers(0, 2, n_beh)]
-        )
-        rows, rms, delta = beh.T
-        z = (_head_inputs(model, contexts) @ model.cls_embeddings.T)[rows, rms]
+        correct, observed = random_bits(rng, n_rows, n_arms, 0.7)
+        observed.flat[rng.integers(observed.size)] = True
+        z = (_head_inputs(model, contexts) @ model.cls_embeddings.T)[observed]
+        delta = correct[observed]
         blend = np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
-        losses, _ = loss_and_grads(model, contexts, np.empty((0, 3), np.int64), beh)
+        no_bt = np.empty((2, 0), np.int64)
+        losses, _ = loss_and_grads(model, contexts, no_bt, correct, observed)
         assert losses["cls"] == float(blend)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n_arms=st.integers(1, 5),
+        n_rows=st.integers(1, 7),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        with_bt=st.booleans(),
+        with_fusion=st.booleans(),
+        lam=st.sampled_from([0.0, 0.2, 1.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_form_equals_index_form(
+        self, n_arms, n_rows, density, with_bt, with_fusion, lam, seed
+    ):
+        # the classifier over the observed cells of the bit matrix against the
+        # same bits as (row, rm, bit) rows: losses and every gradient, bit for
+        # bit, with a row that has no bit and, without ``with_bt``, a minibatch
+        # that has no ranking rows
+        rng = np.random.default_rng(seed)
+        d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
+        contexts = rng.standard_normal((n_rows, 2 * d_enc if with_fusion else d))
+        correct, observed = random_bits(rng, n_rows, n_arms, density)
+        observed[rng.integers(n_rows)] = False
+        bt = extract_disagreements(correct, observed)
+        if not with_bt:
+            bt = bt[:0]
+        losses, grads = loss_and_grads(
+            model, contexts, cells_of(bt, n_arms), correct, observed, lam=lam
+        )
+        want_losses, want_grads = index_loss_and_grads(
+            model, contexts, bt, behavior_rows(correct, observed), lam=lam
+        )
+        assert losses == want_losses
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name].dtype == want.dtype and grads[name].shape == want.shape
+            assert grads[name].tobytes() == want.tobytes(), name
 
 
 def partition_reference(perm, batch_size, index):
@@ -383,6 +431,11 @@ def partition_reference(perm, batch_size, index):
         rows = [r for pair in block for r in index if r[0] == pair]
         batches.append([(block.index(r[0]), *r[1:]) for r in rows])
     return batches
+
+
+def flat_cells(rows, n_arms):
+    """(offset * n_arms + winner, offset * n_arms + loser) of (offset, winner, loser) rows."""
+    return [(offset * n_arms + w, offset * n_arms + l) for offset, w, l in rows]
 
 
 class TestEpochBatches:
@@ -396,50 +449,61 @@ class TestEpochBatches:
     def test_minibatch_k_holds_its_pairs_rows_in_order(self, n_pairs, batch_size, n_rows, seed):
         rng = np.random.default_rng(seed)
         # row pair ids drawn with replacement: some pairs get several rows, some
-        # none; the record columns number the rows so their order is visible
+        # none; the winner column numbers the rows, and n_arms exceeds it, so
+        # the rows' order is visible in their cells
         index = np.column_stack(
             [rng.integers(0, n_pairs, n_rows), np.arange(n_rows), rng.integers(0, 2, n_rows)]
         )
+        n_arms = n_rows + 2
         perm = rng.permutation(n_pairs)
-        batches, cuts = _epoch_batches(perm, batch_size, _pair_rows(index, n_pairs))
+        cells, cuts = _epoch_cells(perm, batch_size, _pair_rows(index, n_pairs), n_arms)
         expected = partition_reference(perm, batch_size, [tuple(r) for r in index])
+        assert cells.shape == (2, n_rows) and cells.dtype == np.int64
         assert len(cuts) == len(expected) + 1
         assert cuts[0] == 0 and cuts[-1] == n_rows
         for k, rows in enumerate(expected):
-            got = [tuple(r) for r in batches[cuts[k] : cuts[k + 1]]]
-            assert got == rows, k
+            got = [tuple(c) for c in cells[:, cuts[k] : cuts[k + 1]].T.tolist()]
+            assert got == flat_cells(rows, n_arms), k
 
     @settings(deadline=None, max_examples=100)
     @given(
         n_pairs=st.integers(1, 30),
         batch_size=st.integers(1, 9),
         n_rows=st.integers(0, 60),
+        n_arms=st.integers(2, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_gather_equals_fancy_index(self, n_pairs, batch_size, n_rows, seed):
+    def test_gather_equals_fancy_index(self, n_pairs, batch_size, n_rows, n_arms, seed):
         rng = np.random.default_rng(seed)
         index = np.column_stack(
-            [rng.integers(0, n_pairs, n_rows), rng.integers(0, 9, n_rows), rng.integers(0, 2, n_rows)]
+            [rng.integers(0, n_pairs, n_rows), rng.integers(0, n_arms, (n_rows, 2))]
         )
         pair_rows = _pair_rows(index, n_pairs)
         by_pair = pair_rows[0].copy()
         perm = rng.permutation(n_pairs)
-        batches, _ = _epoch_batches(perm, batch_size, pair_rows)
+        cells, _ = _epoch_cells(perm, batch_size, pair_rows, n_arms)
         # the 2-D fancy-index gather of each pair's rows, in perm order
-        want = by_pair[np.concatenate([np.flatnonzero(by_pair[:, 0] == p) for p in perm])]
+        sorted_index = index[np.argsort(index[:, 0], kind="stable")]
+        want = sorted_index[
+            np.concatenate([np.flatnonzero(sorted_index[:, 0] == p) for p in perm])
+        ]
         lengths = np.bincount(index[:, 0], minlength=n_pairs)[perm]
-        want[:, 0] = np.repeat(np.arange(n_pairs) % batch_size, lengths)
-        assert batches.dtype == want.dtype and batches.shape == want.shape
-        assert np.array_equal(batches, want)
-        # the minibatch offsets are written into a copy, not the sorted rows
+        offsets = np.repeat(np.arange(n_pairs) % batch_size, lengths)
+        want = offsets * n_arms + want[:, 1:].T
+        assert cells.dtype == want.dtype and cells.shape == want.shape
+        assert np.array_equal(cells, want)
+        # the cells are written into a gathered copy, not the sorted arms
         assert np.array_equal(pair_rows[0], by_pair)
 
     def test_short_last_batch_and_pairs_without_rows(self):
         index = np.array([[4, 0, 1], [1, 1, 0], [4, 2, 0], [0, 3, 1]])
-        batches, cuts = _epoch_batches(np.array([4, 2, 3, 0, 1]), 2, _pair_rows(index, 5))
+        cells, cuts = _epoch_cells(np.array([4, 2, 3, 0, 1]), 2, _pair_rows(index, 5), 4)
         assert cuts.tolist() == [0, 2, 3, 4]
-        # batch 0 = pairs (4, 2): pair 4's two records; batch 1 = (3, 0); batch 2 = (1,)
-        assert batches.tolist() == [[0, 0, 1], [0, 2, 0], [1, 3, 1], [0, 1, 0]]
+        # batch 0 = pairs (4, 2): pair 4's two rows at offset 0; batch 1 = (3, 0):
+        # pair 0's row at offset 1; batch 2 = (1,): pair 1's row at offset 0
+        rows = [(0, 0, 1), (0, 2, 0), (1, 3, 1), (0, 1, 0)]
+        assert [tuple(c) for c in cells.T.tolist()] == flat_cells(rows, 4)
+        assert cells.tolist() == [[0, 2, 7, 1], [1, 0, 5, 0]]
 
 
 def all_observed(correct):
@@ -544,8 +608,7 @@ def separable_training_data(rng, n_pairs=400, flip=0.02):
 
 
 def train_on(contexts, correct, config, fused=False):
-    bt, beh = extract_disagreements(correct)
-    return train_offline(contexts, bt, beh, correct.shape[1], config, fused=fused)
+    return train_offline(contexts, correct, None, config, fused=fused)
 
 
 class TestTraining:
@@ -573,6 +636,11 @@ class TestTraining:
     def test_empty_disagreements_raise(self):
         with pytest.raises(TrainError):
             train_on(np.ones((4, 3)), np.ones((4, 2), dtype=np.uint8), TrainConfig())
+
+    def test_context_rows_must_match_bit_rows(self):
+        correct = np.eye(2, dtype=np.uint8)
+        with pytest.raises(DimError, match="3 context rows for 2 rows of bits"):
+            train_on(np.ones((3, 2)), correct, TrainConfig())
 
     def test_text_path_trains_fusion(self):
         pairs = [

@@ -48,7 +48,7 @@ from rmrouter.sim import (
     scenario_to_dict,
 )
 
-from disagreements import build_index_arrays, matrix_records
+from disagreements import build_index_array, matrix_records
 from disagreements import extract_disagreements as reference_disagreements
 from ridge import RidgeReference
 from scenarios import two_specialists_scenario
@@ -340,16 +340,22 @@ class TestColumnarGeneration:
         split = dataset.offline
         pair_ids = [p.pair_id for p in split.pairs]
         records = matrix_records(pair_ids, split.correct)
-        want_bt, want_beh = build_index_arrays(pair_ids, records, reference_disagreements(records))
-        bt, beh = extract_disagreements(split.correct)
-        assert bt.dtype == beh.dtype == np.int64
-        assert np.array_equal(bt, want_bt) and np.array_equal(beh, want_beh)
+        want_bt = build_index_array(pair_ids, reference_disagreements(records))
+        bt = extract_disagreements(split.correct)
+        assert bt.dtype == np.int64 and np.array_equal(bt, want_bt)
+        # the bit matrix and its mask rebuilt from the records, trained with the
+        # mask where fit_offline_router passes None
+        row_of = {pair_id: row for row, pair_id in enumerate(pair_ids)}
+        correct = np.zeros((split.n, scenario.n_arms), dtype=np.uint8)
+        observed = np.zeros(correct.shape, dtype=bool)
+        for pair_id, rm, bit in records:
+            correct[row_of[pair_id], rm], observed[row_of[pair_id], rm] = bit, True
         config = TrainConfig(
             lr=SIM_TRAIN_LR, epochs=SIM_TRAIN_EPOCHS, batch_size=SIM_TRAIN_BATCH, seed=seed
         )
         got = fit_offline_router(dataset, seed=seed)
         contexts = np.stack([split.embeddings[pair_id].vector for pair_id in pair_ids])
-        want = train_offline(contexts, want_bt, want_beh, scenario.n_arms, config)
+        want = train_offline(contexts, correct, observed, config)
         assert np.array_equal(got.model.bt_embeddings, want.model.bt_embeddings)
         assert np.array_equal(got.model.cls_embeddings, want.model.cls_embeddings)
         assert got.history == want.history
