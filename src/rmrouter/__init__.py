@@ -61,7 +61,6 @@ from .offline import (
 )
 from .online import (
     OnlineRouterState,
-    RouterConfig,
     init_router,
     load_state,
     observe_feedback,

@@ -44,13 +44,13 @@ from .offline import (
     load_behavior,
     load_model,
     model_from_dict,
-    routing_accuracy,
+    route_pairs,
     save_behavior,
     save_model,
     train_offline,
 )
 from .online import state_from_dict, state_to_dict
-from .serialize import read_json, write_json, write_jsonl
+from .serialize import int_field, read_json, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
     ROUTERS,
@@ -77,6 +77,11 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of a --seed value: numpy's generators take no negative seed."""
+    return int_field(int(text), "seed", argparse.ArgumentTypeError, minimum=0)
+
+
 def _load_prior(path: str) -> np.ndarray:
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -88,7 +93,7 @@ def _load_prior(path: str) -> np.ndarray:
         )
     try:
         prior = np.asarray(doc["bt_embeddings"], dtype=np.float64)
-        shape = (int(doc["n_arms"]), int(doc["d"]))
+        shape = tuple(int_field(doc[key], key, FormatError, minimum=1) for key in ("n_arms", "d"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed prior file {path}: {exc!r}") from exc
     if prior.shape != shape:
@@ -169,9 +174,13 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
     )
     model = result.model
 
-    if n_holdout:
-        acc = routing_accuracy(model, contexts[holdout], correct[holdout], observed[holdout])
-        print(f"held-out routing accuracy: {acc:.4f}")
+    if n_holdout:  # scored: the held-out pairs whose routed model has a behaviour bit
+        rows = np.flatnonzero(holdout)
+        chosen = route_pairs(model, contexts[rows])
+        scored = observed[rows, chosen]
+        acc = f"{correct[rows[scored], chosen[scored]].mean():.4f}" if scored.any() else "n/a"
+        print(f"held-out routing accuracy: {acc} "
+              f"({scored.sum()} of {n_holdout} held-out pairs scored)")
     else:
         print("held-out routing accuracy: n/a (no holdout)")
 
@@ -208,12 +217,19 @@ def cmd_export_prior(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _expand_routers(args: argparse.Namespace, n_arms: int, have_prior: bool) -> list[tuple[str, str]]:
-    """Return (run_name, router_spec) entries; run_name distinguishes prior modes."""
+def _expand_routers(
+    args: argparse.Namespace, n_arms: int, have_prior: bool
+) -> list[tuple[str, str, str]]:
+    """(run name, router spec, prior mode) per run; a run that starts from an
+    injected prior is named ``<spec>-injected``."""
+
+    def run(spec: str, mode: str) -> tuple[str, str, str]:
+        if ROUTERS[parse_router(spec)[0]].prior != "injected":  # ConfigError on a bad spec
+            mode = "zero"
+        return (f"{spec}-injected" if mode == "injected" else spec, spec, mode)
+
     if args.router != "all":
-        specs = args.router.split(",")
-        injected = args.prior == "injected"
-        return [(f"{s}-injected" if injected and s == "thompson" else s, s) for s in specs]
+        return [run(spec, args.prior) for spec in args.router.split(",")]
     # every router but the oracle, its parameter filled in from the options; the
     # ones that read the prior come last, then the injected-prior reruns
     values = {"<arm>": range(n_arms), "<alpha>": [args.weighted_alpha]}
@@ -222,11 +238,11 @@ def _expand_routers(args: argparse.Namespace, n_arms: int, have_prior: bool) -> 
         slot = router.syntax.partition(":")[2]
         if router.group != "oracle":
             specs[router.prior] += [f"{kind}:{v}" for v in values[slot]] if slot else [kind]
-    routers = [(spec, spec) for spec in specs["never"] + specs["injected"]]
+    runs = [run(spec, "zero") for spec in specs["never"] + specs["injected"]]
     if have_prior:
-        routers += [(spec, spec) for spec in specs["always"]]
-        routers += [(f"{spec}-injected", spec) for spec in specs["injected"]]
-    return routers
+        runs += [run(spec, "zero") for spec in specs["always"]]
+        runs += [run(spec, "injected") for spec in specs["injected"]]
+    return runs
 
 
 def _run_one_seed(payload: tuple) -> list[tuple[dict, list[tuple]]]:
@@ -240,15 +256,9 @@ def _run_one_seed(payload: tuple) -> list[tuple[dict, list[tuple]]]:
     scenario = scenario_from_dict(scenario_doc)
     dataset = generate_scenario(scenario, seed)
     runs = []
-    for run_name, spec in routers:
-        config = ReplayConfig(**{**base_config, "seed": seed})
-        if run_name == "thompson-injected":
-            config.prior_mode = "injected"
-        elif spec == "thompson":
-            config.prior_mode = "zero"
+    for run_name, spec, prior_mode in routers:
+        config = ReplayConfig(**{**base_config, "seed": seed, "prior_mode": prior_mode})
         kind, _ = parse_router(spec)
-        if not reads_offline_prior(kind, config.prior_mode):
-            config.offline_prior = None
         decision_log: list = []
         reward_log: list = []
         state_out: list = []
@@ -305,6 +315,8 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(scenario.seeds)
     except ValueError as exc:
         raise ConfigError(f"--seeds must be a comma list of integers: {exc}") from exc
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seeds}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must not repeat, got {seeds}")
     if args.jobs < 1:
@@ -314,8 +326,9 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         raise InputError("--prior injected requires --prior-file")
     # every spec is parsed (ConfigError on a bad one) before any output is written
     routers = _expand_routers(args, scenario.n_arms, prior is not None)
-    kinds = {spec: parse_router(spec)[0] for _, spec in routers}
-    needs_prior = [spec for spec, kind in kinds.items() if reads_offline_prior(kind, args.prior)]
+    needs_prior = [
+        spec for _, spec, mode in routers if reads_offline_prior(parse_router(spec)[0], mode)
+    ]
     if needs_prior and prior is None:
         raise InputError(f"router(s) {needs_prior} require --prior-file")
     base_config = {
@@ -336,7 +349,8 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         for seed in seeds
     ]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(payloads))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_run_one_seed, payloads))
     else:
         per_seed = [_run_one_seed(p) for p in payloads]
@@ -348,7 +362,8 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         else:
             write_jsonl(path, content, meta=meta)
     rows = [row for runs in per_seed for row, _ in runs]
-    rows.sort(key=lambda r: (routers_index(routers, r["router"]), r["seed"]))
+    order = {name: i for i, name in enumerate(dict.fromkeys(name for name, _, _ in routers))}
+    rows.sort(key=lambda r: (order[r["router"]], r["seed"]))
     _write_csv(
         os.path.join(args.out_dir, "summary.csv"),
         ["router", "seed", "final_annotation_accuracy", "total_rm_calls", "mean_uwo_weight"],
@@ -367,13 +382,6 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     )
     print(f"{len(rows)} runs written to {args.out_dir}")
     return EXIT_OK
-
-
-def routers_index(routers: list[tuple[str, str]], name: str) -> int:
-    for i, (run_name, _) in enumerate(routers):
-        if run_name == name:
-            return i
-    return len(routers)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -416,10 +424,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if "arms" in doc:
         state = state_from_dict(doc)
         print(f"router state: {state.n_arms} arms, d={state.d}, step={state.step}")
-        cfg = state.config
         print(
-            f"config: sigma_sq={cfg.sigma_sq} prior_variance={cfg.prior_variance} "
-            f"prior_mode={cfg.prior_mode}"
+            f"config: sigma_sq={state.beliefs.noise_variance} "
+            f"prior_variance={state.prior_variance} prior_mode={state.prior_mode}"
         )
         for n, arm in enumerate(state.arms):
             print(
@@ -460,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect-behavior", help="materialize a scenario split to files")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--split", choices=("offline", "stream"), default="offline")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_collect_behavior)
@@ -477,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--weight-decay", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--embed-dim", type=int, default=64)
     p.add_argument("--encoder-dim", type=int, default=256)
     p.add_argument("--holdout", type=float, default=0.2)
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True, help="router name or method index")
     p.add_argument("--out", default=None)
     p.add_argument("--n-boot", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("inspect", help="report on a saved router state or model")

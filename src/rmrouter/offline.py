@@ -27,7 +27,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, DimError, FormatError, InputError, TrainError
 from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, FusionParams
-from .serialize import int_field, iter_jsonl, read_json, write_json, write_jsonl
+from .serialize import dumps_doc, int_field, iter_jsonl, read_json, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ def extract_disagreements(correct: np.ndarray, observed: np.ndarray | None = Non
 
 @dataclass
 class OfflineRouterModel:
-    """Trained router: optional fusion layer plus the two head matrices."""
+    """Trained router: optional fusion layer plus the two head matrices, all finite."""
 
     fusion: FusionParams | None
     bt_embeddings: np.ndarray
@@ -75,10 +75,18 @@ class OfflineRouterModel:
             raise DimError(
                 f"head matrices must be ({self.n_arms}, d), got {self.bt_embeddings.shape}"
             )
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.fusion is not None and self.fusion.out_dim != self.d:
             raise DimError("fusion output dimension does not match head matrices")
+        if not self.finite():
+            raise InputError("head and fusion matrices must be finite")
+
+    def finite(self) -> bool:
+        """Whether the head matrices and the fusion layer hold only finite numbers."""
+        heads = [self.bt_embeddings, self.cls_embeddings]
+        fusion = [] if self.fusion is None else [self.fusion.weight, self.fusion.bias]
+        return all(np.isfinite(m).all() for m in heads + fusion)
 
     @property
     def d(self) -> int:
@@ -214,7 +222,8 @@ def train_offline(
     With ``fused`` the rows are pre-fusion vectors and a fusion layer is
     trained as well.  Deterministic for a fixed config seed.  Raises
     :class:`TrainError` when no pair has both a correct and an incorrect
-    model, since the ranking head then has no signal.
+    model, since the ranking head then has no signal, and when training
+    diverges to a non-finite parameter.
     """
     if len(contexts) != len(correct):
         raise DimError(f"{len(contexts)} context rows for {len(correct)} rows of bits")
@@ -240,7 +249,7 @@ def train_offline(
 
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
-    batch_size = config.batch_size
+    batch_size = min(config.batch_size, n_pairs)  # the same minibatches, in int64 range
     bt_rows, n_bits = _pair_rows(bt_index, n_pairs), int(np.count_nonzero(observed))
     for epoch in range(config.epochs):
         perm = rng.permutation(n_pairs)
@@ -272,6 +281,8 @@ def train_offline(
             }
         )
         logger.debug("epoch %d: %s", epoch, history[-1])
+    if not model.finite():
+        raise TrainError(f"training diverged to non-finite parameters (lr {config.lr})")
 
     model.train_meta = {
         "seed": config.seed,
@@ -340,17 +351,21 @@ def _apply_sgd_step(
         param -= config.lr * step + config.lr * config.weight_decay * param
 
 
+def route_pairs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
+    """Each pair's routed model, the argmax of its ranking scores (ties to the lowest
+    index), from one row per pair as :func:`loss_and_grads` takes them."""
+    return np.argmax(_head_inputs(model, contexts) @ model.bt_embeddings.T, axis=1)
+
+
 def routing_accuracy(
     model: OfflineRouterModel, contexts: np.ndarray, correct: np.ndarray, observed: np.ndarray
 ) -> float:
     """Fraction of pairs with behaviour bits whose routed model is correct.
 
-    ``contexts`` holds one row per pair as :func:`loss_and_grads` takes them;
-    each pair goes to the argmax of its ranking scores, ties to the lowest
-    index.  A pair without bits is skipped, and one without a bit for its
-    routed model raises :class:`InputError`.
+    Each pair goes to :func:`route_pairs`.  A pair without bits is skipped,
+    and one without a bit for its routed model raises :class:`InputError`.
     """
-    chosen = np.argmax(_head_inputs(model, contexts) @ model.bt_embeddings.T, axis=1)
+    chosen = route_pairs(model, contexts)
     rows = np.flatnonzero(observed.any(axis=1))
     if not len(rows):
         raise InputError("no pairs with behavior records")
@@ -395,6 +410,10 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
             f"unsupported model format version {version!r}; supported: {MODEL_FORMAT_VERSION}"
         )
     try:
+        train_meta = doc.get("train_meta", {})
+        if not isinstance(train_meta, dict):
+            raise FormatError("train_meta must be a JSON object")
+        dumps_doc(train_meta)  # ValueError on a NaN or an infinity, which no output may hold
         fusion = None
         if doc.get("fusion") is not None:
             fdoc = doc["fusion"]
@@ -408,8 +427,8 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
             bt_embeddings=np.asarray(doc["bt_embeddings"], dtype=np.float64),
             cls_embeddings=np.asarray(doc["cls_embeddings"], dtype=np.float64),
             lam=float(doc["lambda"]),
-            n_arms=int(doc["n_arms"]),
-            train_meta=doc.get("train_meta", {}),
+            n_arms=int_field(doc["n_arms"], "n_arms", FormatError, minimum=1),
+            train_meta=train_meta,
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model document: {exc!r}") from exc

@@ -1,12 +1,13 @@
 """Online reward-model selection via per-pair Thompson sampling.
 
 Each candidate model is a bandit arm holding a Gaussian belief over a linear
-weight vector; a router state keeps the N beliefs as one stack
-(:class:`rmrouter.gaussian.Beliefs`).  One step works on arrays:
-:func:`route_batch` draws, for every context row and arm, the score of an
-independent weight sample from one stacked product and one (N, B) normal
-draw, and picks the argmax; ties resolve to the lowest arm index.
-:func:`observe_feedback` hands the step's rows and chosen arms to one
+weight vector.  A router state is the N beliefs as one stack
+(:class:`rmrouter.gaussian.Beliefs`, which alone holds the noise variance and
+the update counts), the prior they started from and the step counter.  One
+step works on arrays: :func:`route_batch` draws, for every context row and
+arm, the score of an independent weight sample from one stacked product and
+one (N, B) normal draw, and picks the argmax; ties resolve to the lowest arm
+index.  :func:`observe_feedback` hands the step's rows and chosen arms to one
 :func:`rmrouter.gaussian.posterior_update`, which updates each chosen arm
 with its rows through one block-diagonal factorization per window and
 leaves the others' beliefs as they were, bit for bit.
@@ -15,8 +16,8 @@ Also provided: a LinUCB baseline (:func:`route_linucb`, :func:`update_linucb`),
 the zero-prior state (prior and noise variance 1) routed on a UCB score
 instead of a draw, one arm for the whole batch from the batch-mean context
 unless ``per_pair``; and a fixed-weight ablation (:func:`route_weighted_score`)
-that mixes softmaxed offline ranking scores with softmaxed online sampled
-scores.
+that mixes softmaxed scores of an (N, d) prior matrix with softmaxed online
+sampled scores.
 
 Routing is read-only and may run concurrently on one state snapshot;
 feedback returns a new state and needs exclusive access.  The replay harness
@@ -25,7 +26,7 @@ alternates route -> observe strictly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from .errors import ConfigError, DimError, FormatError, InputError
 from .gaussian import (
     ArmPosterior,
     Beliefs,
-    make_prior,
     posterior_from_dict,
     posterior_to_dict,
     posterior_update,
@@ -42,7 +42,6 @@ from .gaussian import (
     sample_weights,  # not called here; the bench tracer's tests read online.sample_weights
     score_moments,
 )
-from .offline import OfflineRouterModel
 from .serialize import int_field, read_json, write_json
 
 STATE_FORMAT_VERSION = 1
@@ -54,34 +53,25 @@ DEFAULT_NOISE_VARIANCE = 1.0
 
 
 @dataclass
-class RouterConfig:
-    sigma_sq: float = DEFAULT_NOISE_VARIANCE
-    prior_variance: float = 1.0
-    prior_mode: str = "zero"
-
-    def __post_init__(self) -> None:
-        if self.prior_mode not in PRIOR_MODES:
-            raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
-        if not (0 < self.sigma_sq < np.inf and 0 < self.prior_variance < np.inf):
-            raise ConfigError("sigma_sq and prior_variance must be finite and positive")
-
-
-@dataclass
 class OnlineRouterState:
-    """Stacked arm beliefs plus the step counter; treat instances as immutable."""
+    """Stacked arm beliefs, the prior N(mean, prior_variance I) they started
+    from and the step counter; treat instances as immutable."""
 
     beliefs: Beliefs
-    config: RouterConfig
+    prior_variance: float
+    prior_mode: str = "zero"
     step: int = 0
-    selection_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.selection_counts is None:
-            self.selection_counts = np.zeros(self.n_arms, dtype=np.int64)
-        else:
-            self.selection_counts = np.asarray(self.selection_counts, dtype=np.int64)
-            if self.selection_counts.shape != (self.n_arms,):
-                raise DimError("selection_counts length must equal the number of arms")
+        if self.prior_mode not in PRIOR_MODES or not 0 < self.prior_variance < np.inf:
+            raise ConfigError(f"prior_mode must be in {PRIOR_MODES}, prior_variance finite > 0")
+
+    @property
+    def selection_counts(self) -> np.ndarray:
+        """Rows routed to each arm so far: a read-only view of the update counts."""
+        counts = self.beliefs.update_counts.view()
+        counts.flags.writeable = False
+        return counts
 
     @property
     def arms(self) -> list[ArmPosterior]:
@@ -105,29 +95,24 @@ def init_router(
     sigma_sq: float = DEFAULT_NOISE_VARIANCE,
     prior_variance: float | None = None,
 ) -> OnlineRouterState:
-    """Fresh router state; injected mode seeds each arm's mean from a prior row."""
+    """Fresh router state, every arm N(mean, prior_variance I), built directly
+    from checked inputs; injected mode takes each arm's mean from a prior row."""
     if n_arms < 1 or d < 1:
         raise ConfigError("n_arms and d must be >= 1")
     if prior_mode not in PRIOR_MODES:
         raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
     if prior_variance is None:
         prior_variance = DEFAULT_PRIOR_VARIANCE[prior_mode]
-    config = RouterConfig(sigma_sq=sigma_sq, prior_variance=prior_variance, prior_mode=prior_mode)
-    if prior_mode == "injected":
-        if offline_prior is None:
-            raise ConfigError("prior_mode='injected' requires an offline prior matrix")
-        offline_prior = np.asarray(offline_prior, dtype=np.float64)
-        if offline_prior.shape != (n_arms, d):
-            raise ConfigError(
-                f"offline prior shape {offline_prior.shape} does not match ({n_arms}, {d})"
-            )
-        means = [offline_prior[n] for n in range(n_arms)]
-    else:
-        if offline_prior is not None:
-            raise ConfigError("offline_prior is only valid with prior_mode='injected'")
-        means = [np.zeros(d) for _ in range(n_arms)]
-    arms = [make_prior(d, mean, prior_variance, sigma_sq) for mean in means]
-    return OnlineRouterState(Beliefs.stack(arms), config)
+    if not (0 < sigma_sq < np.inf and 0 < prior_variance < np.inf):
+        raise ConfigError("sigma_sq and prior_variance must be finite and positive")
+    if (offline_prior is None) != (prior_mode == "zero"):
+        raise ConfigError("prior_mode='injected' needs an offline prior matrix, 'zero' none")
+    means = np.zeros((n_arms, d)) if offline_prior is None else np.array(offline_prior, float)
+    if means.shape != (n_arms, d) or not np.isfinite(means).all():
+        raise ConfigError(f"offline prior {means.shape} must be a finite ({n_arms}, {d}) matrix")
+    covariances = np.repeat((prior_variance * np.eye(d))[None], n_arms, axis=0)
+    beliefs = Beliefs(means, covariances, float(sigma_sq), np.zeros(n_arms, dtype=np.int64))
+    return OnlineRouterState(beliefs, float(prior_variance), prior_mode)
 
 
 def _checked_contexts(state: OnlineRouterState, contexts) -> np.ndarray:
@@ -172,8 +157,7 @@ def observe_feedback(
     if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
         raise InputError("observation contexts and rewards must be finite")
     beliefs = posterior_update(state.beliefs, contexts, rewards, chosen)
-    counts = state.selection_counts + np.bincount(chosen, minlength=state.n_arms)
-    return OnlineRouterState(beliefs, state.config, state.step + 1, counts)
+    return OnlineRouterState(beliefs, state.prior_variance, state.prior_mode, state.step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +207,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def route_weighted_score(
-    offline_model: OfflineRouterModel,
+    prior: np.ndarray,
     zero_prior_state: OnlineRouterState,
     contexts: np.ndarray,
     alpha: float,
@@ -231,16 +215,17 @@ def route_weighted_score(
 ) -> np.ndarray:
     """Chosen arm per context row for the fixed-weight offline/online mix.
 
-    Each row takes the argmax of alpha * softmax(offline scores) +
-    (1 - alpha) * softmax(sampled scores).  Sampled scores are drawn arm by
+    Each row takes the argmax of alpha * softmax(contexts @ prior.T) +
+    (1 - alpha) * softmax(sampled scores), where ``prior`` is an (N, d)
+    matrix such as the offline ranking head.  Sampled scores are drawn arm by
     arm (arm-major order), as in :func:`route_batch`, whatever ``alpha`` is.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     contexts = _checked_contexts(zero_prior_state, contexts)
-    if offline_model.bt_embeddings.shape != (zero_prior_state.n_arms, zero_prior_state.d):
-        raise DimError("offline model and online state disagree on the arms or dimension")
-    offline = contexts @ offline_model.bt_embeddings.T
+    if np.shape(prior) != (zero_prior_state.n_arms, zero_prior_state.d):
+        raise DimError("prior matrix and online state disagree on the arms or dimension")
+    offline = contexts @ prior.T
     sampled = sample_scores(zero_prior_state.beliefs, contexts, rng)
     mixed = alpha * softmax(offline) + (1.0 - alpha) * softmax(sampled)
     return np.argmax(mixed, axis=1)
@@ -251,13 +236,15 @@ def route_weighted_score(
 
 
 def state_to_dict(state: OnlineRouterState) -> dict:
+    """Versioned JSON document; ``config.sigma_sq`` and ``selection_counts``
+    are written from the stack's noise variance and update counts."""
     return {
         "version": STATE_FORMAT_VERSION,
         "step": state.step,
         "config": {
-            "sigma_sq": state.config.sigma_sq,
-            "prior_variance": state.config.prior_variance,
-            "prior_mode": state.config.prior_mode,
+            "sigma_sq": state.beliefs.noise_variance,
+            "prior_variance": state.prior_variance,
+            "prior_mode": state.prior_mode,
         },
         "selection_counts": [int(c) for c in state.selection_counts],
         "arms": [posterior_to_dict(arm) for arm in state.arms],
@@ -265,7 +252,9 @@ def state_to_dict(state: OnlineRouterState) -> dict:
 
 
 def state_from_dict(doc: dict) -> OnlineRouterState:
-    """Inverse of :func:`state_to_dict`; a malformed document raises FormatError."""
+    """Inverse of :func:`state_to_dict`; a malformed document, or one whose
+    ``config.sigma_sq`` or ``selection_counts`` disagree with its arms, raises
+    FormatError."""
     if not isinstance(doc, dict):
         raise FormatError("router state must be a JSON object")
     version = doc.get("version")
@@ -275,21 +264,15 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
         )
     try:
         cfg = doc["config"]
-        config = RouterConfig(
-            sigma_sq=float(cfg["sigma_sq"]),
-            prior_variance=float(cfg["prior_variance"]),
-            prior_mode=cfg["prior_mode"],
-        )
-        return OnlineRouterState(
-            Beliefs.stack([posterior_from_dict(arm) for arm in doc["arms"]]),
-            config=config,
-            step=int_field(doc["step"], "step", FormatError, minimum=0),
-            selection_counts=[
-                int_field(c, "selection_counts", FormatError, minimum=0)
-                for c in doc["selection_counts"]
-            ],
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        beliefs = Beliefs.stack([posterior_from_dict(arm) for arm in doc["arms"]])
+        written = doc["selection_counts"]
+        counts = [int_field(n, "selection_counts", FormatError, 0) for n in written]
+        arms = (beliefs.noise_variance, beliefs.update_counts.tolist())
+        if (float(cfg["sigma_sq"]), counts) != arms:
+            raise FormatError(f"(config.sigma_sq, selection_counts) differ from the arms' {arms}")
+        step = int_field(doc["step"], "step", FormatError, minimum=0)
+        return OnlineRouterState(beliefs, float(cfg["prior_variance"]), cfg["prior_mode"], step)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed router state: {exc!r}") from exc
 
 

@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, RouterError
 from .features import PairEmbedding, PreferencePair
-from .offline import (
-    OfflineRouterModel,
-    TrainConfig,
-    TrainResult,
-    collect_behavior,
-    train_offline,
-)
+from .offline import TrainConfig, TrainResult, collect_behavior, train_offline
 from .online import (
     OnlineRouterState,
     init_router,
@@ -228,7 +222,7 @@ def scenario_from_dict(doc: dict) -> SimScenario:
             arm_profiles=profiles,
             pairs_per_step=integer(doc["pairs_per_step"], "pairs_per_step"),
             n_steps=integer(doc["n_steps"], "n_steps"),
-            seeds=[integer(s, "seed") for s in doc["seeds"]],
+            seeds=[int_field(s, "seed", ConfigError, minimum=0) for s in doc["seeds"]],
             offline_pairs=integer(doc.get("offline_pairs", 0), "offline_pairs"),
             mixture_before=doc.get("mixture_before"),
             mixture_after=doc.get("mixture_after"),
@@ -440,6 +434,8 @@ class ReplayConfig:
             raise ConfigError(f"light_c must be >= 1, got {self.light_c}")
         if self.offline_prior is not None:
             self.offline_prior = np.asarray(self.offline_prior, dtype=np.float64)
+            if self.offline_prior.ndim != 2 or not np.isfinite(self.offline_prior).all():
+                raise ConfigError("offline_prior must be a finite (n_arms, d) matrix")
 
 
 @dataclass
@@ -483,7 +479,7 @@ class _Replay:
     d: int
     clusters: np.ndarray  # per stream pair
     profiles: np.ndarray
-    offline_model: OfflineRouterModel | None
+    prior: np.ndarray | None  # the offline prior matrix, if the router reads it
     rng: np.random.Generator  # routing draws
     loss_rng: np.random.Generator
     comp_rng: np.random.Generator  # light_advantage comparator picks
@@ -494,12 +490,6 @@ def _start_single(run: _Replay) -> int:
     if not 0 <= run.param < run.n_arms:
         raise ConfigError(f"single arm index {run.param} out of range for {run.n_arms} models")
     return run.param
-
-
-def _start_thompson(run: _Replay) -> OnlineRouterState:
-    c = run.config
-    prior = c.offline_prior if c.prior_mode == "injected" else None
-    return init_router(run.n_arms, run.d, c.prior_mode, prior, c.sigma_sq, c.prior_variance)
 
 
 def _mix_weight(arg: str) -> float:
@@ -557,17 +547,19 @@ ROUTERS = {
     "thompson": RouterKind(
         "thompson", "bandit",
         lambda state, run, h, rows: route_batch(state, h, run.rng),
-        _start_thompson, lambda state, *step: observe_feedback(state, *step), "injected",
+        lambda run: init_router(run.n_arms, run.d, run.config.prior_mode, run.prior,
+                                run.config.sigma_sq, run.config.prior_variance),
+        lambda state, *step: observe_feedback(state, *step), "injected",
     ),
     "offline": RouterKind(
         "offline", "fixed",
-        lambda _, run, h, rows: (np.argmax(h @ run.offline_model.bt_embeddings.T, axis=1), None),
+        lambda _, run, h, rows: (np.argmax(h @ run.prior.T, axis=1), None),
         prior="always",
     ),
     "weighted": RouterKind(
         "weighted:<alpha>", "bandit",
         lambda state, run, h, rows: (
-            route_weighted_score(run.offline_model, state, h, run.param, run.rng), None
+            route_weighted_score(run.prior, state, h, run.param, run.rng), None
         ),
         lambda run: init_router(run.n_arms, run.d, sigma_sq=run.config.sigma_sq),
         lambda state, *step: observe_feedback(state, *step), "always", _mix_weight,
@@ -688,19 +680,16 @@ def run_replay(
     if stream.n != batch_size * n_steps:
         raise ConfigError("stream size does not match pairs_per_step * n_steps")
 
-    prior = config.offline_prior
-    offline_model = None
+    prior = None
     if reads_offline_prior(kind, config.prior_mode):
-        if prior is None:
-            raise ConfigError(f"router {router!r} needs an offline prior matrix")
-        if prior.shape != (n_arms, d):
-            raise ConfigError(f"offline prior shape {prior.shape} does not match ({n_arms}, {d})")
-        offline_model = OfflineRouterModel(None, prior, np.zeros_like(prior), 0.0, n_arms)
+        prior = config.offline_prior
+        if prior is None or prior.shape != (n_arms, d):
+            raise ConfigError(f"router {router!r} needs an ({n_arms}, {d}) offline prior matrix")
 
     seed_rng = np.random.default_rng(config.seed)
     rngs = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
     run = _Replay(
-        config, param, n_arms, d, stream.clusters, dataset.profiles, offline_model, *rngs,
+        config, param, n_arms, d, stream.clusters, dataset.profiles, prior, *rngs,
         RewardHistory(),
     )
     state = spec.start(run)

@@ -7,9 +7,9 @@ import pytest
 from rmrouter import sim
 from rmrouter.cli import main
 from rmrouter.errors import NonPSDError
-from rmrouter.features import load_dataset, load_embeddings
+from rmrouter.features import FusionParams, load_dataset, load_embeddings
 from rmrouter.gaussian import ArmPosterior
-from rmrouter.offline import load_behavior, load_model
+from rmrouter.offline import OfflineRouterModel, load_behavior, load_model, model_to_dict
 from rmrouter.online import init_router, save_state, state_to_dict
 from rmrouter.serialize import read_json, write_json
 from rmrouter.sim import scenario_to_dict
@@ -492,10 +492,13 @@ class TestValidation:
             lambda doc: doc["arms"][0].update(update_count=-2),
             lambda doc: doc["arms"][0].update(update_count=True),
             lambda doc: doc["arms"][1].update(d=2.5),  # truncated, it would fit the arm
+            lambda doc: doc["config"].update(sigma_sq=7.0),  # the arms' noise variance is 1
+            lambda doc: doc["selection_counts"].__setitem__(0, 3),  # the arms' counts are 0
         ],
         ids=["covariance-length-3", "indefinite-covariance", "missing-mean", "nan-mean",
              "nan-config", "fractional-step", "negative-step", "negative-selection-count",
-             "negative-update-count", "bool-update-count", "fractional-d"],
+             "negative-update-count", "bool-update-count", "fractional-d",
+             "sigma-sq-differs-from-arms", "selection-counts-differ-from-arms"],
     )
     def test_malformed_state_exits_2(self, tmp_path, capsys, edit):
         doc = state_to_dict(init_router(2, 2))
@@ -591,3 +594,150 @@ class TestDeterminism:
         assert read_bytes(f"{dirs[0]}/thompson_1.metrics.jsonl") == read_bytes(
             f"{dirs[1]}/thompson_1.metrics.jsonl"
         )
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps writes NaN and Infinity
+    return str(path)
+
+
+class TestDocumentChecks:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("router", ["offline", "weighted:0.5"])
+    def test_non_finite_prior_file_exits_2_before_output(
+        self, tmp_path, scenario_file, capsys, router, value
+    ):
+        bt = np.eye(2, 8).tolist()
+        bt[1][3] = value
+        prior = write_doc(tmp_path / "prior.json",
+                          {"version": 1, "n_arms": 2, "d": 8, "bt_embeddings": bt})
+        out_dir = tmp_path / "runs"
+        code = main(["run-sim", "--scenario", scenario_file, "--router", router,
+                     "--prior-file", prior, "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: offline_prior must be a finite")
+        assert not out_dir.exists()
+
+    def model_doc(self):
+        rng = np.random.default_rng(4)
+        fusion = FusionParams.random_init(3, 2, rng, 0.1)
+        model = OfflineRouterModel(fusion, rng.standard_normal((2, 3)),
+                                   rng.standard_normal((2, 3)), 0.2, 2)
+        return model_to_dict(model)
+
+    @pytest.mark.parametrize("command", ["inspect", "export-prior"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update({"lambda": float("nan")}),
+            lambda doc: doc.update({"lambda": float("inf")}),
+            lambda doc: doc["bt_embeddings"][1].__setitem__(0, float("nan")),
+            lambda doc: doc["bt_embeddings"][0].__setitem__(2, float("inf")),
+            lambda doc: doc["cls_embeddings"][0].__setitem__(1, float("-inf")),
+            lambda doc: doc["fusion"]["weight"][2].__setitem__(3, float("nan")),
+            lambda doc: doc["fusion"]["bias"].__setitem__(0, float("inf")),
+        ],
+        ids=["nan-lambda", "inf-lambda", "nan-bt", "inf-bt", "minus-inf-cls", "nan-fusion-weight",
+             "inf-fusion-bias"],
+    )
+    def test_non_finite_model_exits_2(self, tmp_path, capsys, command, edit):
+        doc = self.model_doc()
+        path = str(tmp_path / "model.json")
+        write_json(path, doc)
+        out = tmp_path / "prior.json"
+        args = {"inspect": ["inspect", path],
+                "export-prior": ["export-prior", "--model", path, "--out", str(out)]}[command]
+        assert main(args) == 0
+        capsys.readouterr()
+        out.unlink(missing_ok=True)
+        edit(doc)
+        write_doc(tmp_path / "model.json", doc)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize(
+        "case", ["scenario-seeds", "run-sim-seeds", "collect-behavior", "train-offline", "compare"]
+    )
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, scenario_file, capsys, case):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        summary = tmp_path / "summary.csv"
+        summary.write_text("router,seed,final_annotation_accuracy\nrandom,1,0.5\nthompson,1,0.6\n")
+        doc = read_json(scenario_file)
+        doc["seeds"] = [-1]
+        negative_scenario = write_doc(tmp_path / "negative.json", doc)
+        out = tmp_path / "out"
+        args = {
+            "scenario-seeds": ["run-sim", "--scenario", negative_scenario, "--router", "random",
+                               "--out-dir", str(out)],
+            "run-sim-seeds": ["run-sim", "--scenario", scenario_file, "--router", "random",
+                              "--seeds", "-5", "--out-dir", str(out)],
+            "collect-behavior": ["collect-behavior", "--scenario", scenario_file, "--seed", "-3",
+                                 "--out-dir", str(out)],
+            "train-offline": train_args(data_dir, str(out)) + ["--seed", "-2"],
+            "compare": ["compare", "--summary", str(summary), "--baseline", "random",
+                        "--seed", "-1", "--out", str(out)],
+        }[case]
+        capsys.readouterr()
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        value = {"scenario-seeds": "-1", "run-sim-seeds": "-5", "collect-behavior": "-3",
+                 "train-offline": "-2", "compare": "-1"}[case]
+        assert f"got {value}" in captured.err or f"got [{value}]" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestPartialBehavior:
+    def partial_data(self, tmp_path, drop):
+        """150 pairs x 2 models; ``drop(pair_id, held_out)`` says which cells to delete."""
+        scenario = tmp_path / "scenario.json"
+        write_json(scenario, scenario_to_dict(
+            two_specialists_scenario(pairs_per_step=8, n_steps=2, offline_pairs=150)
+        ))
+        data_dir = str(tmp_path / "data")
+        assert main(["collect-behavior", "--scenario", str(scenario), "--seed", "1",
+                     "--out-dir", data_dir]) == 0
+        pair_ids = [p.pair_id for p in load_dataset(f"{data_dir}/dataset.jsonl")]
+        # the pairs the default --holdout 0.2 holds out under train_args' --seed 3
+        held_out = {pair_ids[i] for i in np.random.default_rng(3).permutation(150)[:30]}
+        path = f"{data_dir}/behavior.jsonl"
+        lines = open(path, encoding="utf-8").read().splitlines()
+        rng = np.random.default_rng(0)
+        kept = [lines[0]] + [
+            line for line in lines[1:]
+            if not drop(json.loads(line)["pair_id"] in held_out, rng)
+        ]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(kept) + "\n")
+        return data_dir, len(lines) - len(kept)
+
+    def test_quarter_of_cells_missing_trains_and_writes(self, tmp_path, capsys):
+        data_dir, dropped = self.partial_data(tmp_path, lambda held, rng: rng.random() < 0.25)
+        assert 50 < dropped < 100  # about a quarter of 300 cells
+        model_path = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(train_args(data_dir, str(model_path))) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("held-out routing accuracy"))
+        scored = int(line.split("(")[1].split()[0])
+        assert 0 < scored < 30 and line.endswith(f"({scored} of 30 held-out pairs scored)")
+        assert 0.0 <= float(line.split()[3]) <= 1.0
+        assert load_model(str(model_path)).n_arms == 2
+
+    def test_no_held_out_bits_reports_n_a(self, tmp_path, capsys):
+        data_dir, dropped = self.partial_data(tmp_path, lambda held, rng: held)
+        assert dropped == 60
+        model_path = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(train_args(data_dir, str(model_path))) == 0
+        assert "held-out routing accuracy: n/a (0 of 30 held-out pairs scored)" in (
+            capsys.readouterr().out
+        )
+        assert model_path.exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,9 @@ from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, DimError, FormatError, InputError
 from rmrouter.gaussian import ArmPosterior, Beliefs, posterior_from_dict
-from rmrouter.offline import OfflineRouterModel, model_from_dict
+from rmrouter.offline import model_from_dict
 from rmrouter.online import (
     OnlineRouterState,
-    RouterConfig,
     init_router,
     observe_feedback,
     route_batch,
@@ -35,7 +36,7 @@ def degenerate_state(means, sigma_sq=1.0):
         )
         for m in means
     ]
-    return OnlineRouterState(Beliefs.stack(arms), RouterConfig(sigma_sq=sigma_sq))
+    return OnlineRouterState(Beliefs.stack(arms), prior_variance=1.0)
 
 
 class TestInitRouter:
@@ -320,36 +321,31 @@ class TestLinUcb:
             route_linucb(init_router(2, 2), np.array([[np.nan, 1.0]]), alpha=1.0)
 
 
-def offline_route(model, h):
+def offline_route(prior, h):
     """The offline router's choice for one context: argmax score, lowest index on ties."""
-    return int(np.argmax(model.bt_embeddings @ h))
+    return int(np.argmax(prior @ h))
 
 
 class TestWeightedScore:
-    def make_offline(self, rng, n_arms=3, d=4):
-        return OfflineRouterModel(
-            fusion=None,
-            bt_embeddings=rng.standard_normal((n_arms, d)),
-            cls_embeddings=np.zeros((n_arms, d)),
-            lam=0.0,
-            n_arms=n_arms,
-        )
+    def make_prior(self, rng, n_arms=3, d=4):
+        """An (n_arms, d) ranking-head matrix, as the offline router exports it."""
+        return rng.standard_normal((n_arms, d))
 
     def test_alpha_one_equals_offline_route(self):
         rng = np.random.default_rng(10)
-        model = self.make_offline(rng)
+        prior = self.make_prior(rng)
         state = init_router(3, 4)
         contexts = rng.standard_normal((20, 4))
-        chosen = route_weighted_score(model, state, contexts, 1.0, rng)
-        assert chosen.tolist() == [offline_route(model, h) for h in contexts]
+        chosen = route_weighted_score(prior, state, contexts, 1.0, rng)
+        assert chosen.tolist() == [offline_route(prior, h) for h in contexts]
 
     def test_alpha_zero_equals_thompson_single(self):
         rng_a = np.random.default_rng(11)
         rng_b = np.random.default_rng(11)
-        model = self.make_offline(np.random.default_rng(12))
+        prior = self.make_prior(np.random.default_rng(12))
         state = init_router(3, 4)
         h = np.random.default_rng(13).standard_normal((1, 4))
-        chosen_mix = route_weighted_score(model, state, h, 0.0, rng_a)
+        chosen_mix = route_weighted_score(prior, state, h, 0.0, rng_a)
         chosen, _ = route_batch(state, h, rng_b)
         assert chosen_mix[0] == chosen[0]
 
@@ -361,19 +357,19 @@ class TestWeightedScore:
 
     def test_alpha_range_checked(self):
         rng = np.random.default_rng(15)
-        model = self.make_offline(rng)
+        prior = self.make_prior(rng)
         state = init_router(3, 4)
         with pytest.raises(ConfigError):
-            route_weighted_score(model, state, np.zeros((1, 4)), 1.5, rng)
+            route_weighted_score(prior, state, np.zeros((1, 4)), 1.5, rng)
 
     def test_non_finite_raw_context_rejected(self):
         rng = np.random.default_rng(16)
-        model = self.make_offline(rng, d=2)
+        prior = self.make_prior(rng, d=2)
         state = init_router(3, 2)
         with pytest.raises(InputError):
-            route_weighted_score(model, state, np.array([[np.nan, 1.0]]), 0.5, rng)
+            route_weighted_score(prior, state, np.array([[np.nan, 1.0]]), 0.5, rng)
         with pytest.raises(InputError):
-            route_weighted_score(model, state, np.array([[0.0, 1.0], [np.inf, 1.0]]), 0.5, rng)
+            route_weighted_score(prior, state, np.array([[0.0, 1.0], [np.inf, 1.0]]), 0.5, rng)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -386,17 +382,17 @@ class TestWeightedScore:
         # alpha = 0 is per-pair Thompson routing and alpha = 1 the offline
         # router, row by row, given generators in the same state
         rng = np.random.default_rng(seed)
-        model = self.make_offline(rng, n_arms, d)
+        prior = self.make_prior(rng, n_arms, d)
         state = init_router(n_arms, d)
         contexts = rng.standard_normal((b, d))
         chosen, _ = route_batch(state, contexts, rng)
         state = observe_feedback(state, contexts, chosen, rng.standard_normal(b))
         contexts = rng.standard_normal((b, d))
         thompson, _ = route_batch(state, contexts, np.random.default_rng(seed))
-        mix_online = route_weighted_score(model, state, contexts, 0.0, np.random.default_rng(seed))
-        mix_offline = route_weighted_score(model, state, contexts, 1.0, np.random.default_rng(seed))
+        mix_online = route_weighted_score(prior, state, contexts, 0.0, np.random.default_rng(seed))
+        mix_offline = route_weighted_score(prior, state, contexts, 1.0, np.random.default_rng(seed))
         assert np.array_equal(mix_online, thompson)
-        assert list(mix_offline) == [offline_route(model, h) for h in contexts]
+        assert list(mix_offline) == [offline_route(prior, h) for h in contexts]
 
 
 class TestStatePersistence:
@@ -436,6 +432,93 @@ class TestStatePersistence:
         assert back.step == 1
 
 
+    def test_selection_counts_view_the_update_counts(self):
+        state = observe_feedback(init_router(3, 2), np.ones((4, 2)), [2, 0, 2, 2], np.zeros(4))
+        assert state.selection_counts.tolist() == state.beliefs.update_counts.tolist() == [1, 0, 3]
+        with pytest.raises(ValueError):
+            state.selection_counts[0] = 7
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["config"].update(sigma_sq=7.0),
+            lambda doc: doc["selection_counts"].__setitem__(1, 0),
+            lambda doc: doc["selection_counts"].append(0),
+        ],
+        ids=["sigma-sq", "selection-count", "selection-count-length"],
+    )
+    def test_copies_that_disagree_with_the_arms_rejected(self, edit):
+        state = observe_feedback(init_router(2, 2), np.ones((3, 2)), [1, 1, 0], np.ones(3))
+        doc = state_to_dict(state)
+        edit(doc)
+        with pytest.raises(FormatError, match="differ"):
+            state_from_dict(doc)
+
+
+class TestInitRouterChecks:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_mean_rejected(self, value):
+        prior = np.zeros((2, 3))
+        prior[1, 2] = value
+        with pytest.raises(ConfigError, match="finite"):
+            init_router(2, 3, "injected", prior)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"sigma_sq": np.nan}, {"sigma_sq": 0.0}, {"sigma_sq": np.inf},
+         {"prior_variance": np.nan}, {"prior_variance": -1.0}, {"prior_variance": np.inf}],
+    )
+    def test_bad_variance_rejected(self, options):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            init_router(2, 3, **options)
+
+    def test_stack_built_directly(self):
+        prior = np.arange(6.0).reshape(2, 3)
+        state = init_router(2, 3, "injected", prior, sigma_sq=0.5, prior_variance=0.25)
+        beliefs = state.beliefs
+        assert np.array_equal(beliefs.means, prior) and beliefs.means is not prior
+        assert np.array_equal(beliefs.covariances, np.stack([0.25 * np.eye(3)] * 2))
+        assert beliefs.noise_variance == 0.5 and beliefs.update_counts.tolist() == [0, 0]
+        assert (state.prior_variance, state.prior_mode, state.step) == (0.25, "injected", 0)
+
+
+class TestSaveLoadContinue:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n_arms=st.integers(1, 4),
+        d=st.integers(1, 5),
+        prior_mode=st.sampled_from(["zero", "injected"]),
+        k=st.integers(0, 4),
+        m=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_midway_equals_uninterrupted_run(self, n_arms, d, prior_mode, k, m, seed):
+        rng = np.random.default_rng(seed)
+        prior = rng.standard_normal((n_arms, d)) if prior_mode == "injected" else None
+        steps = [(rng.standard_normal((5, d)), rng.standard_normal(5)) for _ in range(k + m)]
+
+        def run(state, steps, route_rng):
+            for contexts, rewards in steps:
+                chosen, _ = route_batch(state, contexts, route_rng)
+                state = observe_feedback(state, contexts, chosen, rewards)
+            return state
+
+        def fresh():
+            return init_router(n_arms, d, prior_mode, prior, sigma_sq=0.7)
+
+        whole = run(fresh(), steps, np.random.default_rng(seed))
+        route_rng = np.random.default_rng(seed)
+        saved = dumps_doc(state_to_dict(run(fresh(), steps[:k], route_rng)))
+        resumed = run(state_from_dict(json.loads(saved)), steps[k:], route_rng)
+        assert resumed.step == whole.step == k + m
+        assert resumed.selection_counts.tolist() == whole.selection_counts.tolist()
+        for name in ("means", "covariances", "update_counts"):
+            assert getattr(resumed.beliefs, name).tobytes() == getattr(whole.beliefs, name).tobytes()
+        assert resumed.beliefs.noise_variance == whole.beliefs.noise_variance
+        assert (resumed.prior_variance, resumed.prior_mode) == (whole.prior_variance, prior_mode)
+        assert dumps_doc(state_to_dict(resumed)) == dumps_doc(state_to_dict(whole))
+
+
 class TestStackedRouting:
     """Every router scores all arms from one stacked product and draws in one
     call; ``per_arm`` scores and draws arm by arm."""
@@ -466,11 +549,11 @@ class TestStackedRouting:
         assert np.allclose(scores, want, rtol=1e-12, atol=1e-12)
         assert np.array_equal(chosen, np.argmax(want, axis=1))
         assert ours.bit_generator.state == theirs.bit_generator.state
-        model = TestWeightedScore().make_offline(rng, n_arms, d)
+        prior = TestWeightedScore().make_prior(rng, n_arms, d)
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        mixed = route_weighted_score(model, state, contexts, 0.5, ours)
+        mixed = route_weighted_score(prior, state, contexts, 0.5, ours)
         want = per_arm.sample_scores(beliefs.means, beliefs.covariances, contexts, theirs)
-        offline = contexts @ model.bt_embeddings.T
+        offline = contexts @ prior.T
         assert np.array_equal(mixed, np.argmax(0.5 * softmax(offline) + 0.5 * softmax(want), 1))
         assert ours.bit_generator.state == theirs.bit_generator.state
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.gaussian import Beliefs, posterior_update
 from rmrouter.offline import (
-    OfflineRouterModel,
     TrainConfig,
     collect_behavior,
     extract_disagreements,
@@ -678,9 +677,6 @@ def reference_replay(router, dataset, config):
         )
     elif kind == "weighted":
         state = init_router(n_arms, d, sigma_sq=config.sigma_sq)
-        model = OfflineRouterModel(
-            None, config.offline_prior, np.zeros_like(config.offline_prior), 0.0, n_arms
-        )
     else:
         state, scores = RidgeReference(n_arms, d), []
     history = RewardHistory()
@@ -697,7 +693,7 @@ def reference_replay(router, dataset, config):
             )
             scores.append(step_scores)
         else:
-            chosen = route_weighted_score(model, state, contexts, alpha, route_rng)
+            chosen = route_weighted_score(config.offline_prior, state, contexts, alpha, route_rng)
         bits = stream.correct[rows][np.arange(size), chosen]
         losses = [
             loss_rng.normal(SURROGATE_CORRECT_MEAN if bit else SURROGATE_INCORRECT_MEAN,
@@ -713,8 +709,9 @@ def reference_replay(router, dataset, config):
                 mine = [i for i in range(size) if chosen[i] == n]
                 if mine:
                     arms[n] = posterior_update(arms[n], contexts[mine], rewards[mine])
-            counts_n = state.selection_counts + np.bincount(chosen, minlength=n_arms)
-            state = OnlineRouterState(Beliefs.stack(arms), state.config, state.step + 1, counts_n)
+            state = OnlineRouterState(
+                Beliefs.stack(arms), state.prior_variance, state.prior_mode, state.step + 1
+            )
         accuracy.append(int(bits.sum()) / size)
         hits += int(bits.sum())
         clusters = stream.clusters[rows]
@@ -848,7 +845,7 @@ class TestReplayPosteriorClosedForm:
         config = ReplayConfig(seed=23, prior_mode=prior_mode, offline_prior=prior, sigma_sq=0.5)
         decision_log, reward_log, states = [], [], []
         run_replay("thompson", dataset, config, decision_log, reward_log, states)
-        variance = states[0].config.prior_variance
+        variance = states[0].prior_variance
         assert [r["pair_id"] for r in decision_log] == [p.pair_id for p in dataset.stream.pairs]
         reward_of = {row["pair_id"]: row["normalized_reward"] for row in reward_log}
         for n, arm in enumerate(states[0].arms):
