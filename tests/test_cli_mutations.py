@@ -2,10 +2,10 @@
 integer option, ends in exit code 0, 1 or 2, never in an uncaught exception,
 and an exit 0 writes only finite numbers.
 
-Integer options that size an allocation or a loop (``--epochs``,
-``--embed-dim``, ``--encoder-dim``, ``--n-boot``, ``--jobs``) get only zero
-and negative values here: a huge one would run for hours or exhaust memory
-instead of failing.
+Integer options that size an allocation, a loop or a process pool
+(``--epochs``, ``--embed-dim``, ``--encoder-dim``, ``--n-boot``, ``--jobs``)
+get only zero and negative values here: a huge one is valid, and would run
+for hours, exhaust memory or start worker processes instead of failing.
 """
 
 import copy
@@ -54,8 +54,9 @@ DOCUMENTS = base_documents()
 def paths(node, prefix=()):
     """Every position in a JSON document, the document itself first."""
     yield prefix
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
-        node, list) else ()
+    children = node.items() if isinstance(node, dict) else ()
+    if isinstance(node, list):
+        children = enumerate(node)
     for key, child in children:
         yield from paths(child, prefix + (key,))
 
