@@ -101,6 +101,18 @@ def _load_prior(path: str) -> np.ndarray:
     return prior
 
 
+def _norm(vector: np.ndarray) -> float:
+    """The Euclidean norm, finite wherever the true norm is: ``np.linalg.norm``
+    forms x.x, which overflows once an entry passes about 1e154, so that case
+    is computed again on the vector scaled by its largest entry."""
+    scale = np.max(np.abs(vector), initial=0.0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vector)
+        if np.isinf(norm) and np.isfinite(scale):
+            norm = scale * np.linalg.norm(vector / scale)
+    return norm
+
+
 def _write_csv(path: str, header: list[str], rows: list[list], meta: str) -> None:
     buf = io.StringIO()
     buf.write(f"# {meta}\n")
@@ -326,6 +338,9 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         raise InputError("--prior injected requires --prior-file")
     # every spec is parsed (ConfigError on a bad one) before any output is written
     routers = _expand_routers(args, scenario.n_arms, prior is not None)
+    names = [name for name, _, _ in routers]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"routers must not repeat, got {names}")
     needs_prior = [
         spec for _, spec, mode in routers if reads_offline_prior(parse_router(spec)[0], mode)
     ]
@@ -362,7 +377,7 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
         else:
             write_jsonl(path, content, meta=meta)
     rows = [row for runs in per_seed for row, _ in runs]
-    order = {name: i for i, name in enumerate(dict.fromkeys(name for name, _, _ in routers))}
+    order = {name: i for i, name in enumerate(names)}
     rows.sort(key=lambda r: (order[r["router"]], r["seed"]))
     _write_csv(
         os.path.join(args.out_dir, "summary.csv"),
@@ -430,7 +445,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         )
         for n, arm in enumerate(state.arms):
             print(
-                f"arm {n}: |mean|={np.linalg.norm(arm.mean):.6f} "
+                f"arm {n}: |mean|={_norm(arm.mean):.6f} "
                 f"trace(cov)={np.trace(arm.covariance):.6f} "
                 f"updates={arm.update_count} selections={int(state.selection_counts[n])}"
             )
@@ -440,8 +455,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"fusion: {'none (identity contexts)' if model.fusion is None else 'single-layer MLP'}")
         for n in range(model.n_arms):
             print(
-                f"arm {n}: |bt|={np.linalg.norm(model.bt_embeddings[n]):.6f} "
-                f"|cls|={np.linalg.norm(model.cls_embeddings[n]):.6f}"
+                f"arm {n}: |bt|={_norm(model.bt_embeddings[n]):.6f} "
+                f"|cls|={_norm(model.cls_embeddings[n]):.6f}"
             )
         if model.train_meta:
             meta = model.train_meta
@@ -545,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     except RouterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or an output the system refuses to write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,8 +38,9 @@ class PreferencePair:
 
     def __post_init__(self) -> None:
         for name in ("pair_id", "prompt", "response_a", "response_b"):
-            if not getattr(self, name):
-                raise InputError(f"{name} must be non-empty")
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise InputError(f"{name} must be a non-empty string")
         if self.label is not None and self.label not in _LABELS:
             raise InputError(f"label must be one of {_LABELS} or None, got {self.label!r}")
 
@@ -63,7 +64,7 @@ class PairEmbedding:
     @classmethod
     def of(cls, vector: np.ndarray) -> "PairEmbedding":
         vector = np.asarray(vector, dtype=np.float64)
-        return cls(vector, vector.shape[0])
+        return cls(vector, vector.size)  # a non-vector fails the shape check
 
 
 class TextEncoder(Protocol):
@@ -229,8 +230,8 @@ def load_embeddings(path) -> dict[str, PairEmbedding]:
     out: dict[str, PairEmbedding] = {}
     expected_d: int | None = None
     for lineno, obj in iter_jsonl(path):
-        if not isinstance(obj, dict) or "pair_id" not in obj or "vector" not in obj:
-            raise FormatError("embedding row must have pair_id and vector", line=lineno)
+        if not (isinstance(obj, dict) and isinstance(obj.get("pair_id"), str) and "vector" in obj):
+            raise FormatError("embedding row must have a string pair_id and a vector", line=lineno)
         pair_id = obj["pair_id"]
         if pair_id in out:
             raise FormatError(f"duplicate pair_id {pair_id!r}", line=lineno)

@@ -480,7 +480,10 @@ def load_behavior(path, pair_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray
         if first != lineno:
             raise FormatError(f"pair {pair_id!r} model {rm} repeats line {first}", line=lineno)
         bits.append(bit)
-    cells = np.array(list(first_line), dtype=np.int64).reshape(-1, 2).T
+    try:
+        cells = np.array(list(first_line), dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as exc:  # an rm_index past int64, far above any row count
+        raise FormatError(f"rm_index out of range: {exc}") from exc
     # checked before allocating anything N wide: N is at most the row count
     models = np.unique(cells[1])
     gaps = np.flatnonzero(models != np.arange(len(models)))

@@ -3,33 +3,42 @@
 All persisted documents go through these functions so that rerunning a
 command with the same seed reproduces output files byte for byte: keys are
 sorted, floats use Python's shortest round-trip repr, and NaN/Inf are
-rejected rather than written.
+rejected rather than written.  The standard library encoder writes the
+document; what it cannot write itself (numpy arrays, numbers and bools, and
+mappings that are not dicts, such as the replay's log rows) goes through one
+fallback hook that hands it back as Python values, so no separate pass
+converts the document first.  A numpy float64 is a Python float and is
+written by the same shortest repr.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 import numpy as np
 
 from .errors import FormatError
 
 
-def jsonable(obj: Any) -> Any:
-    """Convert numpy scalars/arrays into plain Python containers."""
+def _plain(obj: Any) -> Any:
+    """The encoder's fallback for a value it cannot write itself: a numpy
+    array, number or bool becomes its Python value, and a mapping a dict."""
     if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
+        return obj.tolist()
+    if isinstance(obj, np.floating):  # float(): a longdouble's item() is a longdouble
         return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, Mapping):
+        return dict(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_DOC = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=_plain)
+_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=_plain)
 
 
 def int_field(
@@ -47,12 +56,12 @@ def int_field(
 
 def dumps_doc(obj: Any) -> str:
     """Pretty canonical form used for standalone JSON documents."""
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _DOC.encode(obj) + "\n"
 
 
 def dumps_line(obj: Any) -> str:
     """Compact canonical form used for JSONL rows."""
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _LINE.encode(obj)
 
 
 def write_json(path: str | os.PathLike, obj: Any) -> None:
@@ -74,7 +83,7 @@ def write_jsonl(path: str | os.PathLike, rows: Iterable[Any], meta: dict | None 
     """Write JSONL rows; an optional provenance object goes first as {"_meta": ...}."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if meta is not None:
-            fh.write(dumps_line({"_meta": jsonable(meta)}) + "\n")
+            fh.write(dumps_line({"_meta": meta}) + "\n")
         for row in rows:
             fh.write(dumps_line(row) + "\n")
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +112,11 @@ class SimScenario:
                 raise ConfigError("cluster_id values must be 0..C-1 in order")
             if cluster.center.shape[0] != d:
                 raise ConfigError("all cluster centers must share one dimension")
+        # a split's largest arrays hold n x max(d, n_arms) 8-byte values, and no
+        # numpy array holds more bytes than the largest intp
+        n_pairs = max(self.offline_pairs, self.pairs_per_step * self.n_steps)
+        if n_pairs * 8 * max(d, self.n_arms) > np.iinfo(np.intp).max:
+            raise ConfigError(f"{n_pairs} pairs in one split do not fit in a numpy array")
         for a, ca in enumerate(self.clusters):
             for cb in self.clusters[a + 1 :]:
                 if np.array_equal(ca.center, cb.center):
@@ -653,6 +659,73 @@ def _step_rewards(run: _Replay, bits: np.ndarray, chosen: np.ndarray, correct: n
     return raw, raw, None
 
 
+class _StepColumns(NamedTuple):
+    """One bandit step's logged values, shared by its decision and reward rows.
+
+    ``step``, ``q_lo`` and ``q_hi`` hold for the whole step; every other
+    field has one entry per pair of the batch.
+    """
+
+    step: int
+    pair_id: list[str]
+    chosen_arm: np.ndarray  # (B,)
+    sampled_scores: np.ndarray | None  # (B, N)
+    raw_reward: np.ndarray  # (B,)
+    normalized_reward: np.ndarray  # (B,)
+    q_lo: float | None
+    q_hi: float | None
+
+
+_STEP_FIELDS = ("step", "q_lo", "q_hi")
+
+
+class _LogRow(Mapping):
+    """Read-only view of pair ``i`` of a step's columns.
+
+    Every value is a plain int, float, str, None or list of floats, so a row
+    equals the dict of its items; it pickles as its (columns, i), and the
+    columns go once per step however many rows refer to them.
+    """
+
+    __slots__ = ("_columns", "_i")
+    KEYS: tuple[str, ...] = ()
+
+    def __init__(self, columns: _StepColumns, i: int):
+        self._columns = columns
+        self._i = i
+
+    def __getitem__(self, key: str):
+        if key not in self.KEYS:
+            raise KeyError(key)
+        column = getattr(self._columns, key)
+        if key in _STEP_FIELDS:
+            return column
+        value = column[self._i]
+        return value if isinstance(value, str) else value.tolist()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.KEYS)
+
+    def __len__(self) -> int:
+        return len(self.KEYS)
+
+    def __reduce__(self):
+        return type(self), (self._columns, self._i)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class DecisionRow(_LogRow):
+    __slots__ = ()
+    KEYS = ("step", "pair_id", "chosen_arm", "sampled_scores")
+
+
+class RewardRow(_LogRow):
+    __slots__ = ()
+    KEYS = ("step", "pair_id", "raw_reward", "normalized_reward", "q_lo", "q_hi")
+
+
 def run_replay(
     router: str,
     dataset: SimDataset,
@@ -666,7 +739,10 @@ def run_replay(
     Each step routes a batch of context rows to an array of chosen arms; a
     bandit then gets a rewards array built from surrogate losses of its chosen
     annotations.  All strategies share the same frozen dataset, so runs with
-    equal seeds are paired across strategies.  ``final_state_out`` receives a
+    equal seeds are paired across strategies.  ``decision_log`` and
+    ``reward_log`` receive one read-only row mapping per routed pair
+    (:class:`DecisionRow`, :class:`RewardRow`), equal to the dict of plain
+    values it reads from its step's columns.  ``final_state_out`` receives a
     bandit router's final state once every arm passes the full belief check;
     an arm that fails it raises InvariantError.
     """
@@ -720,18 +796,12 @@ def run_replay(
             if decision_log is None and reward_log is None:
                 continue
             ids = list(map(stream.pair_id, range(rows.start, rows.stop)))
+            q_lo, q_hi = bounds or (None, None)
+            columns = _StepColumns(step, ids, chosen, scores, raw, rewards, q_lo, q_hi)
             if decision_log is not None and scores is not None:
-                decision_log.extend(
-                    {"step": step, "pair_id": pid, "chosen_arm": arm, "sampled_scores": row}
-                    for pid, arm, row in zip(ids, chosen.tolist(), scores.tolist())
-                )
+                decision_log.extend(map(DecisionRow, repeat(columns), range(batch_size)))
             if reward_log is not None:
-                q_lo, q_hi = bounds or (None, None)
-                reward_log.extend(
-                    dict(step=step, pair_id=pid, raw_reward=r, normalized_reward=value,
-                         q_lo=q_lo, q_hi=q_hi)
-                    for pid, r, value in zip(ids, raw.tolist(), rewards.tolist())
-                )
+                reward_log.extend(map(RewardRow, repeat(columns), range(batch_size)))
         expected = dataset.profiles[chosen_all, stream.clusters]
 
     # summed per step, then accumulated in step order: the traces equal a step-by-step sum

@@ -177,6 +177,14 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "thompson" in err and "majority" in err
 
+    def test_repeated_router_exits_2_before_any_output(self, tmp_path, scenario_file, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["run-sim", "--scenario", scenario_file, "--router", "thompson,random,random",
+                     "--seeds", "1", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: routers must not repeat")
+        assert not out_dir.exists()
+
     def test_model_missing_a_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         write_json(path, {"version": 1, "bt_embeddings": [[1, 2]]})
@@ -566,6 +574,28 @@ class TestInspect:
         for n in range(2):
             assert f"arm {n}: |mean|={np.linalg.norm(prior[n]):.6f}" in out
 
+    # x.x overflows for these finite entries; the norm itself does not
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_state_mean_near_overflow_prints_finite_norm(self, tmp_path, capsys):
+        doc = state_to_dict(init_router(2, 3))
+        doc["arms"][1]["mean"][2] = -1e308
+        path = str(tmp_path / "state.json")
+        write_json(path, doc)
+        assert main(["inspect", path]) == 0
+        out = capsys.readouterr().out
+        assert f"arm 1: |mean|={1e308:.6f} " in out and "inf" not in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_model_rows_near_overflow_print_finite_norms(self, tmp_path, capsys):
+        bt, cls = np.zeros((2, 3)), np.eye(2, 3)
+        bt[0, 1], cls[1, 0] = 1e308, -1e308
+        path = str(tmp_path / "model.json")
+        write_json(path, model_to_dict(OfflineRouterModel(None, bt, cls, 0.2, 2)))
+        assert main(["inspect", path]) == 0
+        out = capsys.readouterr().out
+        assert f"arm 0: |bt|={1e308:.6f} |cls|=1.000000" in out
+        assert f"arm 1: |bt|=0.000000 |cls|={1e308:.6f}" in out and "inf" not in out
+
 
 class TestDeterminism:
     def test_collect_behavior_rerun_byte_identical(self, tmp_path, scenario_file):
@@ -741,3 +771,55 @@ class TestPartialBehavior:
             capsys.readouterr().out
         )
         assert model_path.exists()
+
+
+class TestDamagedFiles:
+    """Damaged inputs that used to end in a traceback: each exits 2 and writes no output."""
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("dataset", lambda row: row.update(prompt=5)),
+            ("dataset", lambda row: row.update(pair_id=["off-000000"])),
+            ("embeddings", lambda row: row.update(pair_id=["off-000000"])),
+            ("embeddings", lambda row: row.update(vector=0.5)),
+            ("behavior", lambda row: row.update(rm_index=1e308)),
+        ],
+        ids=["number-prompt", "list-pair-id", "list-embedding-id", "scalar-vector",
+             "rm-index-past-int64"],
+    )
+    def test_damaged_training_file_exits_2(self, tmp_path, scenario_file, capsys, name, edit):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        path = tmp_path / "data" / f"{name}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[-1])
+        edit(row)
+        path.write_text("\n".join(lines[:-1] + [json.dumps(row)]) + "\n", encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(train_args(data_dir, str(model_path))) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(pairs_per_step=1e308),
+            lambda doc: doc.update(offline_pairs=10**30),
+            lambda doc: doc.update(seeds=[1e308]),  # a 309-digit file name
+        ],
+        ids=["huge-pairs-per-step", "huge-offline-pairs", "huge-seed"],
+    )
+    def test_damaged_scenario_exits_2(self, tmp_path, capsys, edit):
+        doc = scenario_to_dict(two_specialists_scenario(pairs_per_step=8, n_steps=6, seeds=[1]))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "runs"
+        code = main(["run-sim", "--scenario", str(path), "--router", "random",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(out_dir.glob("*"))

@@ -1,6 +1,7 @@
-"""CLI input mutations: a damaged state, prior or model document, or a bad
-integer option, ends in exit code 0, 1 or 2, never in an uncaught exception,
-and an exit 0 writes only finite numbers.
+"""CLI input mutations: a damaged state, prior, model or scenario document, a
+damaged dataset, behaviour or embeddings file, or a bad integer option, ends
+in exit code 0, 1 or 2, never in an uncaught exception, and an exit 0 writes
+only finite numbers.
 
 Integer options that size an allocation, a loop or a process pool
 (``--epochs``, ``--embed-dim``, ``--encoder-dim``, ``--n-boot``, ``--jobs``)
@@ -21,11 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rmrouter.cli import main
-from rmrouter.features import FusionParams
-from rmrouter.offline import OfflineRouterModel, model_to_dict
+from rmrouter.features import FusionParams, save_dataset, save_embeddings
+from rmrouter.offline import OfflineRouterModel, model_to_dict, save_behavior
 from rmrouter.online import init_router, observe_feedback, state_to_dict
 from rmrouter.serialize import write_json
-from rmrouter.sim import scenario_to_dict
+from rmrouter.sim import generate_scenario, scenario_to_dict
 
 from scenarios import two_specialists_scenario
 
@@ -34,6 +35,23 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 REPLACEMENTS = NON_FINITE + [1e308, -1e308, 10**30, -(10**30), -1, -7.5, 0, "x", None, True,
                              [], {}, [[1.0], [1.0, 2.0]]]
 MUTATIONS = ("drop", "replace", "ragged")
+SCENARIO = two_specialists_scenario(8, 4, offline_pairs=12, seeds=[1])
+JSONL = ("dataset", "behavior", "embeddings")  # one document per line, mutated as a list
+
+
+def data_files():
+    """The offline split's dataset, behaviour and embeddings files, as lists of lines."""
+    split = generate_scenario(SCENARIO, 1).offline
+    ids = list(map(split.pair_id, range(split.n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(os.path.join(tmp, "dataset.jsonl"), split.pairs)
+        save_behavior(os.path.join(tmp, "behavior.jsonl"), ids, split.correct, meta={"seed": 1})
+        save_embeddings(os.path.join(tmp, "embeddings.jsonl"), split.embeddings)
+        files = {}
+        for kind in JSONL:
+            with open(os.path.join(tmp, f"{kind}.jsonl"), encoding="utf-8") as fh:
+                files[kind] = [json.loads(line) for line in fh]
+        return files
 
 
 def base_documents():
@@ -45,7 +63,18 @@ def base_documents():
                                0.2, 2, {"seed": 1, "epochs": 2, "final_loss": 0.5})
     prior = {"version": 1, "n_arms": 2, "d": D,
              "bt_embeddings": rng.standard_normal((2, D)).tolist()}
-    return {"state": state_to_dict(state), "model": model_to_dict(model), "prior": prior}
+    return {"state": state_to_dict(state), "model": model_to_dict(model), "prior": prior,
+            "scenario": scenario_to_dict(SCENARIO), **data_files()}
+
+
+def write_document(folder, kind, doc):
+    """Write ``doc`` as the ``kind`` file in ``folder``; NaN and Infinity are written
+    as json.dump writes them."""
+    path = os.path.join(folder, f"{kind}.jsonl" if kind in JSONL else f"{kind}.json")
+    lines = doc if kind in JSONL and isinstance(doc, list) else [doc]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+    return path
 
 
 DOCUMENTS = base_documents()
@@ -79,12 +108,22 @@ def mutated(doc, path, how, replacement):
     return doc
 
 
-def commands(kind, doc_path, out, scenario):
+def commands(kind, files, out):
+    doc_path = files[kind]
     if kind == "state":
         return [["inspect", doc_path]]
     if kind == "model":
         return [["inspect", doc_path], ["export-prior", "--model", doc_path, "--out", out]]
-    run = ["run-sim", "--scenario", scenario, "--seeds", "1", "--prior-file", doc_path,
+    if kind == "scenario":
+        return [["collect-behavior", "--scenario", doc_path, "--out-dir", out],
+                ["run-sim", "--scenario", doc_path, "--router", "random,thompson",
+                 "--out-dir", out]]
+    if kind in JSONL:
+        train = ["train-offline", "--dataset", files["dataset"], "--behavior", files["behavior"],
+                 "--out", out]
+        text = [train] if kind == "dataset" else []  # hashed text contexts, no embeddings
+        return [train + ["--embeddings", files["embeddings"]]] + text
+    run = ["run-sim", "--scenario", files["scenario"], "--seeds", "1", "--prior-file", doc_path,
            "--out-dir", out]
     return [run + ["--router", "offline"], run + ["--router", "weighted:0.5"],
             run + ["--router", "thompson", "--prior", "injected"]]
@@ -125,8 +164,8 @@ def run_main(args, capsys):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # inspect's norms
-@settings(deadline=None, max_examples=150,
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 inputs
+@settings(deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(DOCUMENTS)), data=st.data())
 def test_mutated_document(kind, data, capsys):
@@ -135,13 +174,10 @@ def test_mutated_document(kind, data, capsys):
     how = data.draw(st.sampled_from(MUTATIONS if path else ("replace",)), label="mutation")
     replacement = data.draw(st.sampled_from(REPLACEMENTS), label="replacement")
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = os.path.join(tmp, "scenario.json")
-        write_json(scenario, scenario_to_dict(two_specialists_scenario(8, 4, seeds=[1])))
-        doc_path = os.path.join(tmp, f"{kind}.json")
-        with open(doc_path, "w", encoding="utf-8") as fh:
-            json.dump(mutated(doc, path, how, replacement), fh)  # writes NaN and Infinity
+        files = {name: write_document(tmp, name, DOCUMENTS[name]) for name in DOCUMENTS}
+        write_document(tmp, kind, mutated(doc, path, how, replacement))
         out = os.path.join(tmp, "out")
-        for args in commands(kind, doc_path, out, scenario):
+        for args in commands(kind, files, out):
             code, stdout = run_main(args, capsys)
             if code == 0:
                 assert_finite_outputs(out, stdout)
