@@ -563,6 +563,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # a missing input, or an output the system refuses to write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # sizes that fit a numpy array but not this host's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

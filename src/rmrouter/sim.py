@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, RouterError
 from .features import PairEmbedding, PreferencePair
-from .offline import TrainConfig, TrainResult, collect_behavior, train_offline
+from .offline import TrainConfig, TrainResult, train_offline
 from .online import (
     OnlineRouterState,
     init_router,
@@ -249,20 +249,25 @@ class SimSplit:
     """A materialized set of pairs, one array row per pair.
 
     Row ``i`` is the pair named ``pair_id(i)``.  The pipeline reads only the
-    arrays; ``pairs`` and ``embeddings`` serve the dataset files, the CLI and
-    the demos.
+    arrays; ``pairs``, ``embeddings`` and the ``answers`` derived from the bits
+    serve the dataset files, the CLI, the tests and the demos.
     """
 
     prefix: str  # pair ids are f"{prefix}-{row:06d}"
     contexts: np.ndarray  # (n, d) unit context vector per pair
     clusters: np.ndarray  # (n,) cluster index per pair
     labels: np.ndarray  # (n,) ground truth "A"/"B"
-    answers: np.ndarray  # (n, n_arms) "A"/"B" per model
-    correct: np.ndarray  # (n, n_arms) answer == label
+    correct: np.ndarray  # (n, n_arms) uint8: 1 where the model labels the pair right
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def answers(self) -> np.ndarray:
+        """(n, n_arms) "A"/"B" per model: the label where the model is right."""
+        flipped = np.where(self.labels == "A", "B", "A")
+        return np.where(self.correct, self.labels[:, None], flipped[:, None])
 
     def pair_id(self, row: int) -> str:
         return f"{self.prefix}-{row:06d}"
@@ -317,8 +322,10 @@ class SimDataset:
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
     # one dot product per row, the way np.linalg.norm(row) computes it;
-    # np.linalg.norm(axis=1) can differ from that in the last bit
-    return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
+    # np.linalg.norm(axis=1) can differ from that in the last bit.  h.h
+    # overflows to inf once an entry passes about 1e154; the caller rescales
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
 
 
 def _draw_clusters(
@@ -354,31 +361,40 @@ def _draw_split(
     spreads = np.array([c.spread for c in scenario.clusters], dtype=np.float64)
     # one draw for every row gives the values of one draw per row, in order
     contexts = rng.standard_normal((n, scenario.d))
-    contexts *= spreads[cluster_ids, None]
-    contexts += centers[cluster_ids]
+    with np.errstate(over="ignore"):  # an overflowed entry is refused below
+        contexts *= spreads[cluster_ids, None]
+        contexts += centers[cluster_ids]
     norms = _row_norms(contexts)
     zero = norms == 0.0
     if zero.any():  # fall back to the centre; a zero centre stays a zero vector
         contexts[zero] = centers[cluster_ids[zero]]
         norms[zero] = _row_norms(contexts[zero])
         norms[norms == 0.0] = 1.0
+    big = ~np.isfinite(norms)
+    if big.any():  # h.h overflowed: divide by the largest |entry| first, as cli._norm does
+        rows = contexts[big]
+        with np.errstate(invalid="ignore"):
+            rows /= np.max(np.abs(rows), axis=1, keepdims=True)
+        if not np.isfinite(rows).all():
+            raise ConfigError("context vectors overflow float64: cluster centres or spreads "
+                              "are too large")
+        contexts[big] = rows
+        norms[big] = _row_norms(rows)
     contexts /= norms[:, None]
-    flipped = np.where(labels == "A", "B", "A")
-    answers = np.empty((n, scenario.n_arms), dtype="<U1")
-    for arm in range(scenario.n_arms):
-        hit = rm_rngs[arm].random(n) < profiles[arm, cluster_ids]
-        answers[:, arm] = np.where(hit, labels, flipped)
-    correct = collect_behavior(answers, labels)
-    return SimSplit(prefix, contexts, cluster_ids.astype(np.int64), labels, answers, correct)
+    correct = np.empty((n, scenario.n_arms), dtype=np.uint8)
+    for arm in range(scenario.n_arms):  # a hit: the model labels the pair right
+        np.less(rm_rngs[arm].random(n), profiles[arm, cluster_ids], out=correct[:, arm],
+                casting="unsafe")
+    return SimSplit(prefix, contexts, cluster_ids.astype(np.int64), labels, correct)
 
 
 def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> SimDataset:
     """Materialize the offline corpus and the online stream for one run seed.
 
     The offline corpus is drawn from the pre-drift cluster mixture; the stream
-    follows the scheduled mixture step by step.  Each model's answers come
-    from its own seeded generator, so regenerating with the same seed gives a
-    bitwise-identical truth table.
+    follows the scheduled mixture step by step.  Each model's correctness bits
+    come from its own seeded generator, so regenerating with the same seed
+    gives a bitwise-identical truth table.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
@@ -602,19 +618,17 @@ def reads_offline_prior(kind: str, prior_mode: str) -> bool:
     return prior == "always" or (prior == "injected" and prior_mode == "injected")
 
 
-def _majority_labels(answers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(majority label, consensus rate, attributed arm) per pair.
+def _majority_votes(correct: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(majority is right, consensus rate, attributed arm) per pair of a bit matrix.
 
-    Ties go to the lowest-index model's label; the attributed arm is the
-    lowest-index model that voted for the winning label.
+    Ties go to the lowest-index model's vote; the attributed arm is the
+    lowest-index model that voted with the majority.
     """
-    n_arms = answers.shape[1]
-    votes_a = np.sum(answers == "A", axis=1)
-    votes_b = n_arms - votes_a
-    labels = np.where(votes_a > votes_b, "A", np.where(votes_b > votes_a, "B", answers[:, 0]))
-    consensus = np.maximum(votes_a, votes_b) / n_arms
-    attributed = np.argmax(answers == labels[:, None], axis=1)
-    return labels, consensus, attributed
+    n_arms = correct.shape[1]
+    hits = correct.sum(axis=1, dtype=np.int64)
+    right = (2 * hits > n_arms) | ((2 * hits == n_arms) & (correct[:, 0] == 1))
+    consensus = np.maximum(hits, n_arms - hits) / n_arms
+    return right, consensus, np.argmax(correct == right[:, None], axis=1)
 
 
 def majority_correct_prob(probs: Sequence[float]) -> float:
@@ -771,8 +785,7 @@ def run_replay(
     state = spec.start(run)
     calls = 1  # reward-model calls per pair
     if spec.group == "ensemble":
-        votes, consensus, chosen_all = _majority_labels(stream.answers)
-        bits_all = (votes == stream.labels).astype(np.uint8)
+        bits_all, consensus, chosen_all = _majority_votes(stream.correct)
         probs = [majority_correct_prob(dataset.profiles[:, c]) for c in range(scenario.n_clusters)]
         expected = np.array(probs)[stream.clusters]
         calls = n_arms

@@ -823,3 +823,54 @@ class TestDamagedFiles:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out_dir.glob("*"))
+
+
+class TestScenarioLimits:
+    """Scenario geometry and sizes at the edge of float64 and of memory."""
+
+    def scenario_path(self, tmp_path, edit):
+        doc = scenario_to_dict(two_specialists_scenario(pairs_per_step=8, n_steps=6,
+                                                        offline_pairs=40, seeds=[1]))
+        edit(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_huge_centre_entry_gives_unit_contexts(self, tmp_path, capsys, big):
+        def edit(doc):
+            doc["clusters"][1]["center"][0] = big
+
+        path = self.scenario_path(tmp_path, edit)
+        for split in ("offline", "stream"):
+            out_dir = tmp_path / split
+            assert main(["collect-behavior", "--scenario", path, "--seed", "1", "--split", split,
+                         "--out-dir", str(out_dir)]) == 0
+            embeddings = load_embeddings(str(out_dir / "embeddings.jsonl"))
+            vectors = [e.vector for e in embeddings.values()]
+            assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert main(["run-sim", "--scenario", path, "--router", "thompson,majority",
+                     "--out-dir", str(tmp_path / "runs")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["collect-behavior", "run-sim"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["clusters"][1].update(spread=1e308),  # noise past 1.8 overflows
+            # 2**50 stream pairs fit a numpy array's byte count; the 8 PiB draw fails at once
+            lambda doc: doc.update(pairs_per_step=2**40, n_steps=2**10),
+        ],
+        ids=["context-past-float64", "out-of-memory"],
+    )
+    def test_unbuildable_scenario_exits_2_before_any_output(self, tmp_path, capsys, command,
+                                                            edit):
+        path = self.scenario_path(tmp_path, edit)
+        out_dir = tmp_path / "out"
+        args = {"collect-behavior": ["collect-behavior", "--scenario", path, "--seed", "1"],
+                "run-sim": ["run-sim", "--scenario", path, "--router", "random"]}[command]
+        assert main(args + ["--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(out_dir.glob("*"))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,10 +35,11 @@ from rmrouter.sim import (
     SIM_TRAIN_LR,
     Cluster,
     ReplayConfig,
+    RunMetrics,
     SimScenario,
     _draw_clusters,
     _draw_split,
-    _majority_labels,
+    _majority_votes,
     compare_runs,
     fit_offline_router,
     generate_scenario,
@@ -168,6 +171,28 @@ class TestScenarioChecks:
         with pytest.raises(ConfigError, match=field):
             generate_scenario(scenario_from_dict(doc), 0)
 
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_huge_centre_entry_gives_unit_contexts(self, big):
+        # h.h overflows for cluster 1's rows: they are rescaled, cluster 0's keep their bits
+        doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=8, n_steps=4, offline_pairs=16))
+        want = generate_scenario(scenario_from_dict(doc), 3)
+        doc["clusters"][1]["center"][0] = big
+        got = generate_scenario(scenario_from_dict(doc), 3)
+        for split, reference in ((got.offline, want.offline), (got.stream, want.stream)):
+            assert np.array_equal(split.clusters, reference.clusters)
+            assert np.array_equal(split.correct, reference.correct)
+            ordinary = split.clusters == 0
+            assert split.contexts[ordinary].tobytes() == reference.contexts[ordinary].tobytes()
+            assert (~ordinary).any()
+            norms = np.linalg.norm(split.contexts[~ordinary], axis=1)
+            assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
+
+    def test_context_past_float64_rejected(self):
+        doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=8, n_steps=4))
+        doc["clusters"][1]["spread"] = 1e308  # a noise draw past 1.8 overflows the entry
+        with pytest.raises(ConfigError, match="overflow"):
+            generate_scenario(scenario_from_dict(doc), 3)
+
     def test_nan_mixture_rejected(self):
         doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=4, n_steps=2))
         doc["mixture_before"] = [np.nan, 1.0]
@@ -249,7 +274,14 @@ class TestColumnarGeneration:
         )
         assert split.contexts.tobytes() == contexts.tobytes()
         assert np.array_equal(split.labels, labels)
+        assert split.correct.dtype == np.uint8
+        assert np.array_equal(split.correct, answers == labels[:, None])
         assert np.array_equal(split.answers, answers)
+        # the truth table is held as bits: no (n, N) "A"/"B" matrix is stored
+        assert not any(
+            isinstance(value, np.ndarray) and value.dtype.kind == "U" and value.ndim == 2
+            for value in vars(split).values()
+        )
         assert [(p.pair_id, p.prompt, p.label) for p in split.pairs] == pairs
         assert rng_a.random() == rng_b.random()
         assert [r.random() for r in rm_a] == [r.random() for r in rm_b]
@@ -360,20 +392,34 @@ class TestColumnarGeneration:
         assert got.history == want.history
 
 
+def bits(*rows):
+    return np.array(rows, dtype=np.uint8)
+
+
+def answers_of(correct, labels):
+    """The "A"/"B" answer matrix of a bit matrix: the label where the bit is 1."""
+    flipped = np.where(labels == "A", "B", "A")
+    return np.where(correct, labels[:, None], flipped[:, None])
+
+
 class TestMajority:
     def test_consensus_three_of_four(self):
-        answers = np.array([["A", "A", "A", "B"]])
-        labels, consensus, attributed = _majority_labels(answers)
-        assert labels[0] == "A"
+        right, consensus, attributed = _majority_votes(bits([1, 1, 1, 0]))
+        assert right.tolist() == [True]
         assert consensus[0] == 0.75
         assert attributed[0] == 0
 
+    def test_attributed_arm_is_first_with_the_majority(self):
+        right, consensus, attributed = _majority_votes(bits([0, 1, 1, 1], [1, 0, 0, 0]))
+        assert right.tolist() == [True, False]
+        assert consensus.tolist() == [0.75, 0.75]
+        assert attributed.tolist() == [1, 1]
+
     def test_tie_takes_lowest_index_label(self):
-        answers = np.array([["B", "A", "A", "B"]])
-        labels, consensus, attributed = _majority_labels(answers)
-        assert labels[0] == "B"
-        assert consensus[0] == 0.5
-        assert attributed[0] == 0
+        right, consensus, attributed = _majority_votes(bits([0, 1, 1, 0], [1, 0, 0, 1]))
+        assert right.tolist() == [False, True]
+        assert consensus.tolist() == [0.5, 0.5]
+        assert attributed.tolist() == [0, 0]
 
     def test_majority_prob_enumeration_matches_simulation(self):
         rng = np.random.default_rng(0)
@@ -405,6 +451,29 @@ def majority_labels_loop(answers):
     return labels, consensus, attributed
 
 
+def ensemble_metrics_reference(router, dataset, seed):
+    """Reference: an ensemble replay's metrics with the votes counted on the "A"/"B" answers."""
+    scenario, stream = dataset.scenario, dataset.stream
+    n_arms, batch_size, n_steps = scenario.n_arms, scenario.pairs_per_step, scenario.n_steps
+    votes, consensus, attributed = majority_labels_loop(stream.answers)
+    probs = [majority_correct_prob(dataset.profiles[:, c]) for c in range(scenario.n_clusters)]
+    expected = np.array(probs)[stream.clusters]
+    per_step = (n_steps, batch_size)
+    regret = (dataset.profiles.max(axis=0)[stream.clusters] - expected).reshape(per_step)
+    hits = (votes == stream.labels).astype(np.uint8).reshape(per_step).sum(axis=1)
+    uwo = np.cumsum(consensus.reshape(per_step).sum(axis=1))[-1] if router == "uwo" else None
+    return RunMetrics(
+        router=router,
+        seed=seed,
+        routing_accuracy_per_step=(hits / batch_size).tolist(),
+        cumulative_regret=np.cumsum(regret.sum(axis=1)).tolist(),
+        arm_selection_counts=np.bincount(attributed, minlength=n_arms),
+        final_annotation_accuracy=int(hits.sum()) / stream.n,
+        rm_calls_per_step=[n_arms * batch_size] * n_steps,
+        mean_uwo_weight=None if uwo is None else float(uwo) / stream.n,
+    )
+
+
 def majority_prob_enumeration(probs):
     """Reference: sum over all 2^N correctness outcomes."""
     n = len(probs)
@@ -420,19 +489,54 @@ def majority_prob_enumeration(probs):
     return total
 
 
+def assert_votes_match_loop(correct, labels):
+    right, consensus, attributed = _majority_votes(correct)
+    want_labels, want_consensus, want_attributed = majority_labels_loop(answers_of(correct, labels))
+    assert right.dtype == bool and np.array_equal(right, want_labels == labels)
+    assert np.array_equal(consensus, want_consensus)
+    assert attributed.dtype == want_attributed.dtype
+    assert np.array_equal(attributed, want_attributed)
+
+
 class TestMajorityReferences:
     @settings(deadline=None, max_examples=60)
     @given(n_pairs=st.integers(0, 12), n_arms=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
     def test_labels_match_loop(self, n_pairs, n_arms, seed):
-        answers = np.random.default_rng(seed).choice(np.array(["A", "B"]), size=(n_pairs, n_arms))
-        for got, want in zip(_majority_labels(answers), majority_labels_loop(answers)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        rng = np.random.default_rng(seed)
+        correct = rng.integers(0, 2, size=(n_pairs, n_arms), dtype=np.uint8)
+        labels = rng.choice(np.array(["A", "B"]), size=n_pairs)
+        assert_votes_match_loop(correct, labels)
+
+    @pytest.mark.parametrize("n_arms", [2, 4, 6])
+    def test_every_vote_pattern_of_even_pools(self, n_arms):
+        # all 2^N bit rows under both labels: every tie, each broken by model 0
+        patterns = (np.arange(2**n_arms)[:, None] >> np.arange(n_arms)) & 1
+        correct = np.tile(patterns, (2, 1)).astype(np.uint8)
+        labels = np.repeat(np.array(["A", "B"]), 2**n_arms)
+        assert_votes_match_loop(correct, labels)
 
     @settings(deadline=None, max_examples=100)
     @given(probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
     def test_prob_matches_enumeration(self, probs):
         assert abs(majority_correct_prob(probs) - majority_prob_enumeration(probs)) <= 1e-12
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n_arms=st.integers(2, 9),
+        n_clusters=st.integers(1, 4),
+        n_steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 2),
+        router=st.sampled_from(["majority", "uwo"]),
+    )
+    def test_replay_matches_string_votes(self, n_arms, n_clusters, n_steps, seed, router):
+        scenario = geometry_scenario(3, [0.25] * n_clusters, seed, False, n_arms=n_arms,
+                                     n_steps=n_steps)
+        dataset = generate_scenario(scenario, seed)
+        got = run_replay(router, dataset, ReplayConfig(seed=seed))
+        want = ensemble_metrics_reference(router, dataset, seed)
+        for field in fields(RunMetrics):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and np.array_equal(a, b), field.name
 
     def test_majority_replay_with_64_arms(self):
         n_arms = 64
