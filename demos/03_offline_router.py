@@ -52,7 +52,7 @@ print(f"\ntraining: {len(result.history)} epochs, "
 
 stream = dataset.stream
 every_bit = np.ones(stream.correct.shape, dtype=bool)
-accuracy = routing_accuracy(model, stream.contexts, stream.correct, every_bit)
+accuracy, _ = routing_accuracy(model, stream.contexts, stream.correct, every_bit)
 print(f"held-out routing accuracy on the stream: {accuracy:.4f}")
 print(f"(best single model would get {dataset.profiles.mean(axis=1).max():.3f} on average; "
       f"the per-cluster oracle {dataset.profiles.max(axis=0).mean():.3f})")

@@ -35,6 +35,7 @@ from .features import (
     load_dataset,
     load_embeddings,
     prefusion_vector,
+    row_norms,
     save_dataset,
     save_embeddings,
 )
@@ -44,13 +45,13 @@ from .offline import (
     load_behavior,
     load_model,
     model_from_dict,
-    route_pairs,
+    routing_accuracy,
     save_behavior,
     save_model,
     train_offline,
 )
 from .online import state_from_dict, state_to_dict
-from .serialize import int_field, read_json, write_json, write_jsonl
+from .serialize import check_document, int_field, read_json, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
     ROUTERS,
@@ -83,14 +84,7 @@ def nonnegative_int(text: str) -> int:
 
 
 def _load_prior(path: str) -> np.ndarray:
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"prior file {path} does not hold a JSON object")
-    version = doc.get("version")
-    if version != PRIOR_FORMAT_VERSION:
-        raise InputError(
-            f"unsupported prior file version {version!r}; supported: {PRIOR_FORMAT_VERSION}"
-        )
+    doc = check_document(read_json(path), f"prior file {path}", PRIOR_FORMAT_VERSION)
     try:
         prior = np.asarray(doc["bt_embeddings"], dtype=np.float64)
         shape = tuple(int_field(doc[key], key, FormatError, minimum=1) for key in ("n_arms", "d"))
@@ -99,18 +93,6 @@ def _load_prior(path: str) -> np.ndarray:
     if prior.shape != shape:
         raise InputError("prior matrix shape does not match its declared n_arms/d")
     return prior
-
-
-def _norm(vector: np.ndarray) -> float:
-    """The Euclidean norm, finite wherever the true norm is: ``np.linalg.norm``
-    forms x.x, which overflows once an entry passes about 1e154, so that case
-    is computed again on the vector scaled by its largest entry."""
-    scale = np.max(np.abs(vector), initial=0.0)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vector)
-        if np.isinf(norm) and np.isfinite(scale):
-            norm = scale * np.linalg.norm(vector / scale)
-    return norm
 
 
 def _write_csv(path: str, header: list[str], rows: list[list], meta: str) -> None:
@@ -186,13 +168,11 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
     )
     model = result.model
 
-    if n_holdout:  # scored: the held-out pairs whose routed model has a behaviour bit
-        rows = np.flatnonzero(holdout)
-        chosen = route_pairs(model, contexts[rows])
-        scored = observed[rows, chosen]
-        acc = f"{correct[rows[scored], chosen[scored]].mean():.4f}" if scored.any() else "n/a"
-        print(f"held-out routing accuracy: {acc} "
-              f"({scored.sum()} of {n_holdout} held-out pairs scored)")
+    if n_holdout:
+        acc, scored = routing_accuracy(model, contexts[holdout], correct[holdout],
+                                       observed[holdout])
+        print(f"held-out routing accuracy: {'n/a' if acc is None else f'{acc:.4f}'} "
+              f"({scored} of {n_holdout} held-out pairs scored)")
     else:
         print("held-out routing accuracy: n/a (no holdout)")
 
@@ -443,21 +423,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             f"config: sigma_sq={state.beliefs.noise_variance} "
             f"prior_variance={state.prior_variance} prior_mode={state.prior_mode}"
         )
+        mean_norms = row_norms(state.beliefs.means)
         for n, arm in enumerate(state.arms):
             print(
-                f"arm {n}: |mean|={_norm(arm.mean):.6f} "
+                f"arm {n}: |mean|={mean_norms[n]:.6f} "
                 f"trace(cov)={np.trace(arm.covariance):.6f} "
                 f"updates={arm.update_count} selections={int(state.selection_counts[n])}"
             )
-    elif "bt_embeddings" in doc and "arms" not in doc:
+    elif "bt_embeddings" in doc:
         model = model_from_dict(doc)
         print(f"offline model: {model.n_arms} arms, d={model.d}, lambda={model.lam}")
         print(f"fusion: {'none (identity contexts)' if model.fusion is None else 'single-layer MLP'}")
+        bt_norms, cls_norms = row_norms(model.bt_embeddings), row_norms(model.cls_embeddings)
         for n in range(model.n_arms):
-            print(
-                f"arm {n}: |bt|={_norm(model.bt_embeddings[n]):.6f} "
-                f"|cls|={_norm(model.cls_embeddings[n]):.6f}"
-            )
+            print(f"arm {n}: |bt|={bt_norms[n]:.6f} |cls|={cls_norms[n]:.6f}")
         if model.train_meta:
             meta = model.train_meta
             print(

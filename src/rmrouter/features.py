@@ -2,11 +2,14 @@
 
 Texts are embedded with a deterministic signed feature-hashing encoder over
 word unigrams and padded character trigrams, L2-normalised.  A (prompt,
-response) pair of encodings e, e' is fused into one context vector through a
-single-layer MLP applied to [e + e'; |e - e'|], which makes the context
-invariant to swapping the two responses.  Real sentence encoders can be
-plugged in through the :class:`TextEncoder` protocol, or their vectors can
-be precomputed and loaded from a JSONL file.
+response) pair of encodings e, e' is fused into one context vector by the
+single-layer tanh MLP of :class:`FusionParams` applied to [e + e'; |e - e'|],
+which makes the context invariant to swapping the two responses; the offline
+router trains that layer through the same :meth:`FusionParams.apply`.  Real
+sentence encoders can be plugged in through the :class:`TextEncoder`
+protocol, or their vectors can be precomputed and loaded from a JSONL file.
+:func:`row_norms` is the package's one Euclidean row norm, safe from
+overflow and underflow, for the simulator's contexts and ``inspect``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .serialize import dumps_line, iter_jsonl
 
 DEFAULT_ENCODER_DIM = 256
 DEFAULT_EMBED_DIM = 64
+_SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)  # h.h is subnormal or 0 below this norm
 
 _LABELS = ("A", "B")
 
@@ -47,24 +51,20 @@ class PreferencePair:
 
 @dataclass
 class PairEmbedding:
-    """Finite d-dimensional context vector for one preference pair."""
+    """Finite context vector for one preference pair."""
 
     vector: np.ndarray
-    d: int
 
     def __post_init__(self) -> None:
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise DimError(f"embedding must be a vector, got shape {self.vector.shape}")
-        if self.vector.shape[0] != self.d:
-            raise DimError(f"vector length {self.vector.shape[0]} does not match d={self.d}")
         if not np.all(np.isfinite(self.vector)):
             raise NumericalError("embedding contains non-finite values")
 
-    @classmethod
-    def of(cls, vector: np.ndarray) -> "PairEmbedding":
-        vector = np.asarray(vector, dtype=np.float64)
-        return cls(vector, vector.size)  # a non-vector fails the shape check
+    @property
+    def d(self) -> int:
+        return self.vector.shape[0]
 
 
 class TextEncoder(Protocol):
@@ -112,11 +112,11 @@ def encode_text(text: str, dim: int = DEFAULT_ENCODER_DIM) -> np.ndarray:
 
 @dataclass
 class FusionParams:
-    """Single-layer MLP fusing the two response encodings into one context."""
+    """Single-layer MLP fusing the two response encodings into one context:
+    tanh(x @ weight.T + bias) for each pre-fusion row x."""
 
     weight: np.ndarray
     bias: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -129,8 +129,6 @@ class FusionParams:
             raise DimError(
                 f"bias shape {self.bias.shape} does not match weight rows {self.weight.shape[0]}"
             )
-        if self.activation not in ("tanh", "linear"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def out_dim(self) -> int:
@@ -141,23 +139,41 @@ class FusionParams:
         return self.weight.shape[1] // 2
 
     def apply(self, prefusion: np.ndarray) -> np.ndarray:
-        pre = self.weight @ prefusion + self.bias
-        return np.tanh(pre) if self.activation == "tanh" else pre
+        """The fused context of one pre-fusion vector, or one row per row of a matrix."""
+        return np.tanh(prefusion @ self.weight.T + self.bias)
 
     @classmethod
     def random_init(
-        cls,
-        out_dim: int,
-        encoder_dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.02,
-        activation: str = "tanh",
+        cls, out_dim: int, encoder_dim: int, rng: np.random.Generator, scale: float = 0.02
     ) -> "FusionParams":
         return cls(
             weight=scale * rng.standard_normal((out_dim, 2 * encoder_dim)),
             bias=np.zeros(out_dim),
-            activation=activation,
         )
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a 2-d array, finite wherever the true norm is.
+
+    A row's norm is sqrt(h.h), one dot product per row as ``np.linalg.norm(row)``
+    forms it (``np.linalg.norm(axis=1)`` can differ in the last bit).  h.h
+    overflows to inf once an entry passes about 1e154, and once every entry
+    is below about 1e-154 it underflows to 0 or to a subnormal that has lost
+    digits; a nonzero row whose h.h is inf or below the smallest normal float
+    is divided by its largest |entry| first.  A zero row's norm is 0, and a
+    row with an infinite entry keeps an infinite norm.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
+    redo = np.flatnonzero((norms < _SQRT_TINY) | (norms == np.inf))
+    if len(redo):
+        scale = np.max(np.abs(vectors[redo]), axis=1, initial=0.0)
+        keep = (0.0 < scale) & (scale < np.inf)
+        redo, scale = redo[keep], scale[keep]
+        # the rescaled rows' largest |entry| is 1, so their h.h lies in [1, d]
+        with np.errstate(over="ignore"):  # a norm past float64 is inf
+            norms[redo] = scale * row_norms(vectors[redo] / scale[:, None])
+    return norms
 
 
 def prefusion_vector(pair: PreferencePair, encoder: TextEncoder) -> np.ndarray:
@@ -178,7 +194,7 @@ def embed_pair(
         raise DimError(
             f"encoder dim {encoder.dim} does not match fusion encoder_dim {params.encoder_dim}"
         )
-    return PairEmbedding.of(params.apply(prefusion_vector(pair, encoder)))
+    return PairEmbedding(params.apply(prefusion_vector(pair, encoder)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +252,7 @@ def load_embeddings(path) -> dict[str, PairEmbedding]:
         if pair_id in out:
             raise FormatError(f"duplicate pair_id {pair_id!r}", line=lineno)
         try:
-            vector = np.asarray(obj["vector"], dtype=np.float64)
-            emb = PairEmbedding.of(vector)
+            emb = PairEmbedding(obj["vector"])
         except (TypeError, ValueError, DimError, NumericalError) as exc:
             raise FormatError(f"invalid vector: {exc}", line=lineno) from exc
         if expected_d is None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
-from .serialize import int_field
+from .serialize import check_document, int_field
 
 POSTERIOR_FORMAT_VERSION = 1
 
@@ -35,9 +35,9 @@ CHOLESKY_JITTER = 1e-9
 GAIN_ROWS = 64  # rows per Kalman gain: bounds the innovation matrix for any batch
 
 
-def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndarray:
+def robust_cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (upper triangle zero) read from the lower triangle
-    of ``mat``; retries once with a jitter on the diagonal.
+    of ``mat``; retries once with CHOLESKY_JITTER added to the diagonal.
 
     Raises :class:`NonPSDError` naming the failing pivot if the factorization
     still fails after the jitter.
@@ -45,7 +45,7 @@ def robust_cholesky(mat: np.ndarray, jitter: float = CHOLESKY_JITTER) -> np.ndar
     low, info = dpotrf(mat, lower=1, clean=1)
     if info == 0:
         return low
-    low, info = dpotrf(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=1)
+    low, info = dpotrf(mat + CHOLESKY_JITTER * np.eye(mat.shape[0]), lower=1, clean=1)
     if info == 0:
         return low
     # LAPACK reports the first failing pivot 1-based in ``info``
@@ -347,14 +347,7 @@ def posterior_to_dict(posterior: ArmPosterior) -> dict:
 
 def posterior_from_dict(doc: dict) -> ArmPosterior:
     """Inverse of :func:`posterior_to_dict`; a malformed document raises FormatError."""
-    if not isinstance(doc, dict):
-        raise FormatError("posterior document must be a JSON object")
-    version = doc.get("version")
-    if version != POSTERIOR_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported posterior format version {version!r}; "
-            f"supported: {POSTERIOR_FORMAT_VERSION}"
-        )
+    check_document(doc, "posterior document", POSTERIOR_FORMAT_VERSION)
     try:
         d = int_field(doc["d"], "d", FormatError, minimum=0)
         return ArmPosterior(

@@ -27,7 +27,15 @@ from scipy.special import expit
 
 from .errors import ConfigError, DimError, FormatError, InputError, TrainError
 from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, FusionParams
-from .serialize import dumps_doc, int_field, iter_jsonl, read_json, write_json, write_jsonl
+from .serialize import (
+    check_document,
+    dumps_doc,
+    int_field,
+    iter_jsonl,
+    read_json,
+    write_json,
+    write_jsonl,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -137,8 +145,7 @@ class TrainResult:
 def _head_inputs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
     """The heads' input rows: ``contexts`` through the fusion layer, or as given."""
     if model.fusion is not None:
-        pre = contexts @ model.fusion.weight.T + model.fusion.bias
-        return np.tanh(pre) if model.fusion.activation == "tanh" else pre
+        return model.fusion.apply(contexts)
     if contexts.shape[1] != model.d:
         raise DimError(f"context dimension {contexts.shape[1]} does not match model d={model.d}")
     return contexts
@@ -201,7 +208,7 @@ def loss_and_grads(
 
     if model.fusion is not None:
         grad_h = g_bt @ model.bt_embeddings + g_cls @ model.cls_embeddings
-        grad_pre = grad_h * (1.0 - h_all**2) if model.fusion.activation == "tanh" else grad_h
+        grad_pre = grad_h * (1.0 - h_all**2)  # tanh' = 1 - tanh^2
         grads["fusion_weight"] = grad_pre.T @ contexts
         grads["fusion_bias"] = grad_pre.sum(axis=0)
 
@@ -359,22 +366,18 @@ def route_pairs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
 
 def routing_accuracy(
     model: OfflineRouterModel, contexts: np.ndarray, correct: np.ndarray, observed: np.ndarray
-) -> float:
-    """Fraction of pairs with behaviour bits whose routed model is correct.
+) -> tuple[float | None, int]:
+    """(accuracy, scored pairs) of routing each pair by :func:`route_pairs`.
 
-    Each pair goes to :func:`route_pairs`.  A pair without bits is skipped,
-    and one without a bit for its routed model raises :class:`InputError`.
+    A pair is scored when its routed model has a behaviour bit; the accuracy
+    is the fraction of scored pairs whose routed model is right, or None when
+    no pair is scored.
     """
     chosen = route_pairs(model, contexts)
-    rows = np.flatnonzero(observed.any(axis=1))
+    rows = np.flatnonzero(observed[np.arange(len(chosen)), chosen])
     if not len(rows):
-        raise InputError("no pairs with behavior records")
-    chosen = chosen[rows]
-    unseen = np.flatnonzero(~observed[rows, chosen])
-    if len(unseen):
-        row, rm = rows[unseen[0]], chosen[unseen[0]]
-        raise InputError(f"missing behavior bit for pair row {row}, rm {rm}")
-    return float(correct[rows, chosen].mean())
+        return None, 0
+    return float(correct[rows, chosen[rows]].mean()), len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,7 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
         fusion = {
             "weight": [[float(x) for x in row] for row in model.fusion.weight],
             "bias": [float(x) for x in model.fusion.bias],
-            "activation": model.fusion.activation,
+            "activation": "tanh",
         }
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -402,13 +405,7 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> OfflineRouterModel:
-    if not isinstance(doc, dict):
-        raise FormatError("model document must be a JSON object")
-    version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported model format version {version!r}; supported: {MODEL_FORMAT_VERSION}"
-        )
+    check_document(doc, "model document", MODEL_FORMAT_VERSION)
     try:
         train_meta = doc.get("train_meta", {})
         if not isinstance(train_meta, dict):
@@ -417,10 +414,11 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
         fusion = None
         if doc.get("fusion") is not None:
             fdoc = doc["fusion"]
+            if fdoc.get("activation", "tanh") != "tanh":
+                raise FormatError(f"fusion activation must be 'tanh', got {fdoc['activation']!r}")
             fusion = FusionParams(
                 weight=np.asarray(fdoc["weight"], dtype=np.float64),
                 bias=np.asarray(fdoc["bias"], dtype=np.float64),
-                activation=fdoc.get("activation", "tanh"),
             )
         return OfflineRouterModel(
             fusion=fusion,

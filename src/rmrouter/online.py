@@ -42,7 +42,7 @@ from .gaussian import (
     sample_weights,  # not called here; the bench tracer's tests read online.sample_weights
     score_moments,
 )
-from .serialize import int_field, read_json, write_json
+from .serialize import check_document, int_field, read_json, write_json
 
 STATE_FORMAT_VERSION = 1
 
@@ -255,13 +255,7 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
     """Inverse of :func:`state_to_dict`; a malformed document, or one whose
     ``config.sigma_sq`` or ``selection_counts`` disagree with its arms, raises
     FormatError."""
-    if not isinstance(doc, dict):
-        raise FormatError("router state must be a JSON object")
-    version = doc.get("version")
-    if version != STATE_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported router state version {version!r}; supported: {STATE_FORMAT_VERSION}"
-        )
+    check_document(doc, "router state", STATE_FORMAT_VERSION)
     try:
         cfg = doc["config"]
         beliefs = Beliefs.stack([posterior_from_dict(arm) for arm in doc["arms"]])

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 
 def _plain(obj: Any) -> Any:
@@ -52,6 +52,18 @@ def int_field(
             return int(value)
         raise error(f"{name} must be at least {minimum}, got {value!r}")
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_document(doc: Any, kind: str, version: int) -> dict:
+    """``doc`` itself, once it is a JSON object of the supported ``version``;
+    FormatError for any other value, ConfigError for another version (a bool
+    is not a version, as it is no integer to :func:`int_field`)."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{kind} must be a JSON object")
+    found = doc.get("version")
+    if isinstance(found, bool) or found != version:
+        raise ConfigError(f"unsupported {kind} version {found!r}; supported: {version}")
+    return doc
 
 
 def dumps_doc(obj: Any) -> str:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, RouterError
-from .features import PairEmbedding, PreferencePair
+from .features import PairEmbedding, PreferencePair, row_norms
 from .offline import TrainConfig, TrainResult, train_offline
 from .online import (
     OnlineRouterState,
@@ -46,7 +46,7 @@ from .rewards import (
     sample_comparators,
     surrogate_pair_loss,
 )
-from .serialize import int_field
+from .serialize import check_document, int_field
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -196,16 +196,10 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> SimScenario:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be an object")
+    check_document(doc, "scenario document", SCENARIO_FORMAT_VERSION)
     unknown = set(doc) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown scenario key(s): {sorted(unknown)}")
-    version = doc.get("version")
-    if version != SCENARIO_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported scenario version {version!r}; supported: {SCENARIO_FORMAT_VERSION}"
-        )
 
     def integer(value, name: str) -> int:
         return int_field(value, name, ConfigError)
@@ -303,7 +297,7 @@ class _RowEmbeddings(Mapping):
         self._split = split
 
     def __getitem__(self, pair_id: str) -> PairEmbedding:
-        return PairEmbedding.of(self._split.contexts[self._split.row_of(pair_id)])
+        return PairEmbedding(self._split.contexts[self._split.row_of(pair_id)])
 
     def __iter__(self) -> Iterator[str]:
         return map(self._split.pair_id, range(self._split.n))
@@ -318,14 +312,6 @@ class SimDataset:
     offline: SimSplit
     stream: SimSplit
     profiles: np.ndarray  # (n_arms, n_clusters)
-
-
-def _row_norms(vectors: np.ndarray) -> np.ndarray:
-    # one dot product per row, the way np.linalg.norm(row) computes it;
-    # np.linalg.norm(axis=1) can differ from that in the last bit.  h.h
-    # overflows to inf once an entry passes about 1e154; the caller rescales
-    with np.errstate(over="ignore"):
-        return np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]).ravel())
 
 
 def _draw_clusters(
@@ -364,22 +350,15 @@ def _draw_split(
     with np.errstate(over="ignore"):  # an overflowed entry is refused below
         contexts *= spreads[cluster_ids, None]
         contexts += centers[cluster_ids]
-    norms = _row_norms(contexts)
+    norms = row_norms(contexts)
     zero = norms == 0.0
     if zero.any():  # fall back to the centre; a zero centre stays a zero vector
         contexts[zero] = centers[cluster_ids[zero]]
-        norms[zero] = _row_norms(contexts[zero])
+        norms[zero] = row_norms(contexts[zero])
         norms[norms == 0.0] = 1.0
-    big = ~np.isfinite(norms)
-    if big.any():  # h.h overflowed: divide by the largest |entry| first, as cli._norm does
-        rows = contexts[big]
-        with np.errstate(invalid="ignore"):
-            rows /= np.max(np.abs(rows), axis=1, keepdims=True)
-        if not np.isfinite(rows).all():
-            raise ConfigError("context vectors overflow float64: cluster centres or spreads "
-                              "are too large")
-        contexts[big] = rows
-        norms[big] = _row_norms(rows)
+    if not np.isfinite(norms).all():
+        raise ConfigError("context vectors overflow float64: cluster centres or spreads "
+                          "are too large")
     contexts /= norms[:, None]
     correct = np.empty((n, scenario.n_arms), dtype=np.uint8)
     for arm in range(scenario.n_arms):  # a hit: the model labels the pair right

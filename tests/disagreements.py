@@ -102,7 +102,7 @@ def index_loss_and_grads(model, contexts, bt_index, beh_index, lam=None):
     grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
     if model.fusion is not None:
         grad_h = g_bt @ model.bt_embeddings + g_cls @ model.cls_embeddings
-        grad_pre = grad_h * (1.0 - h_all**2) if model.fusion.activation == "tanh" else grad_h
+        grad_pre = grad_h * (1.0 - h_all**2)
         grads["fusion_weight"] = grad_pre.T @ contexts
         grads["fusion_bias"] = grad_pre.sum(axis=0)
 

@@ -687,6 +687,23 @@ class TestDocumentChecks:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["inspect", "export-prior"])
+    def test_linear_fusion_model_exits_2(self, tmp_path, capsys, command):
+        # the fusion layer is tanh only; a model file naming another activation is refused
+        doc = self.model_doc()
+        assert doc["fusion"]["activation"] == "tanh"
+        doc["fusion"]["activation"] = "linear"
+        path = str(tmp_path / "model.json")
+        write_json(path, doc)
+        out = tmp_path / "prior.json"
+        args = {"inspect": ["inspect", path],
+                "export-prior": ["export-prior", "--model", path, "--out", str(out)]}[command]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: fusion activation") and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestNegativeSeeds:
     @pytest.mark.parametrize(

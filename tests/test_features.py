@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rmrouter.errors import DimError, FormatError, InputError
 from rmrouter.features import (
@@ -12,6 +15,7 @@ from rmrouter.features import (
     load_dataset,
     load_embeddings,
     prefusion_vector,
+    row_norms,
     save_dataset,
     save_embeddings,
 )
@@ -96,9 +100,9 @@ class TestEmbedPair:
             dim=2,
         )
         assert np.array_equal(prefusion_vector(pair, enc), [1.0, 1.0, 1.0, 1.0])
-        params = FusionParams(weight=np.eye(4), bias=np.zeros(4), activation="linear")
+        params = FusionParams(weight=np.eye(4), bias=np.zeros(4))
         emb = embed_pair(pair, params, enc)
-        assert np.array_equal(emb.vector, [1.0, 1.0, 1.0, 1.0])
+        assert np.array_equal(emb.vector, np.tanh([1.0, 1.0, 1.0, 1.0]))
 
     def test_determinism_bitwise(self):
         params = FusionParams.random_init(8, 16, np.random.default_rng(1))
@@ -133,13 +137,13 @@ class TestPairValidation:
         from rmrouter.errors import NumericalError
 
         with pytest.raises(NumericalError):
-            PairEmbedding.of(np.array([1.0, np.nan]))
+            PairEmbedding(np.array([1.0, np.nan]))
 
 
 class TestFileFormats:
     def test_embeddings_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        embs = {f"p{i}": PairEmbedding.of(rng.standard_normal(8)) for i in range(3)}
+        embs = {f"p{i}": PairEmbedding(rng.standard_normal(8)) for i in range(3)}
         path = tmp_path / "emb.jsonl"
         save_embeddings(path, embs)
         loaded = load_embeddings(path)
@@ -186,3 +190,52 @@ class TestFileFormats:
         with pytest.raises(FormatError) as exc:
             load_dataset(path)
         assert exc.value.line == 2
+
+
+# entries whose squares neither overflow nor, for a row with a nonzero entry, all underflow
+ordinary = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+def ordinary_rows(d):
+    # a zero row becomes a row of ones: every row has a nonzero entry
+    return arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=ordinary).map(
+        lambda rows: np.where(np.abs(rows).max(axis=1, keepdims=True) > 0.0, rows, 1.0)
+    )
+
+
+def rescaled_norm(row):
+    """The norm of a row whose h.h over- or underflows: scaled by its largest |entry| first."""
+    scale = np.max(np.abs(row))
+    return scale * np.linalg.norm(row / scale)
+
+
+class TestRowNorms:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 40).flatmap(ordinary_rows))
+    def test_ordinary_rows_match_linalg_norm_bit_for_bit(self, rows):
+        got = row_norms(rows)
+        assert [float(x) for x in got] == [float(np.linalg.norm(row)) for row in rows]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 40).flatmap(ordinary_rows),
+           st.sampled_from([2.0**-600, 2.0**-530, 2.0**600]))
+    def test_under_and_overflowing_rows_are_rescaled(self, rows, factor):
+        # h.h is 0, a subnormal or inf; a power of two scales every entry
+        # exactly, so the norm scales with it
+        rows = rows / np.abs(rows).max(axis=1, keepdims=True) * factor
+        got = row_norms(rows)
+        assert [float(x) for x in got] == [float(rescaled_norm(row)) for row in rows]
+        expected = np.array([np.linalg.norm(row / factor) for row in rows]) * factor
+        assert np.allclose(got, expected, rtol=1e-15, atol=0.0)
+
+    def test_zero_row_has_norm_zero_among_others(self):
+        rows = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [1e-200, 0.0, 0.0], [0.0, 1e300, 1e300]])
+        got = row_norms(rows)
+        assert got[0] == 0.0 and got[1] == 5.0 and got[2] == 1e-200
+        assert got[3] == rescaled_norm(rows[3]) and np.isclose(got[3], np.sqrt(2) * 1e300)
+        assert row_norms(np.zeros((2, 0))).tolist() == [0.0, 0.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_float64_is_inf_without_a_warning(self):
+        rows = np.array([[np.inf, 1.0], [1.5e308, 1.5e308], [1e308, 0.0]])
+        assert row_norms(rows).tolist() == [np.inf, np.inf, 1e308]

@@ -529,7 +529,7 @@ class TestRouteOffline:
         h = np.eye(4)[[2]]
         for right, acc in ((2, 1.0), (1, 0.0)):
             correct = one_hot_at([right], 4)
-            assert routing_accuracy(model, h, correct, all_observed(correct)) == acc
+            assert routing_accuracy(model, h, correct, all_observed(correct)) == (acc, 1)
 
     def test_tie_breaks_to_lowest_index(self):
         model = OfflineRouterModel(
@@ -540,7 +540,7 @@ class TestRouteOffline:
             n_arms=3,
         )
         correct = one_hot_at([0], 3)
-        assert routing_accuracy(model, np.ones((1, 2)), correct, all_observed(correct)) == 1.0
+        assert routing_accuracy(model, np.ones((1, 2)), correct, all_observed(correct)) == (1.0, 1)
 
     def test_attains_max_score(self):
         rng = np.random.default_rng(5)
@@ -549,7 +549,7 @@ class TestRouteOffline:
             contexts = rng.standard_normal((8, 4))
             scores = contexts @ model.bt_embeddings.T
             correct = (scores == scores.max(axis=1, keepdims=True)).astype(np.uint8)
-            assert routing_accuracy(model, contexts, correct, all_observed(correct)) == 1.0
+            assert routing_accuracy(model, contexts, correct, all_observed(correct)) == (1.0, 8)
 
     def test_uniform_score_shift_preserves_argmax(self):
         rng = np.random.default_rng(6)
@@ -563,7 +563,7 @@ class TestRouteOffline:
             n_arms=model.n_arms,
         )
         correct = one_hot_at(route(model, contexts), model.n_arms)
-        assert routing_accuracy(shifted, contexts, correct, all_observed(correct)) == 1.0
+        assert routing_accuracy(shifted, contexts, correct, all_observed(correct)) == (1.0, 20)
 
 
 class TestRoutingAccuracy:
@@ -574,18 +574,24 @@ class TestRoutingAccuracy:
         contexts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         correct = np.array([[1, 0], [0, 0], [1, 1]], dtype=np.uint8)
         observed = np.array([[True, True], [True, True], [False, False]])
-        assert routing_accuracy(self.model(), contexts, correct, observed) == 0.5
+        assert routing_accuracy(self.model(), contexts, correct, observed) == (0.5, 2)
 
-    def test_missing_bit_of_routed_model_raises(self):
-        correct = np.array([[1, 1]], dtype=np.uint8)
-        observed = np.array([[True, False]])
-        with pytest.raises(InputError, match="rm 1"):
-            routing_accuracy(self.model(), np.array([[0.0, 1.0]]), correct, observed)
+    def test_pair_without_bit_of_routed_model_is_not_scored(self):
+        # both pairs go to model 1; only the second has its bit
+        contexts = np.array([[0.0, 1.0], [0.0, 1.0]])
+        correct = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+        observed = np.array([[True, False], [True, True]])
+        assert routing_accuracy(self.model(), contexts, correct, observed) == (1.0, 1)
+        first = slice(0, 1)
+        got = routing_accuracy(self.model(), contexts[first], correct[first], observed[first])
+        assert got == (None, 0)
 
-    def test_no_bits_raise(self):
+    def test_no_bits_score_no_pair(self):
         correct = np.zeros((2, 2), dtype=np.uint8)
-        with pytest.raises(InputError):
-            routing_accuracy(self.model(), np.eye(2), correct, correct == 1)
+        assert routing_accuracy(self.model(), np.eye(2), correct, correct == 1) == (None, 0)
+        none = slice(0, 0)
+        got = routing_accuracy(self.model(), np.eye(2)[none], correct[none], correct[none] == 1)
+        assert got == (None, 0)
 
     def test_fusion_model_routes_fused_contexts(self):
         rng = np.random.default_rng(14)
@@ -593,7 +599,7 @@ class TestRoutingAccuracy:
         prefusion = rng.standard_normal((10, 6))
         fused = np.array([model.fusion.apply(row) for row in prefusion])
         correct = one_hot_at(route(model, fused), 3)
-        assert routing_accuracy(model, prefusion, correct, all_observed(correct)) == 1.0
+        assert routing_accuracy(model, prefusion, correct, all_observed(correct)) == (1.0, 10)
 
 
 def separable_training_data(rng, n_pairs=400, flip=0.02):
@@ -619,8 +625,10 @@ class TestTraining:
         config = TrainConfig(lam=0.2, lr=0.5, epochs=30, batch_size=32, seed=0)
         result = train_on(contexts[:train_n], correct[:train_n], config)
         holdout = correct[train_n:]
-        acc = routing_accuracy(result.model, contexts[train_n:], holdout, all_observed(holdout))
-        assert acc >= 0.95
+        acc, scored = routing_accuracy(
+            result.model, contexts[train_n:], holdout, all_observed(holdout)
+        )
+        assert acc >= 0.95 and scored == 100
         assert len(result.history) == 30
 
     def test_deterministic_given_seed(self):

@@ -1,5 +1,6 @@
 """The canonical writer against its former convert-then-dump form: the same
-bytes for every document that form could write."""
+bytes for every document that form could write; and the one check that every
+versioned document reader makes first."""
 
 import json
 
@@ -8,8 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmrouter.serialize import dumps_doc, dumps_line
-from rmrouter.sim import ReplayConfig, generate_scenario, run_replay
+from rmrouter.cli import _load_prior
+from rmrouter.errors import ConfigError, FormatError
+from rmrouter.features import FusionParams
+from rmrouter.gaussian import make_prior, posterior_from_dict, posterior_to_dict
+from rmrouter.offline import OfflineRouterModel, model_from_dict, model_to_dict
+from rmrouter.online import init_router, state_from_dict, state_to_dict
+from rmrouter.serialize import dumps_doc, dumps_line, write_json
+from rmrouter.sim import (
+    ReplayConfig,
+    generate_scenario,
+    run_replay,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 from scenarios import two_specialists_scenario
 
@@ -103,3 +116,52 @@ def test_non_finite_values_are_refused(value, wrap):
     for dumps in (dumps_line, dumps_doc, reference_line, reference_doc):
         with pytest.raises(ValueError):
             dumps(doc)
+
+
+def model_doc():
+    rng = np.random.default_rng(0)
+    fusion = FusionParams.random_init(3, 2, rng)
+    model = OfflineRouterModel(fusion, rng.standard_normal((2, 3)), rng.standard_normal((2, 3)),
+                               0.2, 2)
+    return model_to_dict(model)
+
+
+# (reader, a valid document); each reader takes the parsed document, and the
+# prior file's reader takes the path of a file holding it
+READERS = {
+    "posterior": (posterior_from_dict, lambda: posterior_to_dict(make_prior(2))),
+    "state": (state_from_dict, lambda: state_to_dict(init_router(2, 2))),
+    "model": (model_from_dict, model_doc),
+    "scenario": (scenario_from_dict, lambda: scenario_to_dict(two_specialists_scenario())),
+    "prior": (None, lambda: {"version": 1, "n_arms": 2, "d": 2, "bt_embeddings": np.eye(2)}),
+}
+
+
+def read_with(name, doc, tmp_path):
+    reader, _ = READERS[name]
+    if reader is not None:
+        return reader(doc)
+    path = tmp_path / "prior.json"
+    write_json(path, doc)
+    return _load_prior(str(path))
+
+
+@pytest.mark.parametrize("name", READERS)
+class TestVersionedDocuments:
+    def test_valid_document_reads(self, name, tmp_path):
+        read_with(name, json.loads(dumps_doc(READERS[name][1]())), tmp_path)
+
+    @pytest.mark.parametrize("doc", [[1], "version", 5, None])
+    def test_non_object_is_a_format_error(self, name, doc, tmp_path):
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            read_with(name, doc, tmp_path)
+
+    @pytest.mark.parametrize("version", [99, None, "1", 1.5, True])
+    def test_unsupported_version_is_a_config_error(self, name, version, tmp_path):
+        doc = json.loads(dumps_doc(READERS[name][1]()))
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(ConfigError, match=f"unsupported .* version {version!r}; supported: 1"):
+            read_with(name, doc, tmp_path)

@@ -187,6 +187,24 @@ class TestScenarioChecks:
             norms = np.linalg.norm(split.contexts[~ordinary], axis=1)
             assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("tiny, spread", [(1e-200, 0.0), (1e-200, 1e-210), (2e-162, 0.0)])
+    def test_tiny_centre_gives_unit_contexts(self, tiny, spread):
+        # h.h underflows to 0 or a subnormal for cluster 1's rows: they are
+        # rescaled, not left tiny or off the unit sphere
+        doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=8, n_steps=4, offline_pairs=16))
+        want = generate_scenario(scenario_from_dict(doc), 3)
+        doc["clusters"][1].update(center=[tiny] + [0.0] * 7, spread=spread)
+        got = generate_scenario(scenario_from_dict(doc), 3)
+        for split, reference in ((got.offline, want.offline), (got.stream, want.stream)):
+            assert np.array_equal(split.correct, reference.correct)
+            ordinary = split.clusters == 0
+            assert split.contexts[ordinary].tobytes() == reference.contexts[ordinary].tobytes()
+            assert (~ordinary).any()
+            tiny = split.contexts[~ordinary]
+            assert np.allclose(np.linalg.norm(tiny, axis=1), 1.0, rtol=0, atol=1e-12)
+            if spread == 0.0:
+                assert (tiny == np.eye(8)[0]).all()
+
     def test_context_past_float64_rejected(self):
         doc = scenario_to_dict(two_cluster_scenario(pairs_per_step=8, n_steps=4))
         doc["clusters"][1]["spread"] = 1e308  # a noise draw past 1.8 overflows the entry
