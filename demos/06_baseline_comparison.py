@@ -55,7 +55,7 @@ for seed in scenario.seeds:
         runs.append(metrics)
         calls[name] = int(np.sum(metrics.rm_calls_per_step))
 
-report = compare_runs(runs, baseline_index=0)
+report = compare_runs(runs, baseline="random")
 print(report.to_text())
 print("reward-model calls per run (1120 pairs):")
 for name, total in calls.items():

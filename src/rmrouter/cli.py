@@ -24,6 +24,7 @@ import io
 import logging
 import os
 import sys
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,16 +51,16 @@ from .offline import (
     save_model,
     train_offline,
 )
-from .online import state_from_dict, state_to_dict
+from .online import PRIOR_MODES, state_from_dict, state_to_dict
 from .serialize import check_document, int_field, read_json, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
     ROUTERS,
     ReplayConfig,
+    check_run,
     compare_runs,
     generate_scenario,
     parse_router,
-    reads_offline_prior,
     run_replay,
     scenario_from_dict,
 )
@@ -72,15 +73,15 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 
+# the ReplayConfig fields that run-sim sets from options of the same name
+REPLAY_OPTIONS = (
+    "sigma_sq", "prior_variance", "linucb_alpha", "linucb_per_pair", "reward_variant", "light_c"
+)
+
 
 def _setup_logging() -> None:
     level = os.environ.get("RMROUTER_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
-
-
-def nonnegative_int(text: str) -> int:
-    """argparse type of a --seed value: numpy's generators take no negative seed."""
-    return int_field(int(text), "seed", argparse.ArgumentTypeError, minimum=0)
 
 
 def _load_prior(path: str) -> np.ndarray:
@@ -128,24 +129,15 @@ def cmd_collect_behavior(args: argparse.Namespace) -> int:
 
 
 def cmd_train_offline(args: argparse.Namespace) -> int:
+    # the options are checked before any file is read
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    if not 0.0 <= args.holdout < 1.0:
+        raise InputError(f"--holdout must be in [0, 1), got {args.holdout}")
     pairs = load_dataset(args.dataset)
     correct, observed = load_behavior(args.behavior, [p.pair_id for p in pairs])
     embeddings = load_embeddings(args.embeddings) if args.embeddings else None
-    config = TrainConfig(
-        lam=args.lam,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        weight_decay=args.weight_decay,
-        momentum=args.momentum,
-        seed=args.seed,
-        embed_dim=args.embed_dim,
-        encoder_dim=args.encoder_dim,
-    )
-    if not 0.0 <= args.holdout < 1.0:
-        raise InputError(f"--holdout must be in [0, 1), got {args.holdout}")
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(pairs))
     n_holdout = int(round(args.holdout * len(pairs)))
     holdout = np.zeros(len(pairs), dtype=bool)
@@ -303,14 +295,11 @@ def _run_one_seed(payload: tuple) -> list[tuple[dict, list[tuple]]]:
 def cmd_run_sim(args: argparse.Namespace) -> int:
     scenario_doc = read_json(args.scenario)
     scenario = scenario_from_dict(scenario_doc)
-    try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(scenario.seeds)
-    except ValueError as exc:
-        raise ConfigError(f"--seeds must be a comma list of integers: {exc}") from exc
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be non-negative, got {seeds}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must not repeat, got {seeds}")
+    if args.seeds:  # the scenario checks them as it checks its own
+        try:
+            scenario = replace(scenario, seeds=[int(s) for s in args.seeds.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--seeds must be a comma list of integers: {exc}") from exc
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     prior = _load_prior(args.prior_file) if args.prior_file else None
@@ -321,27 +310,16 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     names = [name for name, _, _ in routers]
     if len(set(names)) != len(names):
         raise ConfigError(f"routers must not repeat, got {names}")
-    needs_prior = [
-        spec for _, spec, mode in routers if reads_offline_prior(parse_router(spec)[0], mode)
-    ]
-    if needs_prior and prior is None:
-        raise InputError(f"router(s) {needs_prior} require --prior-file")
-    base_config = {
-        "sigma_sq": args.sigma_sq,
-        "prior_variance": args.prior_variance,
-        "offline_prior": prior,
-        "linucb_alpha": args.linucb_alpha,
-        "linucb_per_pair": args.linucb_per_pair,
-        "reward_variant": args.reward_variant,
-        "light_c": args.light_c,
-    }
-    ReplayConfig(**base_config)  # raises ConfigError before any output is written
+    base_config = {name: getattr(args, name) for name in REPLAY_OPTIONS}
+    base_config["offline_prior"] = prior
+    for _, spec, mode in routers:  # ConfigError before the first replay
+        check_run(spec, scenario, ReplayConfig(**base_config, prior_mode=mode))
     if args.reward_variant == "light_advantage" and args.light_c > scenario.n_arms - 1:
         raise ConfigError(f"--light-c must be at most n_arms - 1 = {scenario.n_arms - 1}")
     os.makedirs(args.out_dir, exist_ok=True)
     payloads = [
         (scenario_doc, seed, routers, base_config, args.out_dir, args.scenario)
-        for seed in seeds
+        for seed in scenario.seeds
     ]
     if args.jobs > 1:
         workers = min(args.jobs, len(payloads))
@@ -372,7 +350,7 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
             ]
             for r in rows
         ],
-        meta=f"run-sim scenario={args.scenario} seeds={','.join(map(str, seeds))} "
+        meta=f"run-sim scenario={args.scenario} seeds={','.join(map(str, scenario.seeds))} "
         f"reward_variant={args.reward_variant}",
     )
     print(f"{len(rows)} runs written to {args.out_dir}")
@@ -394,17 +372,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 raise FormatError(f"malformed row in {args.summary}: {exc!r}") from exc
     if not rows:
         raise InputError(f"no runs found in {args.summary}")
-    methods: list[str] = []
-    for row in rows:
-        if row.router not in methods:
-            methods.append(row.router)
-    if args.baseline.isdigit():
-        baseline_index = int(args.baseline)
-    else:
-        if args.baseline not in methods:
-            raise InputError(f"baseline {args.baseline!r} not among routers {methods}")
-        baseline_index = methods.index(args.baseline)
-    report = compare_runs(rows, baseline_index, n_boot=args.n_boot, seed=args.seed)
+    baseline = int(args.baseline) if args.baseline.isdigit() else args.baseline
+    report = compare_runs(rows, baseline, n_boot=args.n_boot, seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report.to_csv())
@@ -461,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect-behavior", help="materialize a scenario split to files")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", choices=("offline", "stream"), default="offline")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_collect_behavior)
@@ -469,20 +438,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-offline", help="train the offline router")
     p.add_argument("--dataset", required=True)
     p.add_argument("--behavior", required=True)
-    p.add_argument("--embeddings", default=None, help="precomputed pair vectors (JSONL)")
+    p.add_argument("--embeddings", help="precomputed pair vectors (JSONL)")
     p.add_argument("--out", required=True)
-    p.add_argument("--loss-csv", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=2e-5)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--encoder-dim", type=int, default=256)
+    p.add_argument("--loss-csv")
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--encoder-dim", type=int)
     p.add_argument("--holdout", type=float, default=0.2)
-    p.set_defaults(func=cmd_train_offline)
+    p.set_defaults(func=cmd_train_offline, **asdict(TrainConfig()))
 
     p = sub.add_parser("export-prior", help="extract the ranking-head matrix")
     p.add_argument("--model", required=True)
@@ -493,27 +462,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     names = ", ".join(router.syntax for router in ROUTERS.values())
     p.add_argument("--router", required=True, help=f"{names}; a comma list; or 'all'")
-    p.add_argument("--seeds", default=None, help="comma list; default: scenario seeds")
+    p.add_argument("--seeds", help="comma list; default: scenario seeds")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--prior", choices=("zero", "injected"), default="zero")
-    p.add_argument("--prior-file", default=None)
-    p.add_argument("--prior-variance", type=float, default=None)
-    p.add_argument("--sigma-sq", type=float, default=1.0)
-    p.add_argument("--linucb-alpha", type=float, default=1.0)
+    replay = ReplayConfig()
+    p.add_argument("--prior", choices=PRIOR_MODES, default=replay.prior_mode)
+    p.add_argument("--prior-file")
+    p.add_argument("--prior-variance", type=float)
+    p.add_argument("--sigma-sq", type=float)
+    p.add_argument("--linucb-alpha", type=float)
     p.add_argument("--linucb-per-pair", action="store_true",
                    help="score each pair separately instead of one arm per batch")
     p.add_argument("--weighted-alpha", type=float, default=0.5)
-    p.add_argument("--reward-variant", choices=REWARD_VARIANTS, default="batch_quantile")
-    p.add_argument("--light-c", type=int, default=3)
+    p.add_argument("--reward-variant", choices=REWARD_VARIANTS)
+    p.add_argument("--light-c", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_run_sim)
+    p.set_defaults(func=cmd_run_sim, **{name: getattr(replay, name) for name in REPLAY_OPTIONS})
 
     p = sub.add_parser("compare", help="paired per-seed comparison of a run-sim summary")
     p.add_argument("--summary", required=True)
     p.add_argument("--baseline", required=True, help="router name or method index")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out")
     p.add_argument("--n-boot", type=int, default=10000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("inspect", help="report on a saved router state or model")

@@ -256,6 +256,8 @@ def load_embeddings(path) -> dict[str, PairEmbedding]:
         except (TypeError, ValueError, DimError, NumericalError) as exc:
             raise FormatError(f"invalid vector: {exc}", line=lineno) from exc
         if expected_d is None:
+            if emb.d < 1:
+                raise FormatError("embedding vector must not be empty", line=lineno)
             expected_d = emb.d
         elif emb.d != expected_d:
             raise FormatError(

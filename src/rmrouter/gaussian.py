@@ -79,8 +79,8 @@ class ArmPosterior:
     def validate(self) -> None:
         """Full check: shapes, finite fields, positive noise, and a symmetric
         positive definite covariance (O(d^3)); raises a RouterError otherwise."""
-        if self.mean.ndim != 1:
-            raise DimError(f"mean must be a vector, got shape {self.mean.shape}")
+        if self.mean.ndim != 1 or not self.mean.size:
+            raise DimError(f"mean must be a vector of length >= 1, got shape {self.mean.shape}")
         d = self.mean.shape[0]
         if self.covariance.shape != (d, d):
             raise DimError(
@@ -91,10 +91,10 @@ class ArmPosterior:
             raise InputError("mean, covariance and noise_variance must be finite")
         if self.noise_variance <= 0.0:
             raise ConfigError(f"noise_variance must be positive, got {self.noise_variance}")
-        asym = float(np.max(np.abs(self.covariance - self.covariance.T))) if d else 0.0
+        asym = float(np.max(np.abs(self.covariance - self.covariance.T)))
         if asym > SYMMETRY_TOL:
             raise NonPSDError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
-        if d and not np.any(self.covariance):  # the jitter retry would accept it
+        if not np.any(self.covariance):  # the jitter retry would accept it
             raise NonPSDError("covariance is zero, not positive definite", pivot=0)
         robust_cholesky(self.covariance)
 

@@ -65,7 +65,8 @@ def extract_disagreements(correct: np.ndarray, observed: np.ndarray | None = Non
 
 @dataclass
 class OfflineRouterModel:
-    """Trained router: optional fusion layer plus the two head matrices, all finite."""
+    """Trained router: optional fusion layer plus the two (n_arms, d >= 1) head
+    matrices, all finite."""
 
     fusion: FusionParams | None
     bt_embeddings: np.ndarray
@@ -79,10 +80,9 @@ class OfflineRouterModel:
         self.cls_embeddings = np.asarray(self.cls_embeddings, dtype=np.float64)
         if self.bt_embeddings.shape != self.cls_embeddings.shape:
             raise DimError("head embedding matrices must have identical shapes")
-        if self.bt_embeddings.ndim != 2 or self.bt_embeddings.shape[0] != self.n_arms:
-            raise DimError(
-                f"head matrices must be ({self.n_arms}, d), got {self.bt_embeddings.shape}"
-            )
+        shape = self.bt_embeddings.shape
+        if len(shape) != 2 or shape[0] != self.n_arms or shape[1] < 1:
+            raise DimError(f"head matrices must be ({self.n_arms}, d >= 1), got {shape}")
         if not 0 <= self.lam < np.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.fusion is not None and self.fusion.out_dim != self.d:
@@ -125,6 +125,7 @@ class TrainConfig:
     encoder_dim: int = DEFAULT_ENCODER_DIM
 
     def __post_init__(self) -> None:
+        self.seed = int_field(self.seed, "seed", ConfigError, minimum=0)
         # NaN fails every comparison, so each range check rejects it too
         if not (0 <= self.lam < np.inf and 0 <= self.weight_decay < np.inf):
             raise ConfigError("lam and weight_decay must be finite and >= 0")

@@ -64,11 +64,11 @@ def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
 class RewardHistory:
     """Record of past centered rewards used for quantile scaling.
 
-    Values are kept twice: in insertion order as one float64 array per step
-    (joined when :attr:`values` is read) and as one sorted array (for
-    :meth:`quantile_bounds`).  Appending a step of B values to a history of H
-    costs O(H + B log B): a stable sort of the sorted history followed by the
-    step sorts the step and merges the two runs.  Reading the bounds costs O(1).
+    Values are kept once, as one sorted float64 array.  Appending a step of B
+    values to a history of H costs O(H + B log B): a stable sort of the sorted
+    history followed by the step sorts the step and merges the two runs.
+    Reading the bounds costs O(1).  ``degenerate_events`` counts the steps
+    whose two scaling percentiles coincided.
 
     Single writer: within a step, quantile reads must happen before the
     step's own rewards are appended (see :func:`normalize_step_rewards`).
@@ -76,33 +76,17 @@ class RewardHistory:
 
     def __init__(self, values: Sequence[float] | np.ndarray = ()) -> None:
         self.degenerate_events = 0
-        self._steps: list[np.ndarray] = []
         self._sorted = np.empty(0, dtype=np.float64)
         self.extend(values)
 
-    @property
-    def values(self) -> list[float]:
-        """The recorded values, oldest first (a copy)."""
-        return np.concatenate(self._steps).tolist() if self._steps else []
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        """The recorded values in ascending order (a read-only view)."""
-        view = self._sorted.view()
-        view.flags.writeable = False
-        return view
-
-    def append(self, value: float) -> None:
-        self.extend((value,))
-
     def extend(self, values: Sequence[float] | np.ndarray) -> None:
         """Validate a whole step, then merge it in; either all values land or none."""
-        new = np.array(values, dtype=np.float64)  # a copy: the caller may reuse its array
+        new = np.asarray(values, dtype=np.float64)
         if new.ndim != 1 or not np.isfinite(new).all():
             raise InputError("reward history values must be a vector of finite numbers")
-        # the stable sort (timsort) merges the sorted history with the step's run
+        # the stable sort (timsort) merges the sorted history with the step's run;
+        # concatenate copies, so the caller may reuse its array
         self._sorted = np.sort(np.concatenate((self._sorted, new)), kind="stable")
-        self._steps.append(new)
 
     def __len__(self) -> int:
         return self._sorted.shape[0]

@@ -29,6 +29,7 @@ from .errors import ConfigError, InputError, InvariantError, RouterError
 from .features import PairEmbedding, PreferencePair, row_norms
 from .offline import TrainConfig, TrainResult, train_offline
 from .online import (
+    DEFAULT_NOISE_VARIANCE,
     OnlineRouterState,
     init_router,
     observe_feedback,
@@ -72,8 +73,8 @@ class Cluster:
 
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=np.float64)
-        if self.center.ndim != 1:
-            raise ConfigError("cluster center must be a vector")
+        if self.center.ndim != 1 or not self.center.size:
+            raise ConfigError("cluster center must be a vector of length >= 1")
         if not np.isfinite(self.center).all():
             raise ConfigError(f"cluster {self.cluster_id} center must be finite")
         if not 0.0 <= self.spread < np.inf:
@@ -82,6 +83,11 @@ class Cluster:
 
 @dataclass
 class SimScenario:
+    """A synthetic experiment: context clusters in d >= 1 dimensions, each
+    model's per-cluster accuracy, the stream's size and drift, and the run
+    seeds, distinct and >= 0.  Construction (``dataclasses.replace`` too)
+    checks every field and raises ConfigError on the first bad one."""
+
     n_arms: int
     clusters: list[Cluster]
     arm_profiles: list[dict[int, float]]
@@ -102,6 +108,9 @@ class SimScenario:
             raise ConfigError(f"offline_pairs must be >= 0, got {self.offline_pairs}")
         if not self.seeds:
             raise ConfigError("scenario needs at least one seed")
+        self.seeds = [int_field(seed, "seed", ConfigError, minimum=0) for seed in self.seeds]
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if len(self.arm_profiles) != self.n_arms:
             raise ConfigError("arm_profiles must have one entry per arm")
         if not self.clusters:
@@ -222,7 +231,7 @@ def scenario_from_dict(doc: dict) -> SimScenario:
             arm_profiles=profiles,
             pairs_per_step=integer(doc["pairs_per_step"], "pairs_per_step"),
             n_steps=integer(doc["n_steps"], "n_steps"),
-            seeds=[int_field(s, "seed", ConfigError, minimum=0) for s in doc["seeds"]],
+            seeds=list(doc["seeds"]),
             offline_pairs=integer(doc.get("offline_pairs", 0), "offline_pairs"),
             mixture_before=doc.get("mixture_before"),
             mixture_after=doc.get("mixture_after"),
@@ -376,7 +385,7 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     gives a bitwise-identical truth table.
     """
     if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+        rng = np.random.default_rng(int_field(rng, "seed", ConfigError, minimum=0))
     profiles = scenario.profile_matrix()
     rm_rngs = [np.random.default_rng(int(rng.integers(2**63))) for _ in range(scenario.n_arms)]
 
@@ -411,7 +420,7 @@ def fit_offline_router(
 @dataclass
 class ReplayConfig:
     seed: int = 0
-    sigma_sq: float = 1.0
+    sigma_sq: float = DEFAULT_NOISE_VARIANCE
     prior_mode: str = "zero"
     prior_variance: float | None = None
     offline_prior: np.ndarray | None = None
@@ -421,6 +430,7 @@ class ReplayConfig:
     light_c: int = DEFAULT_LIGHT_COMPARATORS
 
     def __post_init__(self) -> None:
+        self.seed = int_field(self.seed, "seed", ConfigError, minimum=0)
         if self.reward_variant not in REWARD_VARIANTS:
             raise ConfigError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
@@ -487,12 +497,6 @@ class _Replay:
     history: RewardHistory
 
 
-def _start_single(run: _Replay) -> int:
-    if not 0 <= run.param < run.n_arms:
-        raise ConfigError(f"single arm index {run.param} out of range for {run.n_arms} models")
-    return run.param
-
-
 def _mix_weight(arg: str) -> float:
     alpha = float(arg)
     if not 0.0 <= alpha <= 1.0:
@@ -528,8 +532,8 @@ class RouterKind:
 # tracer that rebinds those names sees every call.
 ROUTERS = {
     "single": RouterKind(
-        "single:<arm>", "fixed", lambda arm, run, h, rows: (np.full(len(h), arm), None),
-        _start_single, parse=int,
+        "single:<arm>", "fixed", lambda _, run, h, rows: (np.full(len(h), run.param), None),
+        parse=int,
     ),
     "random": RouterKind(
         "random", "fixed",
@@ -591,10 +595,24 @@ def parse_router(name: str) -> tuple[str, float | int | None]:
         raise ConfigError(f"bad parameter in router {name!r}: {exc}") from exc
 
 
-def reads_offline_prior(kind: str, prior_mode: str) -> bool:
-    """Whether a router of this kind reads the offline prior matrix."""
-    prior = ROUTERS[kind].prior
-    return prior == "always" or (prior == "injected" and prior_mode == "injected")
+def check_run(
+    router: str, scenario: SimScenario, config: ReplayConfig
+) -> tuple[str, float | int | None, np.ndarray | None]:
+    """(kind, parameter, offline prior or None) of one replay, once its spec
+    parses, a ``single`` arm is in range and a prior it reads is an
+    (n_arms, d) matrix; ConfigError otherwise.  It runs nothing, so a caller
+    can check every run before the first replay."""
+    kind, param = parse_router(router)
+    n_arms, d = scenario.n_arms, scenario.d
+    if kind == "single" and not 0 <= param < n_arms:
+        raise ConfigError(f"single arm index {param} out of range for {n_arms} models")
+    reads = ROUTERS[kind].prior
+    if reads == "never" or (reads == "injected" and config.prior_mode != "injected"):
+        return kind, param, None
+    prior = config.offline_prior
+    if prior is None or prior.shape != (n_arms, d):
+        raise ConfigError(f"router {router!r} needs an ({n_arms}, {d}) offline prior matrix")
+    return kind, param, prior
 
 
 def _majority_votes(correct: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -740,20 +758,14 @@ def run_replay(
     an arm that fails it raises InvariantError.
     """
     config = config or ReplayConfig()
-    kind, param = parse_router(router)
-    spec = ROUTERS[kind]
     scenario = dataset.scenario
+    kind, param, prior = check_run(router, scenario, config)
+    spec = ROUTERS[kind]
     stream = dataset.stream
     n_arms, d = scenario.n_arms, scenario.d
     batch_size, n_steps = scenario.pairs_per_step, scenario.n_steps
     if stream.n != batch_size * n_steps:
         raise ConfigError("stream size does not match pairs_per_step * n_steps")
-
-    prior = None
-    if reads_offline_prior(kind, config.prior_mode):
-        prior = config.offline_prior
-        if prior is None or prior.shape != (n_arms, d):
-            raise ConfigError(f"router {router!r} needs an ({n_arms}, {d}) offline prior matrix")
 
     seed_rng = np.random.default_rng(config.seed)
     rngs = [np.random.default_rng(seed_rng.integers(2**63)) for _ in range(3)]
@@ -864,16 +876,19 @@ class ComparisonReport:
 
 def compare_runs(
     metrics: Sequence,
-    baseline_index: int,
+    baseline: str | int,
     n_boot: int = 10000,
     seed: int = 0,
 ) -> ComparisonReport:
     """Paired per-seed comparison of final annotation accuracies.
 
     ``metrics`` may be RunMetrics or any objects carrying router, seed and
-    final_annotation_accuracy.  All routers must cover the same seed set.
-    Bootstrap confidence intervals resample seeds with replacement.
+    final_annotation_accuracy.  ``baseline`` is a router name, or the index
+    of a router in order of first appearance; InputError if it names none.
+    All routers must cover the same seed set.  Bootstrap confidence
+    intervals resample seeds with replacement, drawn from ``seed`` (>= 0).
     """
+    rng = np.random.default_rng(int_field(seed, "seed", ConfigError, minimum=0))
     if n_boot < 1:
         raise ConfigError(f"n_boot must be >= 1, got {n_boot}")
     if len(metrics) < 2:
@@ -887,9 +902,13 @@ def compare_runs(
         if m.seed in by_method[m.router]:
             raise InputError(f"duplicate run for router {m.router!r}, seed {m.seed}")
         by_method[m.router][m.seed] = float(m.final_annotation_accuracy)
-    if not 0 <= baseline_index < len(methods):
-        raise InputError(f"baseline index {baseline_index} out of range")
-    baseline = methods[baseline_index]
+    if isinstance(baseline, str):
+        if baseline not in methods:
+            raise InputError(f"baseline {baseline!r} not among routers {methods}")
+    elif 0 <= baseline < len(methods):
+        baseline = methods[baseline]
+    else:
+        raise InputError(f"baseline index {baseline} out of range")
     seed_set = set(by_method[baseline])
     for method in methods:
         if set(by_method[method]) != seed_set:
@@ -900,7 +919,6 @@ def compare_runs(
     }
     deltas = {method: accuracies[method] - accuracies[baseline] for method in methods}
 
-    rng = np.random.default_rng(seed)
     n_seeds = len(seeds)
     summary = []
     for method in methods:

@@ -1,18 +1,25 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from rmrouter import sim
-from rmrouter.cli import main
+from rmrouter import cli, sim
+from rmrouter.cli import build_parser, main
 from rmrouter.errors import NonPSDError
 from rmrouter.features import FusionParams, load_dataset, load_embeddings
 from rmrouter.gaussian import ArmPosterior
-from rmrouter.offline import OfflineRouterModel, load_behavior, load_model, model_to_dict
+from rmrouter.offline import (
+    OfflineRouterModel,
+    TrainConfig,
+    load_behavior,
+    load_model,
+    model_to_dict,
+)
 from rmrouter.online import init_router, save_state, state_to_dict
 from rmrouter.serialize import read_json, write_json
-from rmrouter.sim import scenario_to_dict
+from rmrouter.sim import ReplayConfig, scenario_to_dict
 
 from scenarios import two_specialists_scenario
 
@@ -703,6 +710,104 @@ class TestDocumentChecks:
         assert captured.err.startswith("error: fusion activation") and captured.out == ""
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+
+class TestParserDefaults:
+    def test_defaults_are_the_library_config_defaults(self):
+        parser = build_parser()
+        train = parser.parse_args(["train-offline", "--dataset", "d.jsonl",
+                                   "--behavior", "b.jsonl", "--out", "m.json"])
+        for name, value in asdict(TrainConfig()).items():
+            assert (getattr(train, name), type(getattr(train, name))) == (value, type(value))
+        run = parser.parse_args(["run-sim", "--scenario", "s.json", "--router", "random",
+                                 "--out-dir", "runs"])
+        replay = ReplayConfig()
+        for name in ("sigma_sq", "linucb_alpha", "reward_variant", "light_c"):
+            value = getattr(replay, name)
+            assert (getattr(run, name), type(getattr(run, name))) == (value, type(value))
+
+
+class TestChecksBeforeOutput:
+    @pytest.mark.parametrize("case", ["single-arm-out-of-range", "prior-shape"])
+    def test_run_sim_checks_every_run_before_the_first_replay(
+        self, tmp_path, scenario_file, capsys, monkeypatch, case
+    ):
+        replays = []
+        real = cli.run_replay
+        monkeypatch.setattr(cli, "run_replay", lambda *a, **k: replays.append(a) or real(*a, **k))
+        prior = write_doc(tmp_path / "prior.json", {"version": 1, "n_arms": 2, "d": 3,
+                                                    "bt_embeddings": np.eye(2, 3).tolist()})
+        out = tmp_path / "runs"
+        extra = {"single-arm-out-of-range": ["--router", "random,single:99"],
+                 "prior-shape": ["--router", "random,offline", "--prior-file", prior]}[case]
+        code = main(["run-sim", "--scenario", scenario_file, "--out-dir", str(out), *extra])
+        assert code == 2
+        assert replays == []
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    @staticmethod
+    def empty_centre_scenario(tmp_path, scenario_file):
+        doc = read_json(scenario_file)
+        doc["clusters"] = [{"cluster_id": 0, "center": [], "spread": 0.25}]
+        doc["arm_profiles"] = [{"0": 0.9}, {"0": 0.6}]
+        return write_doc(tmp_path / "empty.json", doc)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["collect-behavior", "run-sim", "train-offline", "inspect-model", "export-prior",
+         "inspect-state"],
+    )
+    def test_dimension_zero_exits_2_without_output(self, tmp_path, scenario_file, capsys, case):
+        out = tmp_path / "out"
+        model = {"version": 1, "d": 0, "n_arms": 2, "lambda": 0.2, "fusion": None,
+                 "bt_embeddings": [[], []], "cls_embeddings": [[], []], "train_meta": {}}
+        if case in ("collect-behavior", "run-sim"):
+            scenario = self.empty_centre_scenario(tmp_path, scenario_file)
+            args = {"collect-behavior": ["collect-behavior", "--scenario", scenario],
+                    "run-sim": ["run-sim", "--scenario", scenario, "--router", "random"]}[case]
+            args += ["--out-dir", str(out)]
+        elif case == "train-offline":
+            data_dir = tmp_path / "data"
+            main(["collect-behavior", "--scenario", scenario_file, "--out-dir", str(data_dir)])
+            path = data_dir / "embeddings.jsonl"
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            path.write_text("".join(json.dumps({**row, "vector": []}) + "\n" for row in rows))
+            args = train_args(str(data_dir), str(out))
+        elif case == "inspect-state":
+            doc = state_to_dict(init_router(2, 2))
+            for arm in doc["arms"]:
+                arm.update(d=0, mean=[], covariance=[])
+            args = ["inspect", write_doc(tmp_path / "state.json", doc)]
+        else:
+            path = write_doc(tmp_path / "model.json", model)
+            args = (["inspect", path] if case == "inspect-model"
+                    else ["export-prior", "--model", path, "--out", str(out)])
+        capsys.readouterr()
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+
+class TestCompareBaseline:
+    def test_by_name_or_index_writes_one_report(self, tmp_path, capsys):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("router,seed,final_annotation_accuracy\nthompson,1,0.625\n"
+                           "random,1,0.5\nthompson,2,0.75\nrandom,2,0.375\n")
+        reports = []
+        for baseline in ("random", "1"):
+            out = tmp_path / f"report-{baseline}.csv"
+            assert main(["compare", "--summary", str(summary), "--baseline", baseline,
+                         "--out", str(out)]) == 0
+            reports.append((capsys.readouterr().out, out.read_bytes()))
+        assert reports[0] == reports[1]
+        assert b"baseline=random" in reports[0][1]
+        for baseline in ("oracle", "2"):
+            assert main(["compare", "--summary", str(summary), "--baseline", baseline]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: baseline") and captured.out == ""
 
 
 class TestNegativeSeeds:

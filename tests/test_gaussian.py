@@ -94,6 +94,10 @@ class TestMakePrior:
         with pytest.raises(DimError):
             make_prior(2, np.zeros(3))
 
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(DimError, match="length >= 1"):
+            ArmPosterior(mean=np.zeros(0), covariance=np.zeros((0, 0)), noise_variance=1.0)
+
 
 class TestSampling:
     def test_zero_covariance_rejected(self):

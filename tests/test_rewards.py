@@ -185,8 +185,10 @@ class TestStepNormalization:
         history = RewardHistory(values=[0.0, 1.0])
         with pytest.raises(InputError):
             history.extend([2.0, math.inf])
-        assert history.values == [0.0, 1.0]
-        assert list(history.sorted_values) == [0.0, 1.0]
+        assert len(history) == 2
+        assert history.quantile_bounds() == tuple(
+            sort_oracle_percentile([0.0, 1.0], q) for q in (20.0, 80.0)
+        )
 
     def test_degenerate_step_warns_and_counts_once(self):
         history = RewardHistory(values=[1.0] * 40)
@@ -214,24 +216,26 @@ class TestRewardHistoryProperties:
     @settings(deadline=None)
     @given(steps=steps)
     def test_sorted_array_tracks_values(self, steps):
+        # step-by-step merges hold what one build from all the values holds
         history = RewardHistory()
         kept: list[float] = []
         for step in steps:
             history.extend(step)
             kept.extend(step)
-            assert history.values == kept
-            assert np.array_equal(history.sorted_values, np.sort(np.asarray(kept)))
+            assert len(history) == len(kept)
+            if kept:
+                assert history.quantile_bounds() == RewardHistory(kept).quantile_bounds()
 
     @settings(deadline=None)
     @given(steps=steps)
     def test_bounds_match_sort_oracle(self, steps):
         history = RewardHistory()
+        kept: list[float] = []
         for step in steps:
             history.extend(step)
-            if len(history):
-                expected = tuple(
-                    sort_oracle_percentile(history.values, q) for q in (20.0, 80.0)
-                )
+            kept.extend(step)
+            if kept:
+                expected = tuple(sort_oracle_percentile(kept, q) for q in (20.0, 80.0))
                 assert history.quantile_bounds() == expected
 
     @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
@@ -242,15 +246,17 @@ class TestRewardHistoryProperties:
     )
     def test_step_matches_per_pair_oracle_bitwise(self, past, step):
         history = RewardHistory(values=past)
-        snapshot = history.values
         normalized, bounds = normalize_step_rewards(step, history, warmup_min=1)
         for value, r in zip(normalized.tolist(), step):
-            assert bits(value) == bits(sort_oracle_normalize(r, snapshot))
+            assert bits(value) == bits(sort_oracle_normalize(r, past))
         assert bounds == (
-            sort_oracle_percentile(snapshot, 20.0),
-            sort_oracle_percentile(snapshot, 80.0),
+            sort_oracle_percentile(past, 20.0),
+            sort_oracle_percentile(past, 80.0),
         )
-        assert history.values == snapshot + step
+        assert len(history) == len(past) + len(step)
+        assert history.quantile_bounds() == tuple(
+            sort_oracle_percentile(past + step, q) for q in (20.0, 80.0)
+        )
 
 
 def advantage_reference(chosen_loss, comparison_losses):

@@ -1,4 +1,5 @@
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,6 +159,28 @@ class TestGenerateScenario:
 
 
 class TestScenarioChecks:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scenario: replace(scenario, seeds=[-1]),
+            lambda scenario: replace(scenario, seeds=[1, 1]),
+            lambda scenario: ReplayConfig(seed=-1),
+            lambda scenario: TrainConfig(seed=-1),
+            lambda scenario: generate_scenario(scenario, -1),
+            lambda scenario: compare_runs(
+                [SimpleNamespace(router=r, seed=1, final_annotation_accuracy=0.5)
+                 for r in ("random", "oracle")],
+                baseline=0, seed=-1,
+            ),
+        ],
+        ids=["scenario-negative", "scenario-repeated", "replay-config", "train-config",
+             "generate-scenario", "compare-runs"],
+    )
+    def test_bad_seed_raises_config_error(self, call):
+        # numpy's generators take no negative seed; the library says so itself
+        with pytest.raises(ConfigError, match="seed"):
+            call(two_cluster_scenario(pairs_per_step=4, n_steps=2))
+
     @pytest.mark.parametrize(
         "field, value", [("center", np.nan), ("center", np.inf), ("spread", np.nan),
                          ("spread", -np.inf), ("spread", np.inf)]
@@ -751,23 +774,23 @@ class TestCompareRuns:
         twin = self.run_some(["random"], seeds=[1, 2, 3])
         for m in twin:
             m.router = "random-twin"
-        report = compare_runs(runs + twin, baseline_index=0)
+        report = compare_runs(runs + twin, baseline=0)
         assert np.array_equal(report.deltas["random-twin"], np.zeros(3))
 
     def test_csv_row_count(self):
         runs = self.run_some(["random", "oracle", "single:0"], seeds=[1, 2])
-        report = compare_runs(runs, baseline_index=0)
+        report = compare_runs(runs, baseline=0)
         rows = [line for line in report.to_csv().splitlines() if not line.startswith("#")]
         assert len(rows) == 3 * 2 + 1
 
     def test_mismatched_seed_sets_rejected(self):
         runs = self.run_some(["random"], seeds=[1, 2]) + self.run_some(["oracle"], seeds=[2, 3])
         with pytest.raises(InputError):
-            compare_runs(runs, baseline_index=0)
+            compare_runs(runs, baseline=0)
 
     def test_real_gap_has_positive_ci(self):
         runs = self.run_some(["random", "oracle"], seeds=[1, 2, 3, 4, 5])
-        report = compare_runs(runs, baseline_index=0)
+        report = compare_runs(runs, baseline=0)
         entry = next(e for e in report.summary if e["router"] == "oracle")
         assert entry["ci_lo"] > 0
 
@@ -940,7 +963,10 @@ class TestArrayRewardsMatchPerPairForms:
             assert bounds == want_bounds
             assert got.tolist() == [scale_reference(r, bounds) for r in raw.tolist()]
             past += raw.tolist()
-        assert history.values == past
+        assert len(history) == len(past)
+        assert history.quantile_bounds() == tuple(
+            sort_oracle_percentile(past, q) for q in (20.0, 80.0)
+        )
 
 
 def scale_reference(r, bounds):
