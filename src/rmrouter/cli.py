@@ -314,8 +314,6 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     base_config["offline_prior"] = prior
     for _, spec, mode in routers:  # ConfigError before the first replay
         check_run(spec, scenario, ReplayConfig(**base_config, prior_mode=mode))
-    if args.reward_variant == "light_advantage" and args.light_c > scenario.n_arms - 1:
-        raise ConfigError(f"--light-c must be at most n_arms - 1 = {scenario.n_arms - 1}")
     os.makedirs(args.out_dir, exist_ok=True)
     payloads = [
         (scenario_doc, seed, routers, base_config, args.out_dir, args.scenario)

@@ -262,19 +262,24 @@ def posterior_update(
     solve serve every arm in it, and each block gives that arm's own step.
     k rows cost O(k d^2).  Arms without rows keep their rows of the stack bit
     for bit; k = 0 returns ``beliefs`` itself.  The result equals the per-arm
-    fold of single-row updates up to rounding.  Shapes and the arm range are
-    checked up front, and the updated arms only for finite fields and a
-    positive diagonal: a non-finite row, an overflow or an innovation that
-    does not factor (the arm is named) raises NumericalError.
+    fold of single-row updates up to rounding.  Arms of any but an integer
+    dtype (bool included) raise InputError, so 1.7 or True never truncates to
+    arm 1.  Shapes and the arm range are checked up front, and the updated
+    arms only for finite fields and a positive diagonal: a non-finite row, an
+    overflow or an innovation that does not factor (the arm is named) raises
+    NumericalError.
     """
     if isinstance(beliefs, ArmPosterior):  # the N = 1 case
         rewards = np.asarray(rewards, dtype=np.float64)
         stack = Beliefs.stack([beliefs])
         updated = posterior_update(stack, contexts, rewards, np.zeros(rewards.shape, np.int64))
         return beliefs if updated is stack else updated.arms[0]
+    arms = np.asarray(arms)
+    if arms.size and arms.dtype.kind not in "iu":  # bool is kind "b"
+        raise InputError(f"chosen arms must be integers, got dtype {arms.dtype}")
+    arms = arms.astype(np.int64, copy=False)
     contexts = np.asarray(contexts, dtype=np.float64)
     rewards = np.asarray(rewards, dtype=np.float64)
-    arms = np.asarray(arms, dtype=np.int64)
     k, d = rewards.shape[0] if rewards.ndim else 0, beliefs.d
     if rewards.ndim != 1 or contexts.shape != (k, d) or arms.shape != (k,):
         raise DimError(

@@ -13,7 +13,9 @@ embedding matrix doubles as the prior for the online router.
 :func:`train_offline` minimizes ranking_loss + lam * classifier_loss over one
 context row per pair with mini-batch gradient descent and decoupled weight
 decay.  The rows are precomputed pair embeddings, or pre-fusion text vectors
-that a trainable fusion layer maps to embeddings.
+that a trainable fusion layer maps to embeddings.  Every loss term is
+softplus(-x) of a logit x signed toward its label, so one vectorized
+exp(-|x|) per minibatch gives all the losses and their gradients.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DimError, FormatError, InputError, TrainError
 from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, FusionParams
@@ -126,15 +127,17 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         self.seed = int_field(self.seed, "seed", ConfigError, minimum=0)
+        self.epochs = int_field(self.epochs, "epochs", ConfigError, minimum=1)
+        self.batch_size = int_field(self.batch_size, "batch_size", ConfigError, minimum=1)
+        self.embed_dim = int_field(self.embed_dim, "embed_dim", ConfigError, minimum=1)
+        self.encoder_dim = int_field(self.encoder_dim, "encoder_dim", ConfigError, minimum=2)
         # NaN fails every comparison, so each range check rejects it too
         if not (0 <= self.lam < np.inf and 0 <= self.weight_decay < np.inf):
             raise ConfigError("lam and weight_decay must be finite and >= 0")
-        if not 0 < self.lr < np.inf or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("lr must be finite and positive, epochs and batch_size >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must be in [0, 1)")
-        if self.embed_dim < 1 or self.encoder_dim < 2:
-            raise ConfigError("embed_dim must be >= 1 and encoder_dim >= 2")
 
 
 @dataclass
@@ -150,6 +153,27 @@ def _head_inputs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
     if contexts.shape[1] != model.d:
         raise DimError(f"context dimension {contexts.shape[1]} does not match model d={model.d}")
     return contexts
+
+
+def _logistic_loss(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(softplus(-x), sigmoid(-x)) elementwise: the logistic loss of logits x
+    signed toward their labels, and minus its derivative.
+
+    Both come from one e = exp(-|x|): softplus(-x) = log1p(e) - min(x, 0) and
+    sigmoid(-x) = max(e, x < 0) / (1 + e), evaluated in place.  Nothing
+    overflows at any |x|; past |x| = 708, e underflows to a subnormal number
+    or 0, as it does inside ``np.logaddexp``.  Each agrees with
+    ``np.logaddexp(0, -x)`` and ``scipy.special.expit(-x)`` to 4 ulp.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    loss = np.log1p(e)
+    loss -= np.minimum(x, 0.0)
+    tail = np.maximum(e, x < 0)
+    e += 1.0
+    tail /= e
+    return loss, tail
 
 
 def loss_and_grads(
@@ -168,10 +192,17 @@ def loss_and_grads(
     one classifier term.  ``bt_cells`` is a (2, K) array: the flat winner and
     loser cells ``row * N + arm`` of the K ranking rows.  Returned gradients
     are for total = bt + lam * cls.
+
+    Each term is softplus(-x) of a signed logit: the margin s_w - s_l of a
+    ranking row, z for a 1 bit and -z for a 0 bit.  Its derivative is
+    -sigmoid(-x), so one :func:`_logistic_loss` over all K + cells terms
+    gives every loss and score gradient, each within a few ulp of
+    ``np.logaddexp(0, -x)`` and ``scipy.special.expit(-x)``.
     """
     lam = model.lam if lam is None else float(lam)
     contexts = np.asarray(contexts, dtype=np.float64)
-    at_winner, at_loser = np.asarray(bt_cells, dtype=np.int64).reshape(2, -1)
+    bt_cells = np.asarray(bt_cells, dtype=np.int64).reshape(2, -1)
+    at_winner, at_loser = bt_cells[0], bt_cells[1]  # faster than unpacking
 
     h_all = _head_inputs(model, contexts)
 
@@ -179,31 +210,28 @@ def loss_and_grads(
     # gradients through a score gradient G per (row, arm) cell: grad_E = G^T H
     # and grad_h = G E, with no scatter over index rows.  The ranking head
     # gathers from the raveled scores at its flat cells and bincounts into G;
-    # the classifier reads and writes the observed cells, row-major.
+    # the classifier reads and writes the observed cells, row-major.  The
+    # signed logits are the K ranking margins, then the classifier's cells.
     n_rows, n_arms = h_all.shape[0], model.n_arms
-    cells = n_rows * n_arms
-
-    loss_bt = 0.0
-    if len(at_winner):
-        scores = (h_all @ model.bt_embeddings.T).ravel()
-        margin = scores[at_winner] - scores[at_loser]
-        # sum / count is np.mean's own arithmetic, without its wrapper's overhead
-        loss_bt = float(np.logaddexp(0.0, -margin).sum() / len(margin))
-        g = (expit(margin) - 1.0) / len(margin)
-        g_bt = np.bincount(at_winner, g, cells) - np.bincount(at_loser, g, cells)
-        g_bt = g_bt.reshape(n_rows, n_arms)
-    else:
-        g_bt = np.zeros((n_rows, n_arms))
-
+    cells, n_bt = n_rows * n_arms, len(at_winner)
+    scores = (h_all @ model.bt_embeddings.T).ravel()
     z = (h_all @ model.cls_embeddings.T)[observed]
     delta = bits[observed]
-    loss_cls = 0.0
-    if len(z):
-        # delta * softplus(-z) + (1 - delta) * softplus(z), bit for bit for 0/1 bits
-        loss_cls = float(np.logaddexp(0.0, np.where(delta, -z, z)).sum() / len(z))
+    loss, tail = _logistic_loss(
+        np.concatenate((scores[at_winner] - scores[at_loser], np.where(delta, z, -z)))
+    )
+
+    # sum / count is np.mean's own arithmetic, without its wrapper's overhead
+    loss_bt = float(loss[:n_bt].sum() / n_bt) if n_bt else 0.0
+    g = tail[:n_bt] / -n_bt
+    g_bt = np.bincount(at_winner, g, cells) - np.bincount(at_loser, g, cells)
+    g_bt = g_bt.reshape(n_rows, n_arms)
+
+    loss_cls = float(loss[n_bt:].sum() / len(z)) if len(z) else 0.0
     g_cls = np.zeros((n_rows, n_arms))
     if len(z) and lam != 0.0:
-        g_cls[observed] = lam * (expit(z) - delta) / len(z)
+        step = lam / len(z)
+        g_cls[observed] = np.where(delta, -step, step) * tail[n_bt:]
 
     grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
 
@@ -229,12 +257,15 @@ def train_offline(
     ``observed`` masks the cells that have a bit; None means all of them.
     With ``fused`` the rows are pre-fusion vectors and a fusion layer is
     trained as well.  Deterministic for a fixed config seed.  Raises
-    :class:`TrainError` when no pair has both a correct and an incorrect
-    model, since the ranking head then has no signal, and when training
-    diverges to a non-finite parameter.
+    :class:`InputError` for a bit other than 0 or 1, and :class:`TrainError`
+    when no pair has both a correct and an incorrect model, since the ranking
+    head then has no signal, and when training diverges to a non-finite
+    parameter.
     """
     if len(contexts) != len(correct):
         raise DimError(f"{len(contexts)} context rows for {len(correct)} rows of bits")
+    if not ((correct == 0) | (correct == 1)).all():
+        raise InputError("correctness bits must be 0 or 1")
     bt_index = extract_disagreements(correct, observed)
     if not len(bt_index):
         raise TrainError("disagreement set is empty: ranking head has no signal")

@@ -149,10 +149,10 @@ def observe_feedback(
     ``rewards[i]``.  One :func:`rmrouter.gaussian.posterior_update`, which
     checks the shapes and the arm range, gives each arm its rows in batch
     order.  Arms that received no row keep their beliefs bit for bit.  A
-    non-finite row raises InputError before any arm changes.
+    non-finite row, or a non-integer arm (bool included), raises InputError
+    before any arm changes.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
-    chosen = np.asarray(chosen, dtype=np.int64)
     rewards = np.asarray(rewards, dtype=np.float64)
     if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
         raise InputError("observation contexts and rewards must be finite")

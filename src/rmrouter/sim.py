@@ -599,14 +599,19 @@ def check_run(
     router: str, scenario: SimScenario, config: ReplayConfig
 ) -> tuple[str, float | int | None, np.ndarray | None]:
     """(kind, parameter, offline prior or None) of one replay, once its spec
-    parses, a ``single`` arm is in range and a prior it reads is an
-    (n_arms, d) matrix; ConfigError otherwise.  It runs nothing, so a caller
-    can check every run before the first replay."""
+    parses, a ``single`` arm is in range, a router that computes
+    light_advantage rewards draws at most n_arms - 1 comparators, and a prior
+    it reads is an (n_arms, d) matrix; ConfigError otherwise.  It runs
+    nothing, so a caller can check every run before the first replay."""
     kind, param = parse_router(router)
     n_arms, d = scenario.n_arms, scenario.d
     if kind == "single" and not 0 <= param < n_arms:
         raise ConfigError(f"single arm index {param} out of range for {n_arms} models")
-    reads = ROUTERS[kind].prior
+    spec = ROUTERS[kind]
+    light = config.reward_variant == "light_advantage"
+    if light and spec.observe is not None and config.light_c > n_arms - 1:
+        raise ConfigError(f"comparator count {config.light_c} must be in [1, {n_arms - 1}]")
+    reads = spec.prior
     if reads == "never" or (reads == "injected" and config.prior_mode != "injected"):
         return kind, param, None
     prior = config.offline_prior

@@ -8,14 +8,15 @@ Pair ids are then mapped to dataset rows.  The array builder
 
 ``index_loss_and_grads`` is the index form of ``offline.loss_and_grads``: it
 takes the classifier's bits as (row, rm, bit) rows, one per observed cell,
-and scatters their score gradient with ``np.bincount``.  The matrix form
-must match it bit for bit.
+and scatters their score gradient with ``np.bincount``.  It applies the
+logistic-loss helper to each head's signed logits on its own, where the
+matrix form applies it once to both; the matrix form must match it bit for
+bit.
 """
 
 import numpy as np
-from scipy.special import expit
 
-from rmrouter.offline import _head_inputs
+from rmrouter.offline import _head_inputs, _logistic_loss
 
 
 def matrix_records(pair_ids, correct, observed=None):
@@ -80,8 +81,9 @@ def index_loss_and_grads(model, contexts, bt_index, beh_index, lam=None):
         at_winner, at_loser = at + winners, at + losers
         scores = (h_all @ model.bt_embeddings.T).ravel()
         margin = scores[at_winner] - scores[at_loser]
-        loss_bt = float(np.mean(np.logaddexp(0.0, -margin)))
-        g = (expit(margin) - 1.0) / len(bt_index)
+        loss, tail = _logistic_loss(margin)
+        loss_bt = float(np.mean(loss))
+        g = -tail / len(bt_index)
         g_bt = np.bincount(at_winner, g, cells) - np.bincount(at_loser, g, cells)
         g_bt = g_bt.reshape(n_rows, n_arms)
     else:
@@ -92,9 +94,11 @@ def index_loss_and_grads(model, contexts, bt_index, beh_index, lam=None):
         rows, rms, delta = beh_index.T
         at = rows * n_arms + rms
         z = (h_all @ model.cls_embeddings.T).ravel()[at]
-        loss_cls = float(np.mean(np.logaddexp(0.0, np.where(delta, -z, z))))
+        loss, tail = _logistic_loss(np.where(delta, z, -z))
+        loss_cls = float(np.mean(loss))
     if len(beh_index) and lam != 0.0:
-        gz = lam * (expit(z) - delta) / len(beh_index)
+        step = lam / len(beh_index)
+        gz = np.where(delta, -step, step) * tail
         g_cls = np.bincount(at, gz, cells).reshape(n_rows, n_arms)
     else:
         g_cls = np.zeros((n_rows, n_arms))

@@ -747,6 +747,22 @@ class TestChecksBeforeOutput:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    def test_light_c_binds_only_routers_that_compute_rewards(
+        self, tmp_path, scenario_file, capsys, monkeypatch
+    ):
+        # two arms leave one comparator; random and majority draw none
+        replays = []
+        real = cli.run_replay
+        monkeypatch.setattr(cli, "run_replay", lambda *a, **k: replays.append(a) or real(*a, **k))
+        light = ["--reward-variant", "light_advantage", "--light-c", "5"]
+        out = tmp_path / "runs"
+        args = ["run-sim", "--scenario", scenario_file, "--out-dir", str(out), *light]
+        assert main(args + ["--router", "random,thompson"]) == 2
+        assert replays == [] and not out.exists()
+        assert "comparator count 5 must be in [1, 1]" in capsys.readouterr().err
+        assert main(args + ["--router", "random,majority"]) == 0
+        assert len(replays) == 4  # two routers, two seeds
+
     @staticmethod
     def empty_centre_scenario(tmp_path, scenario_file):
         doc = read_json(scenario_file)

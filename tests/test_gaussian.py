@@ -259,6 +259,33 @@ class TestPosteriorUpdate:
         with pytest.raises(DimError):
             posterior_update(post, [[1.0]], 1.0)
 
+    @pytest.mark.parametrize(
+        "arms", [[1.7, 1.2], [True, True], np.ones(2), np.ones(2, dtype=bool), [None, None]]
+    )
+    def test_non_integer_arms_rejected(self, arms, monkeypatch):
+        # a cast to int64 would truncate each of these to arm 1; nothing is
+        # factorized before the refusal
+        stack = Beliefs.stack([make_prior(2, np.zeros(2), 1.0, 1.0)] * 3)
+        monkeypatch.setattr(gaussian, "dpotrf", None)
+        with pytest.raises(InputError, match="chosen arms must be integers"):
+            posterior_update(stack, np.ones((2, 2)), np.zeros(2), arms)
+
+    def test_integer_arm_dtypes_update_alike(self):
+        rng = np.random.default_rng(6)
+        stack = Beliefs.stack([make_prior(2, np.zeros(2), 1.0, 1.0)] * 3)
+        contexts, rewards = rng.standard_normal((6, 2)), rng.standard_normal(6)
+        arms = [2, 0, 1, 2, 2, 0]
+        want = posterior_update(stack, contexts, rewards, np.array(arms, dtype=np.int64))
+        for chosen in (arms, np.array(arms, np.uint8), np.array(arms, np.int32)):
+            got = posterior_update(stack, contexts, rewards, chosen)
+            assert got.means.tobytes() == want.means.tobytes()
+            assert got.covariances.tobytes() == want.covariances.tobytes()
+
+    def test_empty_arm_list_of_an_empty_batch(self):
+        # np.asarray([]) is float64; a batch without rows has no arm to misroute
+        stack = Beliefs.stack([make_prior(2, np.zeros(2), 1.0, 1.0)] * 2)
+        assert posterior_update(stack, np.zeros((0, 2)), [], []) is stack
+
     def test_non_finite_observations_rejected(self):
         # only shapes are checked up front; a non-finite row never yields a posterior
         post = make_prior(1, np.zeros(1), 1.0, 1.0)

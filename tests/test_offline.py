@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import rmrouter
 from rmrouter.errors import ConfigError, DimError, FormatError, InputError, TrainError
 from rmrouter.features import FusionParams, HashingEncoder, PreferencePair, prefusion_vector
 from rmrouter.offline import (
@@ -13,6 +19,7 @@ from rmrouter.offline import (
     TrainConfig,
     _epoch_cells,
     _head_inputs,
+    _logistic_loss,
     _pair_rows,
     collect_behavior,
     export_prior,
@@ -30,6 +37,7 @@ from rmrouter.serialize import dumps_doc
 from disagreements import behavior_rows, index_loss_and_grads, reference_index_array
 
 LOG2 = math.log(2.0)
+TINY = np.finfo(np.float64).tiny
 
 
 def route(model, contexts):
@@ -252,6 +260,56 @@ def check_gradients(rng, with_fusion):
         assert rel_err(analytic_cls, num_cls) < 1e-4, f"cls/{name}"
 
 
+def close_in_ulp(got, want):
+    """Within 4 ulp of ``want`` or, where ``want`` is below the normal range,
+    within the smallest normal number: scipy's expit gives 0 for sigmoid(-x)
+    above x = 709.78, where exp(-x) is still a subnormal number."""
+    err = np.abs(got - want)
+    return (err <= 4 * np.spacing(np.abs(want))) | ((np.abs(want) < TINY) & (err < TINY))
+
+
+# logits of either sign across 1e-300 to 1e308, with 0 and 745 drawn often
+logits = st.tuples(
+    st.booleans(), st.floats(1e-300, 1e308) | st.sampled_from([0.0, 745.0])
+).map(lambda signed: -signed[1] if signed[0] else signed[1])
+
+
+class TestLogisticLoss:
+    @settings(deadline=None, max_examples=300)
+    @given(x=st.lists(logits, min_size=1, max_size=40))
+    def test_matches_logaddexp_and_expit(self, x):
+        x = np.array(x)
+        given_x = x.copy()
+        # exp(-|x|) is subnormal or 0 past |x| = 708, as inside np.logaddexp,
+        # so underflow is the one floating-point event allowed
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            loss, tail = _logistic_loss(x)
+        assert x.tobytes() == given_x.tobytes()
+        with np.errstate(under="ignore"):
+            want_loss, want_tail = np.logaddexp(0.0, -x), expit(-x)
+        assert close_in_ulp(loss, want_loss).all(), x[~close_in_ulp(loss, want_loss)]
+        assert close_in_ulp(tail, want_tail).all(), x[~close_in_ulp(tail, want_tail)]
+
+    def test_signed_zero_and_saturation(self):
+        with np.errstate(under="ignore"):
+            loss, tail = _logistic_loss(np.array([0.0, -0.0, 1e308, -1e308, 745.0, -745.0]))
+        assert loss.tolist() == [LOG2, LOG2, 0.0, 1e308, 5e-324, 745.0]
+        assert tail.tolist() == [0.5, 0.5, 0.0, 1.0, 5e-324, 1.0]
+
+
+def test_import_loads_no_scipy_special():
+    # scipy is imported for LAPACK only; scipy.special would add its import
+    # time and memory to every command
+    code = "import sys, rmrouter, rmrouter.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(rmrouter.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 class TestGradients:
     def test_identity_mode_gradients(self):
         rng = np.random.default_rng(42)
@@ -368,8 +426,9 @@ class TestScoreSpaceGradients:
     def test_cls_loss_equals_two_term_blend(
         self, n_arms, n_rows, with_fusion, lam, log_scale, seed
     ):
-        # one softplus of +-z per cell is the two-term blend, bit for bit, for
-        # 0/1 bits, also where the logits are large enough to saturate it
+        # one logistic loss of +-z per cell is the two-term blend of the
+        # helper, bit for bit, for 0/1 bits, also where the logits are large
+        # enough to saturate it
         rng = np.random.default_rng(seed)
         d, d_enc = int(rng.integers(1, 7)), int(rng.integers(1, 4))
         model = random_model(rng, n_arms, d, lam, with_fusion, d_enc)
@@ -379,7 +438,7 @@ class TestScoreSpaceGradients:
         observed.flat[rng.integers(observed.size)] = True
         z = (_head_inputs(model, contexts) @ model.cls_embeddings.T)[observed]
         delta = correct[observed]
-        blend = np.mean(delta * np.logaddexp(0.0, -z) + (1 - delta) * np.logaddexp(0.0, z))
+        blend = np.mean(delta * _logistic_loss(z)[0] + (1 - delta) * _logistic_loss(-z)[0])
         no_bt = np.empty((2, 0), np.int64)
         losses, _ = loss_and_grads(model, contexts, no_bt, correct, observed)
         assert losses["cls"] == float(blend)
@@ -650,6 +709,18 @@ class TestTraining:
         with pytest.raises(DimError, match="3 context rows for 2 rows of bits"):
             train_on(np.ones((3, 2)), correct, TrainConfig())
 
+    @pytest.mark.parametrize(
+        "dtype, bad", [(np.uint8, 2), (np.int64, -1), (np.float64, 0.5), (np.float64, np.nan)]
+    )
+    def test_bits_other_than_0_and_1_rejected(self, dtype, bad):
+        # a 2 would read as right in the ranking rows and weigh double in the
+        # classifier gradient
+        contexts, correct = separable_training_data(np.random.default_rng(9), n_pairs=20)
+        correct = correct.astype(dtype)
+        correct[3, 1] = bad
+        with pytest.raises(InputError, match="bits must be 0 or 1"):
+            train_on(contexts, correct, TrainConfig())
+
     def test_text_path_trains_fusion(self):
         pairs = [
             PreferencePair(f"p{i}", f"topic {i % 2} question {i}", "yes indeed", "not at all", "A")
@@ -663,6 +734,25 @@ class TestTraining:
         assert result.model.fusion is not None
         assert result.model.d == 8
         assert result.model.fusion.encoder_dim == 32
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "embed_dim", "encoder_dim"])
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    def test_count_fields_refuse_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, low", [("epochs", 0), ("batch_size", 0), ("embed_dim", 0), ("encoder_dim", 1)]
+    )
+    def test_count_fields_below_their_minimum_rejected(self, field, low):
+        with pytest.raises(ConfigError, match=f"{field} must be at least {low + 1}"):
+            TrainConfig(**{field: low})
+
+    def test_integral_float_counts_become_ints(self):
+        config = TrainConfig(epochs=3.0, batch_size=np.int32(4), embed_dim=8.0, encoder_dim=16)
+        assert [type(v) for v in (config.epochs, config.batch_size, config.embed_dim)] == [int] * 3
 
 
 class TestBehaviorFile:

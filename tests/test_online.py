@@ -206,6 +206,21 @@ class TestObserveArrays:
             observe_feedback(init_router(2, 1), np.ones((2, 1)), [arm, 0], np.zeros(2))
 
 
+    @pytest.mark.parametrize(
+        "chosen", [[1.7] * 5, [True] * 5, np.full(5, 1.0), np.ones(5, dtype=bool)]
+    )
+    def test_non_integer_arms_rejected_and_state_unchanged(self, chosen):
+        # a cast to int64 would route every row to arm 1
+        state = self.warm_state()
+        before = state_to_dict(state)
+        rng = np.random.default_rng(5)
+        with pytest.raises(InputError, match="chosen arms must be integers"):
+            observe_feedback(state, rng.standard_normal((5, 4)), chosen, rng.standard_normal(5))
+        with pytest.raises(InputError, match="chosen arms must be integers"):
+            update_linucb(state, rng.standard_normal((5, 4)), chosen, rng.standard_normal(5))
+        assert state_to_dict(state) == before
+
+
 class TestLinUcb:
     """LinUCB is a zero-prior router state (prior and noise variance 1) routed on
     UCB scores; :class:`ridge.RidgeReference` keeps Li et al.'s A and b."""

@@ -41,6 +41,7 @@ from rmrouter.sim import (
     _draw_clusters,
     _draw_split,
     _majority_votes,
+    check_run,
     compare_runs,
     fit_offline_router,
     generate_scenario,
@@ -637,6 +638,18 @@ class TestRunReplay:
         config = ReplayConfig(seed=14, reward_variant="light_advantage", light_c=2)
         with pytest.raises(ConfigError, match="comparator count"):
             run_replay("thompson", dataset, config)
+
+    def test_light_c_is_checked_only_for_routers_that_compute_rewards(self):
+        scenario = two_cluster_scenario(pairs_per_step=4, n_steps=2)
+        config = ReplayConfig(seed=14, reward_variant="light_advantage", light_c=5)
+        for router in ("thompson", "linucb"):
+            with pytest.raises(ConfigError, match=r"comparator count 5 must be in \[1, 1\]"):
+                check_run(router, scenario, config)
+        dataset = generate_scenario(scenario, 14)
+        for router in ("random", "single:1", "majority", "uwo", "oracle"):
+            check_run(router, scenario, config)
+            metrics = run_replay(router, dataset, config)
+            assert metrics.rm_calls_per_step == run_replay(router, dataset).rm_calls_per_step
 
     @pytest.mark.parametrize(
         "variant, light_c", [("full_advantage", 3), ("light_advantage", 1), ("light_advantage", 3)]
