@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from .errors import ConfigError, DimError, FormatError, InputError, NumericalError
-from .serialize import dumps_line, iter_jsonl
+from .serialize import dumps_line, int_field, iter_jsonl
 
 DEFAULT_ENCODER_DIM = 256
 DEFAULT_EMBED_DIM = 64
@@ -83,13 +83,11 @@ class HashingEncoder:
     """
 
     def __init__(self, dim: int = DEFAULT_ENCODER_DIM):
-        if dim < 2:
-            raise ConfigError(f"encoder dim must be >= 2, got {dim}")
-        self.dim = dim
+        self.dim = int_field(dim, "encoder dim", ConfigError, minimum=2)
 
     def encode(self, text: str) -> np.ndarray:
-        if not text:
-            raise InputError("cannot encode empty text")
+        if not (isinstance(text, str) and text):
+            raise InputError(f"text to encode must be a non-empty string, got {text!r}")
         vec = np.zeros(self.dim)
         padded = f"  {text}  "
         tokens: list[str] = [f"w\x00{w}" for w in text.split()]

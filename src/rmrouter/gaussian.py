@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .errors import ConfigError, DimError, FormatError, InputError, NonPSDError, NumericalError
-from .serialize import check_document, int_field
+from .serialize import check_document, int_field, real_field
 
 POSTERIOR_FORMAT_VERSION = 1
 
@@ -73,7 +73,8 @@ class ArmPosterior:
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.covariance = np.asarray(self.covariance, dtype=np.float64)
-        self.noise_variance = float(self.noise_variance)
+        noise = real_field(self.noise_variance, "noise_variance", InputError, positive=True)
+        self.noise_variance = noise
         self.validate()
 
     def validate(self) -> None:
@@ -86,11 +87,9 @@ class ArmPosterior:
             raise DimError(
                 f"covariance shape {self.covariance.shape} does not match mean length {d}"
             )
-        finite = np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()
-        if not (finite and np.isfinite(self.noise_variance)):
-            raise InputError("mean, covariance and noise_variance must be finite")
-        if self.noise_variance <= 0.0:
-            raise ConfigError(f"noise_variance must be positive, got {self.noise_variance}")
+        real_field(self.noise_variance, "noise_variance", InputError, positive=True)
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()):
+            raise InputError("mean and covariance must be finite")
         asym = float(np.max(np.abs(self.covariance - self.covariance.T)))
         if asym > SYMMETRY_TOL:
             raise NonPSDError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
@@ -176,10 +175,9 @@ def make_prior(
     noise_variance: float = 1.0,
 ) -> ArmPosterior:
     """Isotropic prior belief: N(prior_mean, prior_variance * I)."""
-    if d < 1:
-        raise ConfigError(f"dimension must be >= 1, got {d}")
-    if prior_variance <= 0.0:
-        raise ConfigError(f"prior_variance must be positive, got {prior_variance}")
+    d = int_field(d, "dimension", ConfigError, minimum=1)
+    prior_variance = real_field(prior_variance, "prior_variance", ConfigError, positive=True)
+    noise_variance = real_field(noise_variance, "noise_variance", ConfigError, positive=True)
     mean = np.zeros(d) if prior_mean is None else np.asarray(prior_mean, dtype=np.float64)
     if mean.shape != (d,):
         raise DimError(f"prior_mean shape {mean.shape} does not match d={d}")
@@ -358,7 +356,9 @@ def posterior_from_dict(doc: dict) -> ArmPosterior:
         return ArmPosterior(
             mean=np.asarray(doc["mean"], dtype=np.float64),
             covariance=np.asarray(doc["covariance"], dtype=np.float64).reshape(d, d),
-            noise_variance=float(doc["noise_variance"]),
+            noise_variance=real_field(
+                doc["noise_variance"], "noise_variance", FormatError, positive=True
+            ),
             update_count=int_field(doc["update_count"], "update_count", FormatError, minimum=0),
         )
     except (KeyError, TypeError, ValueError) as exc:

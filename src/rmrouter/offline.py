@@ -34,6 +34,7 @@ from .serialize import (
     int_field,
     iter_jsonl,
     read_json,
+    real_field,
     write_json,
     write_jsonl,
 )
@@ -84,8 +85,7 @@ class OfflineRouterModel:
         shape = self.bt_embeddings.shape
         if len(shape) != 2 or shape[0] != self.n_arms or shape[1] < 1:
             raise DimError(f"head matrices must be ({self.n_arms}, d >= 1), got {shape}")
-        if not 0 <= self.lam < np.inf:
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        self.lam = real_field(self.lam, "lam", ConfigError)
         if self.fusion is not None and self.fusion.out_dim != self.d:
             raise DimError("fusion output dimension does not match head matrices")
         if not self.finite():
@@ -131,13 +131,10 @@ class TrainConfig:
         self.batch_size = int_field(self.batch_size, "batch_size", ConfigError, minimum=1)
         self.embed_dim = int_field(self.embed_dim, "embed_dim", ConfigError, minimum=1)
         self.encoder_dim = int_field(self.encoder_dim, "encoder_dim", ConfigError, minimum=2)
-        # NaN fails every comparison, so each range check rejects it too
-        if not (0 <= self.lam < np.inf and 0 <= self.weight_decay < np.inf):
-            raise ConfigError("lam and weight_decay must be finite and >= 0")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError("lr must be finite and positive")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("momentum must be in [0, 1)")
+        self.lam = real_field(self.lam, "lam", ConfigError)
+        self.lr = real_field(self.lr, "lr", ConfigError, positive=True)
+        self.weight_decay = real_field(self.weight_decay, "weight_decay", ConfigError)
+        self.momentum = real_field(self.momentum, "momentum", ConfigError, below=1.0)
 
 
 @dataclass
@@ -199,7 +196,7 @@ def loss_and_grads(
     gives every loss and score gradient, each within a few ulp of
     ``np.logaddexp(0, -x)`` and ``scipy.special.expit(-x)``.
     """
-    lam = model.lam if lam is None else float(lam)
+    lam = model.lam if lam is None else real_field(lam, "lam", ConfigError)
     contexts = np.asarray(contexts, dtype=np.float64)
     bt_cells = np.asarray(bt_cells, dtype=np.int64).reshape(2, -1)
     at_winner, at_loser = bt_cells[0], bt_cells[1]  # faster than unpacking
@@ -286,7 +283,15 @@ def train_offline(
         n_arms=n_arms,
     )
 
-    velocity: dict[str, np.ndarray] = {}
+    # the parameters SGD updates in place, with decoupled weight decay:
+    # p <- p - lr * step - (lr * wd) * p; with lam == 0 the classifier head is frozen
+    params = [("bt_embeddings", model.bt_embeddings)]
+    if config.lam != 0.0:
+        params.append(("cls_embeddings", model.cls_embeddings))
+    if fusion is not None:
+        params += [("fusion_weight", fusion.weight), ("fusion_bias", fusion.bias)]
+    velocity = {name: np.zeros_like(param) for name, param in params}
+    decay = config.lr * config.weight_decay
     history: list[dict] = []
     batch_size = min(config.batch_size, n_pairs)  # the same minibatches, in int64 range
     bt_rows, n_bits = _pair_rows(bt_index, n_pairs), int(np.count_nonzero(observed))
@@ -305,7 +310,13 @@ def train_offline(
             losses, grads = loss_and_grads(
                 model, shuffled[batch], batch_bt, bits[batch], mask[batch]
             )
-            _apply_sgd_step(model, grads, velocity, config)
+            for name, param in params:
+                step = grads[name]
+                if config.momentum > 0.0:
+                    step = velocity[name]
+                    step *= config.momentum
+                    step += grads[name]
+                param -= config.lr * step + decay * param
             sums["bt"] += losses["bt"] * batch_bt.shape[1]
             sums["cls"] += losses["cls"] * n_cls
         # every ranking row and bit falls in exactly one minibatch
@@ -362,32 +373,6 @@ def _epoch_cells(
     cells += np.repeat(np.arange(len(perm)) % batch_size * n_arms, lengths)
     pairs_done = np.minimum(np.arange(0, len(perm) + batch_size, batch_size), len(perm))
     return cells, np.concatenate(([0], ends))[pairs_done]
-
-
-def _apply_sgd_step(
-    model: OfflineRouterModel,
-    grads: dict[str, np.ndarray],
-    velocity: dict[str, np.ndarray],
-    config: TrainConfig,
-) -> None:
-    # decoupled weight decay: p <- p - lr * step - lr * wd * p; with lam == 0
-    # the classifier head is frozen outright
-    params: dict[str, np.ndarray] = {"bt_embeddings": model.bt_embeddings}
-    if config.lam != 0.0:
-        params["cls_embeddings"] = model.cls_embeddings
-    if model.fusion is not None:
-        params["fusion_weight"] = model.fusion.weight
-        params["fusion_bias"] = model.fusion.bias
-    for name, param in params.items():
-        grad = grads[name]
-        if config.momentum > 0.0:
-            vel = velocity.setdefault(name, np.zeros_like(param))
-            vel *= config.momentum
-            vel += grad
-            step = vel
-        else:
-            step = grad
-        param -= config.lr * step + config.lr * config.weight_decay * param
 
 
 def route_pairs(model: OfflineRouterModel, contexts: np.ndarray) -> np.ndarray:
@@ -456,7 +441,7 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
             fusion=fusion,
             bt_embeddings=np.asarray(doc["bt_embeddings"], dtype=np.float64),
             cls_embeddings=np.asarray(doc["cls_embeddings"], dtype=np.float64),
-            lam=float(doc["lambda"]),
+            lam=real_field(doc["lambda"], "lambda", FormatError),
             n_arms=int_field(doc["n_arms"], "n_arms", FormatError, minimum=1),
             train_meta=train_meta,
         )

@@ -42,7 +42,7 @@ from .gaussian import (
     sample_weights,  # not called here; the bench tracer's tests read online.sample_weights
     score_moments,
 )
-from .serialize import check_document, int_field, read_json, write_json
+from .serialize import check_document, int_field, read_json, real_field, write_json
 
 STATE_FORMAT_VERSION = 1
 
@@ -63,8 +63,10 @@ class OnlineRouterState:
     step: int = 0
 
     def __post_init__(self) -> None:
-        if self.prior_mode not in PRIOR_MODES or not 0 < self.prior_variance < np.inf:
-            raise ConfigError(f"prior_mode must be in {PRIOR_MODES}, prior_variance finite > 0")
+        if self.prior_mode not in PRIOR_MODES:
+            raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
+        variance = real_field(self.prior_variance, "prior_variance", ConfigError, positive=True)
+        self.prior_variance = variance
 
     @property
     def selection_counts(self) -> np.ndarray:
@@ -97,22 +99,22 @@ def init_router(
 ) -> OnlineRouterState:
     """Fresh router state, every arm N(mean, prior_variance I), built directly
     from checked inputs; injected mode takes each arm's mean from a prior row."""
-    if n_arms < 1 or d < 1:
-        raise ConfigError("n_arms and d must be >= 1")
+    n_arms = int_field(n_arms, "n_arms", ConfigError, minimum=1)
+    d = int_field(d, "d", ConfigError, minimum=1)
     if prior_mode not in PRIOR_MODES:
-        raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}")
+        raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, got {prior_mode!r}")
     if prior_variance is None:
         prior_variance = DEFAULT_PRIOR_VARIANCE[prior_mode]
-    if not (0 < sigma_sq < np.inf and 0 < prior_variance < np.inf):
-        raise ConfigError("sigma_sq and prior_variance must be finite and positive")
+    prior_variance = real_field(prior_variance, "prior_variance", ConfigError, positive=True)
+    sigma_sq = real_field(sigma_sq, "sigma_sq", ConfigError, positive=True)
     if (offline_prior is None) != (prior_mode == "zero"):
         raise ConfigError("prior_mode='injected' needs an offline prior matrix, 'zero' none")
     means = np.zeros((n_arms, d)) if offline_prior is None else np.array(offline_prior, float)
     if means.shape != (n_arms, d) or not np.isfinite(means).all():
         raise ConfigError(f"offline prior {means.shape} must be a finite ({n_arms}, {d}) matrix")
     covariances = np.repeat((prior_variance * np.eye(d))[None], n_arms, axis=0)
-    beliefs = Beliefs(means, covariances, float(sigma_sq), np.zeros(n_arms, dtype=np.int64))
-    return OnlineRouterState(beliefs, float(prior_variance), prior_mode)
+    beliefs = Beliefs(means, covariances, sigma_sq, np.zeros(n_arms, dtype=np.int64))
+    return OnlineRouterState(beliefs, prior_variance, prior_mode)
 
 
 def _checked_contexts(state: OnlineRouterState, contexts) -> np.ndarray:
@@ -174,8 +176,7 @@ def route_linucb(
     covariance are LinUCB's ridge estimate A^-1 b and A^-1, where
     A = I + sum(h h^T) and b = sum(r h).
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    alpha = real_field(alpha, "alpha", ConfigError)
     contexts = _checked_contexts(state, contexts)
     points = contexts if per_pair else contexts.mean(axis=0)[None]
     means, variances = score_moments(state.beliefs, points)
@@ -220,8 +221,7 @@ def route_weighted_score(
     matrix such as the offline ranking head.  Sampled scores are drawn arm by
     arm (arm-major order), as in :func:`route_batch`, whatever ``alpha`` is.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = real_field(alpha, "alpha", ConfigError, at_most=1.0)
     contexts = _checked_contexts(zero_prior_state, contexts)
     if np.shape(prior) != (zero_prior_state.n_arms, zero_prior_state.d):
         raise DimError("prior matrix and online state disagree on the arms or dimension")
@@ -262,10 +262,13 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
         written = doc["selection_counts"]
         counts = [int_field(n, "selection_counts", FormatError, 0) for n in written]
         arms = (beliefs.noise_variance, beliefs.update_counts.tolist())
-        if (float(cfg["sigma_sq"]), counts) != arms:
+        sigma_sq = real_field(cfg["sigma_sq"], "config.sigma_sq", FormatError, positive=True)
+        if (sigma_sq, counts) != arms:
             raise FormatError(f"(config.sigma_sq, selection_counts) differ from the arms' {arms}")
         step = int_field(doc["step"], "step", FormatError, minimum=0)
-        return OnlineRouterState(beliefs, float(cfg["prior_variance"]), cfg["prior_mode"], step)
+        prior_variance = real_field(cfg["prior_variance"], "config.prior_variance", FormatError,
+                                    positive=True)
+        return OnlineRouterState(beliefs, prior_variance, cfg["prior_mode"], step)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed router state: {exc!r}") from exc
 

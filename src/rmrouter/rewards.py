@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .serialize import int_field, real_field
 
 QUANTILE_LO = 20.0
 QUANTILE_HI = 80.0
-DEFAULT_WARMUP_MIN = 32
+WARMUP_MIN = 32  # history values needed before quantile scaling
 DEFAULT_DPO_BETA = 1.0
 DEFAULT_LIGHT_COMPARATORS = 3
 
@@ -44,8 +45,7 @@ def dpo_loss(
     beta: float = DEFAULT_DPO_BETA,
 ) -> float:
     """-log sigmoid of the scaled policy/reference log-ratio margin."""
-    if beta <= 0.0:
-        raise ConfigError(f"beta must be positive, got {beta}")
+    beta = real_field(beta, "beta", ConfigError, positive=True)
     margin = beta * (logp_policy_w - logp_ref_w) - beta * (logp_policy_l - logp_ref_l)
     return float(np.logaddexp(0.0, -margin))
 
@@ -110,11 +110,9 @@ def _percentile_sorted(ordered: np.ndarray, q: float) -> float:
     return float(ordered[lo] + (ordered[hi] - ordered[lo]) * frac)
 
 
-def _scaling_bounds(
-    history: RewardHistory, warmup_min: int
-) -> tuple[float, float] | None:
+def _scaling_bounds(history: RewardHistory) -> tuple[float, float] | None:
     """The history's bounds, or None while warming up; counts and warns if degenerate."""
-    if len(history) < warmup_min:
+    if len(history) < WARMUP_MIN:
         return None
     bounds = history.quantile_bounds()
     if bounds[0] == bounds[1]:
@@ -139,7 +137,6 @@ def _scale(values: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray
 def normalize_step_rewards(
     raw: Sequence[float] | np.ndarray,
     history: RewardHistory,
-    warmup_min: int = DEFAULT_WARMUP_MIN,
 ) -> tuple[np.ndarray, tuple[float, float] | None]:
     """Normalize one step's rewards against strictly-past history, then record them.
 
@@ -152,7 +149,7 @@ def normalize_step_rewards(
     raw = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(raw).all():
         raise InputError("step rewards must be finite")
-    bounds = _scaling_bounds(history, warmup_min)
+    bounds = _scaling_bounds(history)
     history.extend(raw)
     return _scale(raw, bounds), bounds
 
@@ -174,7 +171,7 @@ def sample_comparators(
     +inf: a row's c smallest keys are a uniformly random c-subset of the
     other arms.
     """
-    if c < 1 or c > n_arms - 1:
+    if not 1 <= int_field(c, "comparator count", ConfigError) <= n_arms - 1:
         raise ConfigError(f"comparator count {c} must be in [1, {n_arms - 1}]")
     chosen = np.asarray(chosen)
     if chosen.ndim != 1 or np.any((chosen < 0) | (chosen >= n_arms)):

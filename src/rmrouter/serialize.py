@@ -54,6 +54,31 @@ def int_field(
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def real_field(
+    value: Any, name: str, error: type[Exception], positive: bool = False,
+    below: float = np.inf, at_most: float = np.inf,
+) -> float:
+    """A finite real number as a Python float: an int or a float (numpy's too),
+    never a bool, str or None; at least 0 (above 0 if ``positive``), below
+    ``below`` and at most ``at_most``.  NaN and the infinities fail the range,
+    and ``error`` names ``name`` and ``value``."""
+    number = value
+    if type(value) is not float:  # a Python float, the common case, needs no conversion
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise error(f"{name} must be a real number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int past float64
+            number = np.inf
+    if (0.0 < number if positive else 0.0 <= number) and number < below and number <= at_most:
+        return number
+    if below == at_most == np.inf:
+        span = "finite and positive" if positive else "finite and >= 0"
+    else:
+        span = f"in [0, {at_most:g}]" if at_most < np.inf else f"in [0, {below:g})"
+    raise error(f"{name} must be {span}, got {value!r}")
+
+
 def check_document(doc: Any, kind: str, version: int) -> dict:
     """``doc`` itself, once it is a JSON object of the supported ``version``;
     FormatError for any other value, ConfigError for another version (a bool

@@ -47,7 +47,7 @@ from .rewards import (
     sample_comparators,
     surrogate_pair_loss,
 )
-from .serialize import check_document, int_field
+from .serialize import check_document, int_field, real_field
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -72,13 +72,13 @@ class Cluster:
     spread: float
 
     def __post_init__(self) -> None:
+        self.cluster_id = int_field(self.cluster_id, "cluster_id", ConfigError, minimum=0)
+        self.spread = real_field(self.spread, f"cluster {self.cluster_id} spread", ConfigError)
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.ndim != 1 or not self.center.size:
             raise ConfigError("cluster center must be a vector of length >= 1")
         if not np.isfinite(self.center).all():
             raise ConfigError(f"cluster {self.cluster_id} center must be finite")
-        if not 0.0 <= self.spread < np.inf:
-            raise ConfigError(f"cluster {self.cluster_id} spread must be finite and >= 0")
 
 
 @dataclass
@@ -100,12 +100,10 @@ class SimScenario:
     drift_step: int | None = None
 
     def __post_init__(self) -> None:
-        if self.n_arms < 2:
-            raise ConfigError("need at least two candidate models")
-        if self.pairs_per_step < 1 or self.n_steps < 1:
-            raise ConfigError("pairs_per_step and n_steps must be >= 1")
-        if self.offline_pairs < 0:
-            raise ConfigError(f"offline_pairs must be >= 0, got {self.offline_pairs}")
+        self.n_arms = int_field(self.n_arms, "n_arms", ConfigError, minimum=2)
+        self.pairs_per_step = int_field(self.pairs_per_step, "pairs_per_step", ConfigError, 1)
+        self.n_steps = int_field(self.n_steps, "n_steps", ConfigError, minimum=1)
+        self.offline_pairs = int_field(self.offline_pairs, "offline_pairs", ConfigError, 0)
         if not self.seeds:
             raise ConfigError("scenario needs at least one seed")
         self.seeds = [int_field(seed, "seed", ConfigError, minimum=0) for seed in self.seeds]
@@ -135,10 +133,7 @@ class SimScenario:
                 if cluster.cluster_id not in profile:
                     raise ConfigError(f"arm {n} has no accuracy for cluster {cluster.cluster_id}")
             for cluster_id, prob in profile.items():
-                if not 0.0 <= prob <= 1.0:  # NaN fails too
-                    raise ConfigError(
-                        f"arm {n}, cluster {cluster_id}: accuracy {prob} not in [0, 1]"
-                    )
+                real_field(prob, f"arm {n}, cluster {cluster_id}: accuracy", ConfigError, at_most=1)
         for name in ("mixture_before", "mixture_after"):
             mix = getattr(self, name)
             if mix is None:
@@ -149,10 +144,10 @@ class SimScenario:
                 raise ConfigError(f"{name} must be a probability vector")
         if self.mixture_after is not None and self.drift_step is None:
             raise ConfigError("mixture_after requires drift_step")
-        if self.drift_step is not None and not (
-            isinstance(self.drift_step, (int, np.integer)) and 0 < self.drift_step < self.n_steps
-        ):
-            raise ConfigError("drift_step must be an integer strictly inside the run")
+        if self.drift_step is not None:
+            self.drift_step = int_field(self.drift_step, "drift_step", ConfigError, minimum=1)
+            if self.drift_step >= self.n_steps:
+                raise ConfigError("drift_step must be an integer strictly inside the run")
 
     @property
     def d(self) -> int:
@@ -210,29 +205,20 @@ def scenario_from_dict(doc: dict) -> SimScenario:
     if unknown:
         raise ConfigError(f"unknown scenario key(s): {sorted(unknown)}")
 
-    def integer(value, name: str) -> int:
-        return int_field(value, name, ConfigError)
-
     try:
         clusters = [
-            Cluster(
-                integer(c["cluster_id"], "cluster_id"),
-                np.asarray(c["center"], dtype=np.float64),
-                float(c["spread"]),
-            )
+            Cluster(c["cluster_id"], np.asarray(c["center"], dtype=np.float64), c["spread"])
             for c in doc["clusters"]
         ]
-        profiles = [
-            {int(k): float(v) for k, v in profile.items()} for profile in doc["arm_profiles"]
-        ]
+        profiles = [{int(k): v for k, v in profile.items()} for profile in doc["arm_profiles"]]
         return SimScenario(
-            n_arms=integer(doc["n_arms"], "n_arms"),
+            n_arms=doc["n_arms"],
             clusters=clusters,
             arm_profiles=profiles,
-            pairs_per_step=integer(doc["pairs_per_step"], "pairs_per_step"),
-            n_steps=integer(doc["n_steps"], "n_steps"),
+            pairs_per_step=doc["pairs_per_step"],
+            n_steps=doc["n_steps"],
             seeds=list(doc["seeds"]),
-            offline_pairs=integer(doc.get("offline_pairs", 0), "offline_pairs"),
+            offline_pairs=doc.get("offline_pairs", 0),
             mixture_before=doc.get("mixture_before"),
             mixture_after=doc.get("mixture_after"),
             drift_step=doc.get("drift_step"),
@@ -384,7 +370,7 @@ def generate_scenario(scenario: SimScenario, rng: np.random.Generator | int) -> 
     come from its own seeded generator, so regenerating with the same seed
     gives a bitwise-identical truth table.
     """
-    if isinstance(rng, (int, np.integer)):
+    if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(int_field(rng, "seed", ConfigError, minimum=0))
     profiles = scenario.profile_matrix()
     rm_rngs = [np.random.default_rng(int(rng.integers(2**63))) for _ in range(scenario.n_arms)]
@@ -435,14 +421,14 @@ class ReplayConfig:
             raise ConfigError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
             )
-        if not 0.0 <= self.linucb_alpha < np.inf:
-            raise ConfigError(f"linucb_alpha must be finite and >= 0, got {self.linucb_alpha}")
-        if not 0.0 < self.sigma_sq < np.inf:
-            raise ConfigError(f"sigma_sq must be finite and > 0, got {self.sigma_sq}")
-        if self.prior_variance is not None and not 0.0 < self.prior_variance < np.inf:
-            raise ConfigError(f"prior_variance must be finite and > 0, got {self.prior_variance}")
-        if self.light_c < 1:
-            raise ConfigError(f"light_c must be >= 1, got {self.light_c}")
+        self.linucb_alpha = real_field(self.linucb_alpha, "linucb_alpha", ConfigError)
+        self.sigma_sq = real_field(self.sigma_sq, "sigma_sq", ConfigError, positive=True)
+        if self.prior_variance is not None:
+            self.prior_variance = real_field(self.prior_variance, "prior_variance", ConfigError,
+                                             positive=True)
+        if not isinstance(self.linucb_per_pair, bool):
+            raise ConfigError(f"linucb_per_pair must be a bool, got {self.linucb_per_pair!r}")
+        self.light_c = int_field(self.light_c, "light_c", ConfigError, minimum=1)
         if self.offline_prior is not None:
             self.offline_prior = np.asarray(self.offline_prior, dtype=np.float64)
             if self.offline_prior.ndim != 2 or not np.isfinite(self.offline_prior).all():
@@ -498,10 +484,7 @@ class _Replay:
 
 
 def _mix_weight(arg: str) -> float:
-    alpha = float(arg)
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"weighted alpha must be in [0, 1], got {alpha}")
-    return alpha
+    return real_field(float(arg), "weighted alpha", ConfigError, at_most=1.0)
 
 
 @dataclass(frozen=True)
@@ -894,8 +877,7 @@ def compare_runs(
     intervals resample seeds with replacement, drawn from ``seed`` (>= 0).
     """
     rng = np.random.default_rng(int_field(seed, "seed", ConfigError, minimum=0))
-    if n_boot < 1:
-        raise ConfigError(f"n_boot must be >= 1, got {n_boot}")
+    n_boot = int_field(n_boot, "n_boot", ConfigError, minimum=1)
     if len(metrics) < 2:
         raise InputError("need at least two runs to compare")
     methods: list[str] = []
@@ -906,14 +888,15 @@ def compare_runs(
             by_method[m.router] = {}
         if m.seed in by_method[m.router]:
             raise InputError(f"duplicate run for router {m.router!r}, seed {m.seed}")
-        by_method[m.router][m.seed] = float(m.final_annotation_accuracy)
-    if isinstance(baseline, str):
-        if baseline not in methods:
-            raise InputError(f"baseline {baseline!r} not among routers {methods}")
-    elif 0 <= baseline < len(methods):
-        baseline = methods[baseline]
-    else:
-        raise InputError(f"baseline index {baseline} out of range")
+        accuracy = m.final_annotation_accuracy
+        by_method[m.router][m.seed] = real_field(accuracy, "accuracy", InputError, at_most=1.0)
+    if not isinstance(baseline, str):
+        index = int_field(baseline, "baseline index", InputError, minimum=0)
+        if index >= len(methods):
+            raise InputError(f"baseline index {baseline} out of range")
+        baseline = methods[index]
+    if baseline not in methods:
+        raise InputError(f"baseline {baseline!r} not among routers {methods}")
     seed_set = set(by_method[baseline])
     for method in methods:
         if set(by_method[method]) != seed_set:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.rewards import (
+    WARMUP_MIN,
     DegenerateQuantilesWarning,
     RewardHistory,
     advantage_rewards,
@@ -110,6 +111,16 @@ class TestQuantileNormalize:
         with pytest.warns(DegenerateQuantilesWarning):
             assert quantile_normalize(3.0, history) == 0.5
         assert history.degenerate_events == 1
+
+    def test_warmup_ends_at_warmup_min_values(self):
+        step = [-3.0, -0.5, 0.25, 2.0]
+        normalized, bounds = normalize_step_rewards(step, RewardHistory([0.0] * (WARMUP_MIN - 1)))
+        assert bounds is None
+        assert normalized.tolist() == [0.0, 0.25, 0.625, 1.0]  # clip((r + 1) / 2)
+        past = list(np.linspace(-1.0, 1.0, WARMUP_MIN))
+        normalized, bounds = normalize_step_rewards(step, RewardHistory(past))
+        assert bounds == tuple(sort_oracle_percentile(past, q) for q in (20.0, 80.0))
+        assert normalized.tolist() == [sort_oracle_normalize(r, past) for r in step]
 
     def test_warmup_passthrough(self):
         history = RewardHistory(values=[0.0] * 10)
@@ -241,12 +252,12 @@ class TestRewardHistoryProperties:
     @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
     @settings(deadline=None)
     @given(
-        past=st.lists(reward_values, min_size=1, max_size=60),
+        past=st.lists(reward_values, min_size=WARMUP_MIN, max_size=WARMUP_MIN + 60),
         step=st.lists(reward_values, min_size=1, max_size=16),
     )
     def test_step_matches_per_pair_oracle_bitwise(self, past, step):
         history = RewardHistory(values=past)
-        normalized, bounds = normalize_step_rewards(step, history, warmup_min=1)
+        normalized, bounds = normalize_step_rewards(step, history)
         for value, r in zip(normalized.tolist(), step):
             assert bits(value) == bits(sort_oracle_normalize(r, past))
         assert bounds == (

@@ -25,6 +25,7 @@ from rmrouter.rewards import (
     SURROGATE_CORRECT_MEAN,
     SURROGATE_INCORRECT_MEAN,
     SURROGATE_STD,
+    WARMUP_MIN,
     RewardHistory,
     batch_baseline_array,
     normalize_step_rewards,
@@ -955,24 +956,25 @@ class TestArrayRewardsMatchPerPairForms:
 
     @settings(deadline=None, max_examples=60)
     @given(
+        # steps of up to 40 values: the warm-up of WARMUP_MIN values ends after
+        # one step or lasts several
         steps=st.lists(
-            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=12),
+            st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=40),
             min_size=1,
             max_size=8,
         ),
-        warmup=st.integers(1, 20),
     )
     @pytest.mark.filterwarnings("ignore::rmrouter.rewards.DegenerateQuantilesWarning")
-    def test_array_normalization_equals_per_value_reference(self, steps, warmup):
+    def test_array_normalization_equals_per_value_reference(self, steps):
         history, past = RewardHistory(), []
         for losses in steps:
             raw = batch_baseline_array(losses)
             mean = sum(losses) / len(losses)  # left to right
             assert raw.tolist() == [mean - x for x in losses]
             want_bounds = None
-            if len(past) >= warmup:
+            if len(past) >= WARMUP_MIN:
                 want_bounds = tuple(sort_oracle_percentile(past, q) for q in (20.0, 80.0))
-            got, bounds = normalize_step_rewards(raw, history, warmup)
+            got, bounds = normalize_step_rewards(raw, history)
             assert bounds == want_bounds
             assert got.tolist() == [scale_reference(r, bounds) for r in raw.tolist()]
             past += raw.tolist()
