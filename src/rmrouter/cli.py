@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
-import io
+import inspect
 import logging
 import os
 import sys
@@ -52,7 +51,8 @@ from .offline import (
     train_offline,
 )
 from .online import PRIOR_MODES, state_from_dict, state_to_dict
-from .serialize import check_document, int_field, read_json, real_field, write_json, write_jsonl
+from .serialize import check_document, int_field, iter_csv, read_json, real_field
+from .serialize import write_csv, write_json, write_jsonl
 from .sim import (
     REWARD_VARIANTS,
     ROUTERS,
@@ -94,16 +94,6 @@ def _load_prior(path: str) -> np.ndarray:
     if prior.shape != shape:
         raise InputError("prior matrix shape does not match its declared n_arms/d")
     return prior
-
-
-def _write_csv(path: str, header: list[str], rows: list[list], meta: str) -> None:
-    buf = io.StringIO()
-    buf.write(f"# {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +159,10 @@ def cmd_train_offline(args: argparse.Namespace) -> int:
 
     save_model(args.out, model)
     if args.loss_csv:
-        _write_csv(
-            args.loss_csv,
-            ["epoch", "total_loss", "bt_loss", "cls_loss"],
-            [
-                [h["epoch"], repr(h["total_loss"]), repr(h["bt_loss"]), repr(h["cls_loss"])]
-                for h in result.history
-            ],
-            meta=f"train-offline seed={args.seed} lambda={args.lam} lr={args.lr} "
-            f"epochs={args.epochs} batch_size={args.batch_size}",
-        )
+        header = ["epoch", "total_loss", "bt_loss", "cls_loss"]
+        write_csv(args.loss_csv, f"train-offline seed={args.seed} lambda={args.lam} "
+                  f"lr={args.lr} epochs={args.epochs} batch_size={args.batch_size}",
+                  header, [[h[name] for name in header] for h in result.history])
     print(f"model written to {args.out}")
     return EXIT_OK
 
@@ -192,7 +176,7 @@ def cmd_export_prior(args: argparse.Namespace) -> int:
             "version": PRIOR_FORMAT_VERSION,
             "n_arms": model.n_arms,
             "d": model.d,
-            "bt_embeddings": [[float(x) for x in row] for row in prior],
+            "bt_embeddings": prior.tolist(),
             "source_train_meta": model.train_meta,
         },
     )
@@ -245,14 +229,8 @@ def _run_one_seed(payload: tuple) -> list[tuple[dict, list[tuple]]]:
         decision_log: list = []
         reward_log: list = []
         state_out: list = []
-        metrics = run_replay(
-            spec,
-            dataset,
-            config,
-            decision_log=decision_log,
-            reward_log=reward_log,
-            final_state_out=state_out,
-        )
+        metrics = run_replay(spec, dataset, config, decision_log=decision_log,
+                             reward_log=reward_log, final_state_out=state_out)
         metrics.router = run_name
         base = os.path.join(out_dir, f"{run_name.replace(':', '_')}_{seed}")
         meta = {
@@ -333,44 +311,34 @@ def cmd_run_sim(args: argparse.Namespace) -> int:
     rows = [row for runs in per_seed for row, _ in runs]
     order = {name: i for i, name in enumerate(names)}
     rows.sort(key=lambda r: (order[r["router"]], r["seed"]))
-    _write_csv(
-        os.path.join(args.out_dir, "summary.csv"),
-        ["router", "seed", "final_annotation_accuracy", "total_rm_calls", "mean_uwo_weight"],
-        [
-            [
-                r["router"],
-                r["seed"],
-                repr(r["final_annotation_accuracy"]),
-                r["total_rm_calls"],
-                "" if r["mean_uwo_weight"] is None else repr(r["mean_uwo_weight"]),
-            ]
-            for r in rows
-        ],
-        meta=f"run-sim scenario={args.scenario} seeds={','.join(map(str, scenario.seeds))} "
-        f"reward_variant={args.reward_variant}",
-    )
+    write_csv(os.path.join(args.out_dir, "summary.csv"),
+              f"run-sim scenario={args.scenario} seeds={','.join(map(str, scenario.seeds))} "
+              f"reward_variant={args.reward_variant}",
+              list(rows[0]), [list(r.values()) for r in rows])  # header: the rows' keys
     print(f"{len(rows)} runs written to {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
-    with open(args.summary, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:  # compare_runs reads only router, seed and accuracy
-            try:  # compare_runs checks that each accuracy is in [0, 1]
-                accuracy = float(row["final_annotation_accuracy"])
-                rows.append(SimpleNamespace(router=row["router"], seed=int(row["seed"]),
-                                            final_annotation_accuracy=accuracy))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"malformed row in {args.summary}: {exc!r}") from exc
+    for lineno, row in iter_csv(args.summary):  # compare_runs reads router, seed and accuracy
+        try:  # compare_runs checks that each accuracy is in [0, 1]
+            accuracy = float(row["final_annotation_accuracy"])
+            rows.append(SimpleNamespace(router=row["router"], seed=int(row["seed"]),
+                                        final_annotation_accuracy=accuracy))
+        except (KeyError, TypeError, ValueError) as exc:
+            message = f"malformed row in {args.summary}: {exc!r}"
+            raise FormatError(message, line=lineno) from exc
     if not rows:
         raise InputError(f"no runs found in {args.summary}")
     baseline = int(args.baseline) if args.baseline.isdigit() else args.baseline
     report = compare_runs(rows, baseline, n_boot=args.n_boot, seed=args.seed)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_csv())
+        write_csv(args.out, f"baseline={report.baseline} seeds={len(report.seeds)}",
+                  ["router", "seed", "final_annotation_accuracy", "delta_vs_baseline"],
+                  [[method, seed, acc, delta] for method in report.methods
+                   for seed, acc, delta in zip(report.seeds, report.accuracies[method].tolist(),
+                                               report.deltas[method].tolist())])
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -475,9 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--baseline", required=True, help="router name or method index")
     p.add_argument("--out")
-    p.add_argument("--n-boot", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--n-boot", type=int)
+    p.add_argument("--seed", type=int)
+    library = inspect.signature(compare_runs).parameters  # its defaults are the options'
+    p.set_defaults(func=cmd_compare, n_boot=library["n_boot"].default,
+                   seed=library["seed"].default)
 
     p = sub.add_parser("inspect", help="report on a saved router state or model")
     p.add_argument("path")

@@ -15,16 +15,17 @@ overflow and underflow, for the simulator's contexts and ``inspect``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
 from .errors import ConfigError, DimError, FormatError, InputError, NumericalError
-from .serialize import dumps_line, int_field, iter_jsonl
+from .serialize import int_field, iter_jsonl, write_jsonl
 
 DEFAULT_ENCODER_DIM = 256
 DEFAULT_EMBED_DIM = 64
+INIT_SCALE = 0.02  # standard deviation of the initial fusion and head weights
 _SQRT_TINY = np.sqrt(np.finfo(np.float64).tiny)  # h.h is subnormal or 0 below this norm
 
 _LABELS = ("A", "B")
@@ -142,7 +143,7 @@ class FusionParams:
 
     @classmethod
     def random_init(
-        cls, out_dim: int, encoder_dim: int, rng: np.random.Generator, scale: float = 0.02
+        cls, out_dim: int, encoder_dim: int, rng: np.random.Generator, scale: float = INIT_SCALE
     ) -> "FusionParams":
         return cls(
             weight=scale * rng.standard_normal((out_dim, 2 * encoder_dim)),
@@ -226,17 +227,8 @@ def load_dataset(path) -> list[PreferencePair]:
 
 
 def save_dataset(path, pairs: Iterable[PreferencePair]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            row = {
-                "pair_id": pair.pair_id,
-                "prompt": pair.prompt,
-                "response_a": pair.response_a,
-                "response_b": pair.response_b,
-            }
-            if pair.label is not None:
-                row["label"] = pair.label
-            fh.write(dumps_line(row) + "\n")
+    """Write the JSONL rows :func:`load_dataset` reads; an unlabelled pair's row has no label."""
+    write_jsonl(path, ({k: v for k, v in asdict(pair).items() if v is not None} for pair in pairs))
 
 
 def load_embeddings(path) -> dict[str, PairEmbedding]:
@@ -266,6 +258,5 @@ def load_embeddings(path) -> dict[str, PairEmbedding]:
 
 
 def save_embeddings(path, embeddings: Mapping[str, PairEmbedding]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair_id, emb in embeddings.items():
-            fh.write(dumps_line({"pair_id": pair_id, "vector": list(emb.vector)}) + "\n")
+    write_jsonl(path, ({"pair_id": pair_id, "vector": emb.vector.tolist()}
+                       for pair_id, emb in embeddings.items()))

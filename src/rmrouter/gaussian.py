@@ -75,6 +75,7 @@ class ArmPosterior:
         self.covariance = np.asarray(self.covariance, dtype=np.float64)
         noise = real_field(self.noise_variance, "noise_variance", InputError, positive=True)
         self.noise_variance = noise
+        self.update_count = int_field(self.update_count, "update_count", InputError, minimum=0)
         self.validate()
 
     def validate(self) -> None:
@@ -130,6 +131,10 @@ class Beliefs:
     covariances: np.ndarray
     noise_variance: float
     update_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        noise = real_field(self.noise_variance, "noise_variance", InputError, positive=True)
+        self.noise_variance = noise
 
     @classmethod
     def stack(cls, arms: Sequence[ArmPosterior]) -> Beliefs:
@@ -193,6 +198,7 @@ def sample_weight(posterior: ArmPosterior, rng: np.random.Generator) -> np.ndarr
 
 def sample_weights(posterior: ArmPosterior, rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent draws, shape (n, d), sharing one Cholesky factorization."""
+    n = int_field(n, "n", ConfigError, minimum=0)
     low = robust_cholesky(posterior.covariance)
     z = rng.standard_normal((n, posterior.d))
     return posterior.mean + z @ low.T
@@ -341,8 +347,8 @@ def posterior_to_dict(posterior: ArmPosterior) -> dict:
     return {
         "version": POSTERIOR_FORMAT_VERSION,
         "d": posterior.d,
-        "mean": [float(x) for x in posterior.mean],
-        "covariance": [float(x) for x in posterior.covariance.reshape(-1)],
+        "mean": posterior.mean.tolist(),
+        "covariance": posterior.covariance.reshape(-1).tolist(),
         "noise_variance": float(posterior.noise_variance),
         "update_count": int(posterior.update_count),
     }

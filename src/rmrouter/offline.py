@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimError, FormatError, InputError, TrainError
-from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, FusionParams
+from .features import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_DIM, INIT_SCALE, FusionParams
 from .serialize import (
     check_document,
     dumps_doc,
@@ -42,7 +42,6 @@ from .serialize import (
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-INIT_SCALE = 0.02  # standard deviation of the initial head and fusion weights
 
 
 def collect_behavior(answers: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -179,7 +178,6 @@ def loss_and_grads(
     bt_cells: np.ndarray,
     bits: np.ndarray,
     observed: np.ndarray,
-    lam: float | None = None,
 ) -> tuple[dict[str, float], dict[str, np.ndarray]]:
     """Mean losses and analytic gradients of the combined objective.
 
@@ -188,7 +186,7 @@ def loss_and_grads(
     those pairs' rows of the bit matrix and its mask; every observed cell is
     one classifier term.  ``bt_cells`` is a (2, K) array: the flat winner and
     loser cells ``row * N + arm`` of the K ranking rows.  Returned gradients
-    are for total = bt + lam * cls.
+    are for total = bt + lam * cls, with the model's lam.
 
     Each term is softplus(-x) of a signed logit: the margin s_w - s_l of a
     ranking row, z for a 1 bit and -z for a 0 bit.  Its derivative is
@@ -196,7 +194,6 @@ def loss_and_grads(
     gives every loss and score gradient, each within a few ulp of
     ``np.logaddexp(0, -x)`` and ``scipy.special.expit(-x)``.
     """
-    lam = model.lam if lam is None else real_field(lam, "lam", ConfigError)
     contexts = np.asarray(contexts, dtype=np.float64)
     bt_cells = np.asarray(bt_cells, dtype=np.int64).reshape(2, -1)
     at_winner, at_loser = bt_cells[0], bt_cells[1]  # faster than unpacking
@@ -226,8 +223,8 @@ def loss_and_grads(
 
     loss_cls = float(loss[n_bt:].sum() / len(z)) if len(z) else 0.0
     g_cls = np.zeros((n_rows, n_arms))
-    if len(z) and lam != 0.0:
-        step = lam / len(z)
+    if len(z) and model.lam != 0.0:
+        step = model.lam / len(z)
         g_cls[observed] = np.where(delta, -step, step) * tail[n_bt:]
 
     grads = {"bt_embeddings": g_bt.T @ h_all, "cls_embeddings": g_cls.T @ h_all}
@@ -238,7 +235,7 @@ def loss_and_grads(
         grads["fusion_weight"] = grad_pre.T @ contexts
         grads["fusion_bias"] = grad_pre.sum(axis=0)
 
-    losses = {"bt": loss_bt, "cls": loss_cls, "total": loss_bt + lam * loss_cls}
+    losses = {"bt": loss_bt, "cls": loss_cls, "total": loss_bt + model.lam * loss_cls}
     return losses, grads
 
 
@@ -269,7 +266,7 @@ def train_offline(
     observed = np.ones(correct.shape, dtype=bool) if observed is None else observed.astype(bool)
     rng = np.random.default_rng(config.seed)
     if fused:
-        fusion = FusionParams.random_init(config.embed_dim, config.encoder_dim, rng, INIT_SCALE)
+        fusion = FusionParams.random_init(config.embed_dim, config.encoder_dim, rng)
         d = config.embed_dim
     else:
         fusion, d = None, contexts.shape[1]
@@ -405,8 +402,8 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
     fusion = None
     if model.fusion is not None:
         fusion = {
-            "weight": [[float(x) for x in row] for row in model.fusion.weight],
-            "bias": [float(x) for x in model.fusion.bias],
+            "weight": model.fusion.weight.tolist(),
+            "bias": model.fusion.bias.tolist(),
             "activation": "tanh",
         }
     return {
@@ -415,8 +412,8 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
         "n_arms": model.n_arms,
         "lambda": float(model.lam),
         "fusion": fusion,
-        "bt_embeddings": [[float(x) for x in row] for row in model.bt_embeddings],
-        "cls_embeddings": [[float(x) for x in row] for row in model.cls_embeddings],
+        "bt_embeddings": model.bt_embeddings.tolist(),
+        "cls_embeddings": model.cls_embeddings.tolist(),
         "train_meta": model.train_meta,
     }
 

@@ -52,6 +52,11 @@ DEFAULT_PRIOR_VARIANCE = {"zero": 1.0, "injected": 0.02}
 DEFAULT_NOISE_VARIANCE = 1.0
 
 
+def check_prior_mode(mode: str) -> None:
+    if mode not in PRIOR_MODES:
+        raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, got {mode!r}")
+
+
 @dataclass
 class OnlineRouterState:
     """Stacked arm beliefs, the prior N(mean, prior_variance I) they started
@@ -63,10 +68,10 @@ class OnlineRouterState:
     step: int = 0
 
     def __post_init__(self) -> None:
-        if self.prior_mode not in PRIOR_MODES:
-            raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
+        check_prior_mode(self.prior_mode)
         variance = real_field(self.prior_variance, "prior_variance", ConfigError, positive=True)
         self.prior_variance = variance
+        self.step = int_field(self.step, "step", ConfigError, minimum=0)
 
     @property
     def selection_counts(self) -> np.ndarray:
@@ -101,8 +106,7 @@ def init_router(
     from checked inputs; injected mode takes each arm's mean from a prior row."""
     n_arms = int_field(n_arms, "n_arms", ConfigError, minimum=1)
     d = int_field(d, "d", ConfigError, minimum=1)
-    if prior_mode not in PRIOR_MODES:
-        raise ConfigError(f"prior_mode must be one of {PRIOR_MODES}, got {prior_mode!r}")
+    check_prior_mode(prior_mode)
     if prior_variance is None:
         prior_variance = DEFAULT_PRIOR_VARIANCE[prior_mode]
     prior_variance = real_field(prior_variance, "prior_variance", ConfigError, positive=True)
@@ -246,7 +250,7 @@ def state_to_dict(state: OnlineRouterState) -> dict:
             "prior_variance": state.prior_variance,
             "prior_mode": state.prior_mode,
         },
-        "selection_counts": [int(c) for c in state.selection_counts],
+        "selection_counts": state.selection_counts.tolist(),
         "arms": [posterior_to_dict(arm) for arm in state.arms],
     }
 

@@ -1,21 +1,22 @@
-"""Canonical JSON helpers.
+"""Canonical file formats: JSON documents, JSONL rows and CSV tables.
 
-All persisted documents go through these functions so that rerunning a
-command with the same seed reproduces output files byte for byte: keys are
-sorted, floats use Python's shortest round-trip repr, and NaN/Inf are
-rejected rather than written.  The standard library encoder writes the
-document; what it cannot write itself (numpy arrays, numbers and bools, and
-mappings that are not dicts, such as the replay's log rows) goes through one
-fallback hook that hands it back as Python values, so no separate pass
-converts the document first.  A numpy float64 is a Python float and is
-written by the same shortest repr.
+Every file the package reads or writes goes through these functions, so that
+rerunning a command with the same seed reproduces output files byte for
+byte: keys are sorted, floats use Python's shortest round-trip repr, and
+NaN/Inf are rejected rather than written to JSON.  The standard library
+encoder writes the document; what it cannot write itself (numpy arrays,
+numbers and bools, and mappings that are not dicts, such as the replay's log
+rows) goes through one fallback hook that hands it back as Python values, so
+no separate pass converts the document first.  A numpy float64 is a Python
+float and is written by the same shortest repr.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -141,3 +142,30 @@ def iter_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, Any]]:
             if isinstance(obj, dict) and "_meta" in obj:
                 continue
             yield lineno, obj
+
+
+def write_csv(path: str | os.PathLike, comment: str, header: Sequence[str],
+              rows: Iterable[Sequence]) -> None:
+    """Write a ``# comment`` line, the header and one line per row: a float
+    (numpy's float64 too) by its shortest round-trip repr, None as an empty field."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def iter_csv(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, row) for each row of a CSV file, as a dict keyed by
+    its header; ``#`` lines are skipped wherever they are."""
+    if not os.path.exists(path):
+        raise FormatError(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in lines)
+    try:
+        for row in reader:  # line_num: the count of lines the reader has taken
+            yield lines[reader.line_num - 1][0], row
+    except csv.Error as exc:  # the DictReader's own line_num lags its reader's here
+        lineno = lines[reader.reader.line_num - 1][0]
+        raise FormatError(f"invalid CSV: {exc}", line=lineno) from exc

@@ -31,6 +31,7 @@ from .offline import TrainConfig, TrainResult, train_offline
 from .online import (
     DEFAULT_NOISE_VARIANCE,
     OnlineRouterState,
+    check_prior_mode,
     init_router,
     observe_feedback,
     route_batch,
@@ -178,17 +179,10 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
         "version": SCENARIO_FORMAT_VERSION,
         "n_arms": scenario.n_arms,
         "clusters": [
-            {
-                "cluster_id": c.cluster_id,
-                "center": [float(x) for x in c.center],
-                "spread": float(c.spread),
-            }
+            {"cluster_id": c.cluster_id, "center": c.center.tolist(), "spread": c.spread}
             for c in scenario.clusters
         ],
-        "arm_profiles": [
-            {str(k): float(v) for k, v in profile.items()}
-            for profile in scenario.arm_profiles
-        ],
+        "arm_profiles": [{str(k): float(v) for k, v in p.items()} for p in scenario.arm_profiles],
         "pairs_per_step": scenario.pairs_per_step,
         "n_steps": scenario.n_steps,
         "seeds": list(scenario.seeds),
@@ -417,6 +411,7 @@ class ReplayConfig:
 
     def __post_init__(self) -> None:
         self.seed = int_field(self.seed, "seed", ConfigError, minimum=0)
+        check_prior_mode(self.prior_mode)
         if self.reward_variant not in REWARD_VARIANTS:
             raise ConfigError(
                 f"reward_variant must be one of {REWARD_VARIANTS}, got {self.reward_variant!r}"
@@ -834,18 +829,6 @@ class ComparisonReport:
     accuracies: dict[str, np.ndarray]  # per method, aligned with seeds
     deltas: dict[str, np.ndarray]
     summary: list[dict]
-
-    def to_csv(self) -> str:
-        lines = [
-            f"# baseline={self.baseline} seeds={len(self.seeds)}",
-            "router,seed,final_annotation_accuracy,delta_vs_baseline",
-        ]
-        for method in self.methods:
-            for j, seed in enumerate(self.seeds):
-                lines.append(
-                    f"{method},{seed},{self.accuracies[method][j]!r},{self.deltas[method][j]!r}"
-                )
-        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         width = max(len(m) for m in self.methods)

@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from rmrouter.offline import (
     model_to_dict,
 )
 from rmrouter.online import init_router, save_state, state_to_dict
-from rmrouter.serialize import read_json, write_json
-from rmrouter.sim import ReplayConfig, scenario_to_dict
+from rmrouter.serialize import iter_csv, read_json, write_json
+from rmrouter.sim import ReplayConfig, compare_runs, scenario_to_dict
 
 from scenarios import two_specialists_scenario
 
@@ -824,6 +825,33 @@ class TestCompareBaseline:
             assert main(["compare", "--summary", str(summary), "--baseline", baseline]) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith("error: baseline") and captured.out == ""
+
+
+    def test_report_cells_are_the_comparison_values(self, tmp_path, capsys):
+        # every number cell of compare --out is the repr of the Python float
+        # that compare_runs returned, never a numpy scalar's repr
+        runs = [SimpleNamespace(router=r, seed=s, final_annotation_accuracy=a)
+                for r, s, a in [("random", 1, 0.5), ("thompson", 1, 0.637890625),
+                                ("random", 2, 0.1), ("thompson", 2, 0.7)]]
+        summary, out = tmp_path / "summary.csv", tmp_path / "report.csv"
+        summary.write_text("router,seed,final_annotation_accuracy\n" + "".join(
+            f"{m.router},{m.seed},{m.final_annotation_accuracy!r}\n" for m in runs))
+        assert main(["compare", "--summary", str(summary), "--baseline", "random",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = compare_runs(runs, "random")
+        rows = [row for _, row in iter_csv(out)]
+        assert len(rows) == 4
+        for row in rows:
+            at = report.seeds.index(int(row["seed"]))
+            assert row["final_annotation_accuracy"] == repr(
+                float(report.accuracies[row["router"]][at]))
+            assert row["delta_vs_baseline"] == repr(float(report.deltas[row["router"]][at]))
+
+    def test_missing_summary_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "summary.csv"
+        assert main(["compare", "--summary", str(missing), "--baseline", "random"]) == 2
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
 
 
 class TestNegativeSeeds:

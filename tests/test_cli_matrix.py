@@ -1,9 +1,15 @@
 """Smoke test of tools/cli_matrix.py, the output identity check, at a tiny size."""
 
 import importlib.util
+import re
 from pathlib import Path
 
+from rmrouter.serialize import iter_csv
+
 from scenarios import two_specialists_scenario
+
+# a router name or spec: random, single:0, weighted:0.5, thompson-injected, ...
+ROUTER_NAME = re.compile(r"[a-z]+(:[0-9.]+)?(-injected)?")
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
 
@@ -35,3 +41,21 @@ def test_tiny_matrix_runs_and_reruns_identically(tmp_path):
     for name in ("tiny/model.json", "tiny/prior.json", "tiny/runs_prior/summary.csv",
                  "tiny/runs_light_advantage/thompson-injected_5.state.json", "tiny/report.csv"):
         assert name in files
+    # no numpy repr in any output, and each CSV cell a plain value
+    outputs = [p for p in (tmp_path / "a").rglob("*") if p.is_file()]
+    assert not [p for p in outputs if re.search(rb"np\.(float|int)64\(", p.read_bytes())]
+    tables = [p for p in outputs if p.suffix == ".csv"]
+    assert {"loss.csv", "summary.csv", "report.csv"} <= {p.name for p in tables}
+    for path in tables:
+        cells = [text for _, row in iter_csv(path) for text in row.values()]
+        assert cells and all(is_plain_cell(text) for text in cells), path
+
+
+def is_plain_cell(text):
+    """Empty, an int, a float by its shortest repr, or a router name or spec."""
+    if text == "" or ROUTER_NAME.fullmatch(text) or re.fullmatch(r"-?[0-9]+", text):
+        return True
+    try:
+        return repr(float(text)) == text
+    except ValueError:
+        return False

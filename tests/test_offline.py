@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,7 @@ def check_gradients(rng, with_fusion):
         return lambda: loss_and_grads(model, *args)[0][name]
 
     _, grads_total = loss_and_grads(model, *args)
-    _, grads_bt_only = loss_and_grads(model, *args, lam=0.0)
+    _, grads_bt_only = loss_and_grads(replace(model, lam=0.0), *args)
 
     params = {"bt_embeddings": model.bt_embeddings, "cls_embeddings": model.cls_embeddings}
     if with_fusion:
@@ -324,7 +325,7 @@ class TestGradients:
     def test_lambda_zero_freezes_cls_gradient(self):
         rng = np.random.default_rng(3)
         model, *args = random_instance(rng, with_fusion=False)
-        _, grads = loss_and_grads(model, *args, lam=0.0)
+        _, grads = loss_and_grads(replace(model, lam=0.0), *args)
         assert np.array_equal(grads["cls_embeddings"], np.zeros_like(model.cls_embeddings))
 
     def test_total_is_bt_plus_lambda_cls(self):
@@ -469,9 +470,7 @@ class TestScoreSpaceGradients:
         bt = extract_disagreements(correct, observed)
         if not with_bt:
             bt = bt[:0]
-        losses, grads = loss_and_grads(
-            model, contexts, cells_of(bt, n_arms), correct, observed, lam=lam
-        )
+        losses, grads = loss_and_grads(model, contexts, cells_of(bt, n_arms), correct, observed)
         want_losses, want_grads = index_loss_and_grads(
             model, contexts, bt, behavior_rows(correct, observed), lam=lam
         )

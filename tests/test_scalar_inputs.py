@@ -46,8 +46,9 @@ from rmrouter import (
     sample_comparators,
 )
 from rmrouter.cli import main
+from rmrouter.gaussian import Beliefs, sample_weights
 from rmrouter.offline import model_from_dict, model_to_dict
-from rmrouter.online import state_from_dict, state_to_dict
+from rmrouter.online import OnlineRouterState, state_from_dict, state_to_dict
 from rmrouter.sim import RunMetrics, parse_router, scenario_from_dict, scenario_to_dict
 
 from scenarios import D, drift_scenario
@@ -71,6 +72,11 @@ def warm_state():
     return observe_feedback(state, rng.standard_normal((4, 3)), [0, 1, 1, 0], np.ones(4))
 
 
+def beliefs_fields():
+    return {"means": np.zeros((2, 3)), "covariances": np.repeat(np.eye(3)[None], 2, axis=0),
+            "noise_variance": 0.5, "update_counts": np.zeros(2, dtype=np.int64)}
+
+
 def runs():
     return [RunMetrics("random", 1, [0.5], [0.0], np.array([1, 1]), 0.5, [2]),
             RunMetrics("thompson", 1, [0.75], [0.0], np.array([1, 1]), 0.75, [2])]
@@ -86,7 +92,7 @@ CALLS = {
                 {"cluster_id": INT, "spread": REAL}),
     "ReplayConfig": (ReplayConfig, dict, {
         "seed": INT, "sigma_sq": REAL, "prior_variance": REAL, "linucb_alpha": REAL,
-        "linucb_per_pair": BOOL, "light_c": INT,
+        "linucb_per_pair": BOOL, "light_c": INT, "prior_mode": TEXT,
     }),
     "TrainConfig": (TrainConfig, dict, {
         "lam": REAL, "lr": REAL, "weight_decay": REAL, "momentum": REAL, "seed": INT,
@@ -104,8 +110,19 @@ CALLS = {
     "make_prior": (make_prior, lambda: {"d": 3, "prior_variance": 0.5, "noise_variance": 2.0},
                    {"d": SIZE, "prior_variance": REAL, "noise_variance": REAL}),
     "ArmPosterior": (ArmPosterior, lambda: {"mean": np.zeros(2), "covariance": np.eye(2),
-                                            "noise_variance": 1.0},
-                     {"noise_variance": REAL}),
+                                            "noise_variance": 1.0, "update_count": 3},
+                     {"noise_variance": REAL, "update_count": INT}),
+    "Beliefs": (Beliefs, beliefs_fields, {"noise_variance": REAL}),
+    "OnlineRouterState": (
+        OnlineRouterState,
+        lambda: {"beliefs": Beliefs(**beliefs_fields()), "prior_variance": 0.25, "step": 4},
+        {"prior_variance": REAL, "step": INT},
+    ),
+    "sample_weights": (
+        sample_weights,
+        lambda: {"posterior": make_prior(3), "rng": np.random.default_rng(0), "n": 2},
+        {"n": SIZE},
+    ),
     "route_linucb": (route_linucb, lambda: {"state": warm_state(), "contexts": np.ones((2, 3)),
                                             "alpha": 1.0},
                      {"alpha": REAL}),
@@ -217,10 +234,21 @@ def test_config_value_of_the_wrong_kind_rejected(make):
         (lambda: ReplayConfig(sigma_sq="1"), ConfigError),
         (lambda: Cluster(0, np.ones(D), "x"), ConfigError),
         (lambda: encode_text(5), InputError),
+        (lambda: ReplayConfig(prior_mode="Injected"), ConfigError),
+        (lambda: OnlineRouterState(Beliefs(**beliefs_fields()), 1.0, step=-1), ConfigError),
+        (lambda: OnlineRouterState(Beliefs(**beliefs_fields()), 1.0, step=2.5), ConfigError),
+        (lambda: ArmPosterior(np.zeros(2), np.eye(2), 1.0, update_count=-1), InputError),
+        (lambda: ArmPosterior(np.zeros(2), np.eye(2), 1.0, update_count=True), InputError),
+        (lambda: Beliefs(**{**beliefs_fields(), "noise_variance": 0.0}), InputError),
+        (lambda: Beliefs(**{**beliefs_fields(), "noise_variance": "1"}), InputError),
+        (lambda: sample_weights(make_prior(2), np.random.default_rng(0), 2.5), ConfigError),
+        (lambda: sample_weights(make_prior(2), np.random.default_rng(0), -1), ConfigError),
     ],
     ids=["fractional-n-arms", "string-d", "fractional-prior-dimension", "fractional-encoder-dim",
          "fractional-n-boot", "string-linucb-alpha", "string-sigma-sq", "string-spread",
-         "non-string-text"],
+         "non-string-text", "unknown-replay-prior-mode", "negative-step", "fractional-step",
+         "negative-update-count", "bool-update-count", "zero-beliefs-noise",
+         "string-beliefs-noise", "fractional-sample-count", "negative-sample-count"],
 )
 def test_argument_of_the_wrong_kind_is_a_router_error(call, error):
     with pytest.raises(error):

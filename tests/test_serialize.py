@@ -1,6 +1,7 @@
 """The canonical writer against its former convert-then-dump form: the same
-bytes for every document that form could write; and the one check that every
-versioned document reader makes first."""
+bytes for every document that form could write; the CSV writer and reader
+as a round trip; and the one check that every versioned document reader
+makes first."""
 
 import json
 
@@ -15,7 +16,7 @@ from rmrouter.features import FusionParams
 from rmrouter.gaussian import make_prior, posterior_from_dict, posterior_to_dict
 from rmrouter.offline import OfflineRouterModel, model_from_dict, model_to_dict
 from rmrouter.online import init_router, state_from_dict, state_to_dict
-from rmrouter.serialize import dumps_doc, dumps_line, write_json
+from rmrouter.serialize import dumps_doc, dumps_line, iter_csv, write_csv, write_json
 from rmrouter.sim import (
     ReplayConfig,
     generate_scenario,
@@ -116,6 +117,50 @@ def test_non_finite_values_are_refused(value, wrap):
     for dumps in (dumps_line, dumps_doc, reference_line, reference_doc):
         with pytest.raises(ValueError):
             dumps(doc)
+
+
+# a CSV cell and the text it reads back as: a string without delimiters, quotes
+# or a leading "#", an int, a float (Python's or numpy's) by its shortest
+# round-trip repr, and None as an empty field
+cells = st.one_of(
+    st.text(alphabet="abz09:-_. ", max_size=6).map(lambda t: (t, t)),
+    st.integers(-(2**70), 2**70).map(lambda n: (n, str(n))),
+    finite.map(lambda x: (x, repr(x))),
+    finite.map(np.float64).map(lambda x: (x, repr(float(x)))),
+    st.none().map(lambda x: (x, "")),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(n_columns=st.integers(1, 4), data=st.data())
+def test_csv_rows_read_back_as_written(n_columns, data, tmp_path_factory):
+    header = [f"column{i}" for i in range(n_columns)]
+    table = data.draw(st.lists(st.lists(cells, min_size=n_columns, max_size=n_columns)))
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, "a comment", header, [[value for value, _ in row] for row in table])
+    assert path.read_text(encoding="utf-8").startswith("# a comment\n" + ",".join(header))
+    read = list(iter_csv(path))
+    assert [lineno for lineno, _ in read] == list(range(3, 3 + len(table)))
+    for (_, got), row in zip(read, table):
+        assert got == dict(zip(header, (text for _, text in row)))
+        for (value, _), text in zip(row, got.values()):
+            if isinstance(value, float):
+                assert float(text) == value
+
+
+def test_csv_reader_skips_comment_lines_and_refuses_a_missing_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("# one\na,b\n# two\n1,x\n", encoding="utf-8")
+    assert list(iter_csv(path)) == [(4, {"a": "1", "b": "x"})]
+    with pytest.raises(FormatError, match="no such file"):
+        list(iter_csv(tmp_path / "missing.csv"))
+
+
+def test_csv_reader_names_the_line_of_a_field_past_the_limit(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text('# comment\na,b\n1,2\n"' + "x" * 200_000 + '",3\n', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"field larger than field limit .*\(line 4\)"):
+        list(iter_csv(path))
 
 
 def model_doc():

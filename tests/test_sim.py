@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmrouter.cli import main
 from rmrouter.errors import ConfigError, InputError
 from rmrouter.gaussian import Beliefs, posterior_update
 from rmrouter.offline import (
@@ -31,6 +32,7 @@ from rmrouter.rewards import (
     normalize_step_rewards,
     surrogate_pair_loss,
 )
+from rmrouter.serialize import iter_csv, write_csv
 from rmrouter.sim import (
     SIM_TRAIN_BATCH,
     SIM_TRAIN_EPOCHS,
@@ -791,11 +793,17 @@ class TestCompareRuns:
         report = compare_runs(runs + twin, baseline=0)
         assert np.array_equal(report.deltas["random-twin"], np.zeros(3))
 
-    def test_csv_row_count(self):
+    def test_csv_row_count(self, tmp_path):
+        # the report that compare --out writes: one row per router and seed
         runs = self.run_some(["random", "oracle", "single:0"], seeds=[1, 2])
-        report = compare_runs(runs, baseline=0)
-        rows = [line for line in report.to_csv().splitlines() if not line.startswith("#")]
-        assert len(rows) == 3 * 2 + 1
+        summary, report = tmp_path / "summary.csv", tmp_path / "report.csv"
+        header = ["router", "seed", "final_annotation_accuracy"]
+        write_csv(summary, "runs", header, [[getattr(m, name) for name in header] for m in runs])
+        assert main(["compare", "--summary", str(summary), "--baseline", "0",
+                     "--out", str(report)]) == 0
+        rows = [row for _, row in iter_csv(report)]
+        assert len(rows) == 3 * 2
+        assert list(rows[0]) == header + ["delta_vs_baseline"]
 
     def test_mismatched_seed_sets_rejected(self):
         runs = self.run_some(["random"], seeds=[1, 2]) + self.run_some(["oracle"], seeds=[2, 3])
