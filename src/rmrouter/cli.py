@@ -85,12 +85,9 @@ def _setup_logging() -> None:
 
 
 def _load_prior(path: str) -> np.ndarray:
-    doc = check_document(read_json(path), f"prior file {path}", PRIOR_FORMAT_VERSION)
-    try:
+    with check_document(read_json(path), f"prior file {path}", PRIOR_FORMAT_VERSION) as doc:
         prior = np.asarray(doc["bt_embeddings"], dtype=np.float64)
         shape = tuple(int_field(doc[key], key, FormatError, minimum=1) for key in ("n_arms", "d"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed prior file {path}: {exc!r}") from exc
     if prior.shape != shape:
         raise InputError("prior matrix shape does not match its declared n_arms/d")
     return prior
@@ -469,10 +466,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except RouterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # a missing input, or an output the system refuses to write
+    except (RouterError, OSError) as exc:  # OSError: a path the system refuses to open
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # sizes that fit a numpy array but not this host's memory

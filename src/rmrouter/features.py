@@ -93,11 +93,14 @@ class HashingEncoder:
         padded = f"  {text}  "
         tokens: list[str] = [f"w\x00{w}" for w in text.split()]
         tokens.extend(f"c\x00{padded[i:i + 3]}" for i in range(len(padded) - 2))
-        for token in tokens:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "little")
-            sign = 1.0 if h & (1 << 63) else -1.0
-            vec[(h & ((1 << 63) - 1)) % self.dim] += sign
+        try:
+            for token in tokens:
+                digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+                h = int.from_bytes(digest, "little")
+                sign = 1.0 if h & (1 << 63) else -1.0
+                vec[(h & ((1 << 63) - 1)) % self.dim] += sign
+        except UnicodeEncodeError as exc:  # a lone surrogate, such as JSON's "\ud800"
+            raise InputError(f"text to encode is not valid Unicode: {exc}") from exc
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:  # all hashed counts cancelled; fall back to a unit bump
             vec[0] = 1.0
@@ -205,8 +208,6 @@ def load_dataset(path) -> list[PreferencePair]:
     pairs: list[PreferencePair] = []
     seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
-        if not isinstance(obj, dict):
-            raise FormatError("dataset row must be an object", line=lineno)
         try:
             pair = PreferencePair(
                 pair_id=obj["pair_id"],
@@ -236,7 +237,7 @@ def load_embeddings(path) -> dict[str, PairEmbedding]:
     out: dict[str, PairEmbedding] = {}
     expected_d: int | None = None
     for lineno, obj in iter_jsonl(path):
-        if not (isinstance(obj, dict) and isinstance(obj.get("pair_id"), str) and "vector" in obj):
+        if not (isinstance(obj.get("pair_id"), str) and "vector" in obj):
             raise FormatError("embedding row must have a string pair_id and a vector", line=lineno)
         pair_id = obj["pair_id"]
         if pair_id in out:

@@ -356,8 +356,7 @@ def posterior_to_dict(posterior: ArmPosterior) -> dict:
 
 def posterior_from_dict(doc: dict) -> ArmPosterior:
     """Inverse of :func:`posterior_to_dict`; a malformed document raises FormatError."""
-    check_document(doc, "posterior document", POSTERIOR_FORMAT_VERSION)
-    try:
+    with check_document(doc, "posterior document", POSTERIOR_FORMAT_VERSION):
         d = int_field(doc["d"], "d", FormatError, minimum=0)
         return ArmPosterior(
             mean=np.asarray(doc["mean"], dtype=np.float64),
@@ -367,5 +366,3 @@ def posterior_from_dict(doc: dict) -> ArmPosterior:
             ),
             update_count=int_field(doc["update_count"], "update_count", FormatError, minimum=0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed posterior document: {exc!r}") from exc

@@ -419,8 +419,7 @@ def model_to_dict(model: OfflineRouterModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> OfflineRouterModel:
-    check_document(doc, "model document", MODEL_FORMAT_VERSION)
-    try:
+    with check_document(doc, "model document", MODEL_FORMAT_VERSION):
         train_meta = doc.get("train_meta", {})
         if not isinstance(train_meta, dict):
             raise FormatError("train_meta must be a JSON object")
@@ -442,8 +441,6 @@ def model_from_dict(doc: dict) -> OfflineRouterModel:
             n_arms=int_field(doc["n_arms"], "n_arms", FormatError, minimum=1),
             train_meta=train_meta,
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed model document: {exc!r}") from exc
 
 
 def save_model(path, model: OfflineRouterModel) -> None:

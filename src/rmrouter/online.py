@@ -259,8 +259,7 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
     """Inverse of :func:`state_to_dict`; a malformed document, or one whose
     ``config.sigma_sq`` or ``selection_counts`` disagree with its arms, raises
     FormatError."""
-    check_document(doc, "router state", STATE_FORMAT_VERSION)
-    try:
+    with check_document(doc, "router state", STATE_FORMAT_VERSION):
         cfg = doc["config"]
         beliefs = Beliefs.stack([posterior_from_dict(arm) for arm in doc["arms"]])
         written = doc["selection_counts"]
@@ -273,8 +272,6 @@ def state_from_dict(doc: dict) -> OnlineRouterState:
         prior_variance = real_field(cfg["prior_variance"], "config.prior_variance", FormatError,
                                     positive=True)
         return OnlineRouterState(beliefs, prior_variance, cfg["prior_mode"], step)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed router state: {exc!r}") from exc
 
 
 def save_state(path, state: OnlineRouterState) -> None:

@@ -44,9 +44,14 @@ def dpo_loss(
     logp_ref_l: float,
     beta: float = DEFAULT_DPO_BETA,
 ) -> float:
-    """-log sigmoid of the scaled policy/reference log-ratio margin."""
+    """-log sigmoid of the scaled policy/reference log-ratio margin; each
+    log-probability must be a finite real number."""
     beta = real_field(beta, "beta", ConfigError, positive=True)
-    margin = beta * (logp_policy_w - logp_ref_w) - beta * (logp_policy_l - logp_ref_l)
+    logps = {"logp_policy_w": logp_policy_w, "logp_ref_w": logp_ref_w,
+             "logp_policy_l": logp_policy_l, "logp_ref_l": logp_ref_l}
+    policy_w, ref_w, policy_l, ref_l = (
+        real_field(value, name, InputError, signed=True) for name, value in logps.items())
+    margin = beta * (policy_w - ref_w) - beta * (policy_l - ref_l)
     return float(np.logaddexp(0.0, -margin))
 
 

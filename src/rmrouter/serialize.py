@@ -9,6 +9,9 @@ numbers and bools, and mappings that are not dicts, such as the replay's log
 rows) goes through one fallback hook that hands it back as Python values, so
 no separate pass converts the document first.  A numpy float64 is a Python
 float and is written by the same shortest repr.
+
+Reading has one rule: an input file that is missing, is not UTF-8 or JSON, or
+holds a value of the wrong kind raises :class:`FormatError`, not a bare error.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import csv
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -57,12 +61,12 @@ def int_field(
 
 def real_field(
     value: Any, name: str, error: type[Exception], positive: bool = False,
-    below: float = np.inf, at_most: float = np.inf,
+    below: float = np.inf, at_most: float = np.inf, signed: bool = False,
 ) -> float:
     """A finite real number as a Python float: an int or a float (numpy's too),
-    never a bool, str or None; at least 0 (above 0 if ``positive``), below
-    ``below`` and at most ``at_most``.  NaN and the infinities fail the range,
-    and ``error`` names ``name`` and ``value``."""
+    never a bool, str or None; at least 0 (above 0 if ``positive``, of either
+    sign if ``signed``), below ``below`` and at most ``at_most``.  NaN and the
+    infinities fail the range, and ``error`` names ``name`` and ``value``."""
     number = value
     if type(value) is not float:  # a Python float, the common case, needs no conversion
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -71,25 +75,33 @@ def real_field(
             number = float(value)
         except OverflowError:  # an int past float64
             number = np.inf
-    if (0.0 < number if positive else 0.0 <= number) and number < below and number <= at_most:
+    if ((0.0 < number if positive else 0.0 <= number or signed and -np.inf < number)
+            and number < below and number <= at_most):
         return number
     if below == at_most == np.inf:
-        span = "finite and positive" if positive else "finite and >= 0"
+        span = "finite" if signed else "finite and positive" if positive else "finite and >= 0"
     else:
         span = f"in [0, {at_most:g}]" if at_most < np.inf else f"in [0, {below:g})"
     raise error(f"{name} must be {span}, got {value!r}")
 
 
-def check_document(doc: Any, kind: str, version: int) -> dict:
-    """``doc`` itself, once it is a JSON object of the supported ``version``;
-    FormatError for any other value, ConfigError for another version (a bool
-    is not a version, as it is no integer to :func:`int_field`)."""
+@contextmanager
+def check_document(doc: Any, kind: str, version: int,
+                   error: type[Exception] = FormatError) -> Iterator[dict]:
+    """``with check_document(doc, kind, version) as doc:`` reads a versioned
+    document.  ``doc`` must be a JSON object (FormatError) of the supported
+    ``version`` (ConfigError; a bool is not a version, as it is no integer to
+    :func:`int_field`).  In the block, a missing key or a value of the wrong
+    type or range raises ``error`` as ``malformed <kind>: ...``."""
     if not isinstance(doc, dict):
         raise FormatError(f"{kind} must be a JSON object")
     found = doc.get("version")
     if isinstance(found, bool) or found != version:
         raise ConfigError(f"unsupported {kind} version {found!r}; supported: {version}")
-    return doc
+    try:
+        yield doc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise error(f"malformed {kind}: {exc!r}") from exc
 
 
 def dumps_doc(obj: Any) -> str:
@@ -107,14 +119,29 @@ def write_json(path: str | os.PathLike, obj: Any) -> None:
         fh.write(dumps_doc(obj))
 
 
-def read_json(path: str | os.PathLike) -> Any:
+def _lines(path: str | os.PathLike) -> Iterator[str]:
+    """The one opener: each line of the UTF-8 text file at ``path``, with its
+    line end; FormatError for a missing file or bytes that are not UTF-8."""
     if not os.path.exists(path):
         raise FormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:  # decoded a block at a time: no line to name
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
+
+
+def _parse(text: str, path: str | os.PathLike, line: int | None = None) -> Any:
+    """The one JSON parse rule: FormatError for all that ``json.loads`` refuses: bad
+    syntax, an integer past Python's digit limit, nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"invalid JSON in {path}: {exc}", line=line) from exc
+
+
+def read_json(path: str | os.PathLike) -> Any:
+    return _parse("".join(_lines(path)), path)
 
 
 def write_jsonl(path: str | os.PathLike, rows: Iterable[Any], meta: dict | None = None) -> None:
@@ -126,22 +153,16 @@ def write_jsonl(path: str | os.PathLike, rows: Iterable[Any], meta: dict | None 
             fh.write(dumps_line(row) + "\n")
 
 
-def iter_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, Any]]:
-    """Yield (line_number, parsed_object), skipping blank and _meta lines."""
-    if not os.path.exists(path):
-        raise FormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc}", line=lineno) from exc
-            if isinstance(obj, dict) and "_meta" in obj:
-                continue
-            yield lineno, obj
+def iter_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, row) for each row, a JSON object, skipping blank
+    and _meta lines; FormatError for a row of any other kind."""
+    for lineno, raw in enumerate(_lines(path), start=1):
+        if raw.strip():
+            row = _parse(raw, path, lineno)
+            if not isinstance(row, dict):
+                raise FormatError(f"row of {path} must be a JSON object", line=lineno)
+            if "_meta" not in row:
+                yield lineno, row
 
 
 def write_csv(path: str | os.PathLike, comment: str, header: Sequence[str],
@@ -158,10 +179,7 @@ def write_csv(path: str | os.PathLike, comment: str, header: Sequence[str],
 def iter_csv(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, row) for each row of a CSV file, as a dict keyed by
     its header; ``#`` lines are skipped wherever they are."""
-    if not os.path.exists(path):
-        raise FormatError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    lines = [(n, line) for n, line in enumerate(_lines(path), start=1) if not line.startswith("#")]
     reader = csv.DictReader(line for _, line in lines)
     try:
         for row in reader:  # line_num: the count of lines the reader has taken

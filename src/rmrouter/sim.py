@@ -194,33 +194,17 @@ def scenario_to_dict(scenario: SimScenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> SimScenario:
-    check_document(doc, "scenario document", SCENARIO_FORMAT_VERSION)
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario key(s): {sorted(unknown)}")
-
-    try:
+    with check_document(doc, "scenario document", SCENARIO_FORMAT_VERSION, ConfigError):
+        unknown = set(doc) - _SCENARIO_KEYS
+        if unknown:
+            raise ConfigError(f"unknown scenario key(s): {sorted(unknown)}")
         clusters = [
             Cluster(c["cluster_id"], np.asarray(c["center"], dtype=np.float64), c["spread"])
             for c in doc["clusters"]
         ]
         profiles = [{int(k): v for k, v in profile.items()} for profile in doc["arm_profiles"]]
-        return SimScenario(
-            n_arms=doc["n_arms"],
-            clusters=clusters,
-            arm_profiles=profiles,
-            pairs_per_step=doc["pairs_per_step"],
-            n_steps=doc["n_steps"],
-            seeds=list(doc["seeds"]),
-            offline_pairs=doc.get("offline_pairs", 0),
-            mixture_before=doc.get("mixture_before"),
-            mixture_after=doc.get("mixture_after"),
-            drift_step=doc.get("drift_step"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scenario document missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario document: {exc}") from exc
+        given = {key: value for key, value in doc.items() if key != "version"}
+        return SimScenario(**{**given, "clusters": clusters, "arm_profiles": profiles})
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,14 @@ def read_bytes(path):
         return fh.read()
 
 
+def model_doc():
+    rng = np.random.default_rng(4)
+    fusion = FusionParams.random_init(3, 2, rng, 0.1)
+    model = OfflineRouterModel(fusion, rng.standard_normal((2, 3)),
+                               rng.standard_normal((2, 3)), 0.2, 2)
+    return model_to_dict(model)
+
+
 def train_args(data_dir, out, loss_csv=None, extra=()):
     args = [
         "train-offline",
@@ -656,13 +664,6 @@ class TestDocumentChecks:
         assert capsys.readouterr().err.startswith("error: offline_prior must be a finite")
         assert not out_dir.exists()
 
-    def model_doc(self):
-        rng = np.random.default_rng(4)
-        fusion = FusionParams.random_init(3, 2, rng, 0.1)
-        model = OfflineRouterModel(fusion, rng.standard_normal((2, 3)),
-                                   rng.standard_normal((2, 3)), 0.2, 2)
-        return model_to_dict(model)
-
     @pytest.mark.parametrize("command", ["inspect", "export-prior"])
     @pytest.mark.parametrize(
         "edit",
@@ -679,7 +680,7 @@ class TestDocumentChecks:
              "inf-fusion-bias"],
     )
     def test_non_finite_model_exits_2(self, tmp_path, capsys, command, edit):
-        doc = self.model_doc()
+        doc = model_doc()
         path = str(tmp_path / "model.json")
         write_json(path, doc)
         out = tmp_path / "prior.json"
@@ -698,7 +699,7 @@ class TestDocumentChecks:
     @pytest.mark.parametrize("command", ["inspect", "export-prior"])
     def test_linear_fusion_model_exits_2(self, tmp_path, capsys, command):
         # the fusion layer is tanh only; a model file naming another activation is refused
-        doc = self.model_doc()
+        doc = model_doc()
         assert doc["fusion"]["activation"] == "tanh"
         doc["fusion"]["activation"] = "linear"
         path = str(tmp_path / "model.json")
@@ -989,6 +990,87 @@ class TestDamagedFiles:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(out_dir.glob("*"))
+
+    # damaged bytes, each made from the valid JSON text of a document or of one row
+    BYTES = {
+        "not-utf8": lambda text: b"\xff\xfe" + text,
+        "deep-nesting": lambda text: b"[" * 200_000 + text + b"]" * 200_000,
+        "long-integer": lambda text: text.rstrip()[:-1] + b', "n": ' + b"1" * 5000 + b"}",
+    }
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("damage", BYTES)
+    @pytest.mark.parametrize("reader", ["state", "model", "export-prior", "scenario", "prior"])
+    def test_damaged_document_bytes_exit_2(self, tmp_path, scenario_file, capsys, reader,
+                                           damage):
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        if reader == "state":
+            save_state(str(path), init_router(2, 2))
+        elif reader == "scenario":
+            path.write_bytes(read_bytes(scenario_file))
+        elif reader == "prior":
+            write_json(path, {"version": 1, "n_arms": 2, "d": 8, "bt_embeddings": np.eye(2, 8)})
+        else:
+            write_json(path, model_doc())
+        path.write_bytes(self.BYTES[damage](path.read_bytes()))
+        args = {
+            "state": ["inspect", str(path)],
+            "model": ["inspect", str(path)],
+            "export-prior": ["export-prior", "--model", str(path), "--out", str(out)],
+            "scenario": ["run-sim", "--scenario", str(path), "--router", "random",
+                         "--out-dir", str(out)],
+            "prior": ["run-sim", "--scenario", scenario_file, "--router", "offline",
+                      "--prior-file", str(path), "--out-dir", str(out)],
+        }[reader]
+        assert main(args) == 2
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", BYTES)
+    @pytest.mark.parametrize("name", ["dataset", "behavior", "embeddings"])
+    def test_damaged_training_bytes_exit_2(self, tmp_path, scenario_file, capsys, name, damage):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        path = tmp_path / "data" / f"{name}.jsonl"
+        *rows, last = path.read_bytes().splitlines()
+        path.write_bytes(b"\n".join(rows + [self.BYTES[damage](last)]) + b"\n")
+        model_path = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(train_args(data_dir, str(model_path))) == 2
+        self.assert_one_error_line(capsys)
+        assert not model_path.exists()
+
+    def test_lone_surrogate_in_dataset_text_exits_2(self, tmp_path, scenario_file, capsys):
+        data_dir = str(tmp_path / "data")
+        main(["collect-behavior", "--scenario", scenario_file, "--seed", "1",
+              "--out-dir", data_dir])
+        path = tmp_path / "data" / "dataset.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        row["prompt"] = "x\ud800"
+        path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n", encoding="utf-8")
+        args = train_args(data_dir, str(tmp_path / "model.json"))
+        at = args.index("--embeddings")  # the pairs are encoded from their text
+        del args[at : at + 2]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: text to encode is not valid Unicode") and err.count("\n") == 1
+        assert not (tmp_path / "model.json").exists()
+
+    def test_non_utf8_summary_exits_2(self, tmp_path, capsys):
+        path, out = tmp_path / "summary.csv", tmp_path / "report.csv"
+        path.write_bytes(b"# run-sim\nrouter,seed,final_annotation_accuracy\n"
+                         b"random,1,0.5\nthompson\xff,1,0.625\n")
+        assert main(["compare", "--summary", str(path), "--baseline", "random",
+                     "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestScenarioLimits:

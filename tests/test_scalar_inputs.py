@@ -58,7 +58,7 @@ REAL = [True, "1", "0.5", None, *NON_FINITE, -1.0, -1, 1e308]
 INT = [2.5, True, "1", None, *NON_FINITE, -1, -7.5, 1e308]
 SIZE = [0, -1, -7.5, float("-inf")]  # zero and negative values only
 BOOL = ["no", 0, 1, None, float("nan")]
-TEXT = [True, 1.5, None, float("nan"), b"bytes", ""]
+TEXT = [True, 1.5, None, float("nan"), b"bytes", "", "x\ud800"]  # a lone surrogate
 
 
 def scenario_fields():
@@ -142,7 +142,8 @@ CALLS = {
     ),
     "dpo_loss": (dpo_loss, lambda: {"logp_policy_w": -1.0, "logp_ref_w": -2.0,
                                     "logp_policy_l": -2.0, "logp_ref_l": -2.0, "beta": 1.0},
-                 {"beta": REAL}),
+                 {"beta": REAL, "logp_policy_w": REAL, "logp_ref_w": REAL, "logp_policy_l": REAL,
+                  "logp_ref_l": REAL}),
     "HashingEncoder": (HashingEncoder, lambda: {"dim": 16}, {"dim": SIZE}),
     "HashingEncoder.encode": (lambda text: HashingEncoder(16).encode(text),
                               lambda: {"text": "a prompt"}, {"text": TEXT}),
@@ -243,12 +244,18 @@ def test_config_value_of_the_wrong_kind_rejected(make):
         (lambda: Beliefs(**{**beliefs_fields(), "noise_variance": "1"}), InputError),
         (lambda: sample_weights(make_prior(2), np.random.default_rng(0), 2.5), ConfigError),
         (lambda: sample_weights(make_prior(2), np.random.default_rng(0), -1), ConfigError),
+        (lambda: encode_text("x\ud800"), InputError),
+        (lambda: dpo_loss("a", 0.0, 0.0, 0.0), InputError),
+        (lambda: dpo_loss(0.0, True, 0.0, 0.0), InputError),
+        (lambda: dpo_loss(0.0, 0.0, float("nan"), 0.0), InputError),
+        (lambda: dpo_loss(0.0, 0.0, 0.0, float("-inf")), InputError),
     ],
     ids=["fractional-n-arms", "string-d", "fractional-prior-dimension", "fractional-encoder-dim",
          "fractional-n-boot", "string-linucb-alpha", "string-sigma-sq", "string-spread",
          "non-string-text", "unknown-replay-prior-mode", "negative-step", "fractional-step",
          "negative-update-count", "bool-update-count", "zero-beliefs-noise",
-         "string-beliefs-noise", "fractional-sample-count", "negative-sample-count"],
+         "string-beliefs-noise", "fractional-sample-count", "negative-sample-count",
+         "lone-surrogate-text", "string-logp", "bool-logp", "nan-logp", "infinite-logp"],
 )
 def test_argument_of_the_wrong_kind_is_a_router_error(call, error):
     with pytest.raises(error):

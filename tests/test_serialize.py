@@ -1,9 +1,12 @@
 """The canonical writer against its former convert-then-dump form: the same
 bytes for every document that form could write; the CSV writer and reader
-as a round trip; and the one check that every versioned document reader
-makes first."""
+as a round trip; the readers' one error rule for damaged bytes; the one
+check that every versioned document reader makes; and the rule that no
+other module opens a file or parses JSON or CSV itself."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,17 @@ from rmrouter.features import FusionParams
 from rmrouter.gaussian import make_prior, posterior_from_dict, posterior_to_dict
 from rmrouter.offline import OfflineRouterModel, model_from_dict, model_to_dict
 from rmrouter.online import init_router, state_from_dict, state_to_dict
-from rmrouter.serialize import dumps_doc, dumps_line, iter_csv, write_csv, write_json
+import rmrouter
+from rmrouter.serialize import (
+    check_document,
+    dumps_doc,
+    dumps_line,
+    iter_csv,
+    iter_jsonl,
+    read_json,
+    write_csv,
+    write_json,
+)
 from rmrouter.sim import (
     ReplayConfig,
     generate_scenario,
@@ -161,6 +174,85 @@ def test_csv_reader_names_the_line_of_a_field_past_the_limit(tmp_path):
     path.write_text('# comment\na,b\n1,2\n"' + "x" * 200_000 + '",3\n', encoding="utf-8")
     with pytest.raises(FormatError, match=r"field larger than field limit .*\(line 4\)"):
         list(iter_csv(path))
+
+
+# damaged bytes and the start of the FormatError each reader raises for them
+DAMAGED = {
+    "not-utf8": (b'\xff\xfe{"a": 1}\n', "is not UTF-8 text"),
+    "deep-nesting": (b"[" * 200_000 + b"]" * 200_000 + b"\n", "invalid JSON in .*recursion"),
+    "long-integer": (b'{"a": ' + b"1" * 5000 + b"}\n", "invalid JSON in .*digits"),
+    "syntax": (b'{"a": }\n', "invalid JSON in .*Expecting value"),
+}
+JSON_READERS = {"read_json": read_json, "iter_jsonl": lambda path: list(iter_jsonl(path))}
+
+
+@pytest.mark.parametrize("damage", DAMAGED)
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_damaged_json_is_a_format_error(tmp_path, reader, damage):
+    data, message = DAMAGED[damage]
+    path = tmp_path / "damaged.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        JSON_READERS[reader](path)
+
+
+@pytest.mark.parametrize("reader", [*JSON_READERS.values(), lambda path: list(iter_csv(path))])
+def test_missing_file_is_a_format_error(tmp_path, reader):
+    with pytest.raises(FormatError, match="no such file"):
+        reader(tmp_path / "missing")
+
+
+def test_non_utf8_csv_is_a_format_error(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"# comment\na,b\n1,\xff\n")
+    with pytest.raises(FormatError, match="is not UTF-8 text"):
+        list(iter_csv(path))
+
+
+def test_jsonl_errors_name_the_path_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"_meta": {}}\n\n{"a": 1}\n{"a": \n', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"invalid JSON in .*rows\.jsonl: .*\(line 4\)"):
+        list(iter_jsonl(path))
+    path.write_text('{"a": 1}\n[1]\n', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"row of .* must be a JSON object \(line 2\)"):
+        list(iter_jsonl(path))
+    path.write_text('{"_meta": {}}\n\n{"a": 1}\n', encoding="utf-8")
+    assert list(iter_jsonl(path)) == [(3, {"a": 1})]
+
+
+@pytest.mark.parametrize("error", [FormatError, ConfigError])
+def test_document_block_maps_bad_values_to_one_error(error):
+    doc = {"version": 1}
+    with pytest.raises(error, match=r"^malformed thing: KeyError\('x'\)$"):
+        with check_document(doc, "thing", 1, error) as checked:
+            checked["x"]
+    with pytest.raises(error, match=r"^malformed thing: ValueError\("):
+        with check_document(doc, "thing", 1, error):
+            int("x")
+    with pytest.raises(ZeroDivisionError):  # not a value of the wrong kind
+        with check_document(doc, "thing", 1, error):
+            1 / 0
+
+
+def test_only_serialize_opens_files_or_imports_json_and_csv():
+    """One way in and one way out: no other module opens a file, or imports
+    json or csv to parse or write one."""
+    offences = []
+    for path in sorted(Path(rmrouter.__file__).parent.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                    offences.append(f"{path.name}:{node.lineno} calls open(")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                    else [node.module or ""]
+                offences += [f"{path.name}:{node.lineno} imports {module}" for module in modules
+                             if module.split(".")[0] in ("json", "csv")]
+    assert not offences
 
 
 def model_doc():
