@@ -31,25 +31,19 @@ SYMMETRY_TOL = 1e-10
 # a score variance h.cov.h below -VARIANCE_TOL * (h.h) * max(diag cov) shows an indefinite
 # covariance along h; a negative variance above that bound is rounding and reads as 0
 VARIANCE_TOL = 1e-9
+# the full check's floor: a covariance is positive definite if cov + CHOLESKY_JITTER I factors
 CHOLESKY_JITTER = 1e-9
 GAIN_ROWS = 64  # rows per Kalman gain: bounds the innovation matrix for any batch
 
 
 def robust_cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (upper triangle zero) read from the lower triangle
-    of ``mat``; retries once with CHOLESKY_JITTER added to the diagonal.
-
-    Raises :class:`NonPSDError` naming the failing pivot if the factorization
-    still fails after the jitter.
-    """
+    of ``mat`` by one LAPACK ``dpotrf`` call, with no retry; raises
+    :class:`NonPSDError` naming the failing pivot."""
     low, info = dpotrf(mat, lower=1, clean=1)
-    if info == 0:
-        return low
-    low, info = dpotrf(mat + CHOLESKY_JITTER * np.eye(mat.shape[0]), lower=1, clean=1)
-    if info == 0:
-        return low
-    # LAPACK reports the first failing pivot 1-based in ``info``
-    raise NonPSDError("matrix is not positive definite even after jitter", pivot=info - 1)
+    if info:  # LAPACK reports the first failing pivot 1-based
+        raise NonPSDError("matrix is not positive definite", pivot=info - 1)
+    return low
 
 
 @dataclass
@@ -94,18 +88,14 @@ class ArmPosterior:
         asym = float(np.max(np.abs(self.covariance - self.covariance.T)))
         if asym > SYMMETRY_TOL:
             raise NonPSDError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
-        if not np.any(self.covariance):  # the jitter retry would accept it
+        if not np.any(self.covariance):  # the floor alone would factor
             raise NonPSDError("covariance is zero, not positive definite", pivot=0)
-        robust_cholesky(self.covariance)
+        robust_cholesky(self.covariance + CHOLESKY_JITTER * np.eye(d))
 
     @classmethod
     def _updated(cls, mean, covariance, noise_variance, update_count) -> ArmPosterior:
-        """An update's result, or a view of one stacked arm, without the full
-        check: only an O(d^2) finiteness and an O(d) positive-diagonal check,
-        raising NumericalError."""
-        finite = np.isfinite(mean).all() and np.isfinite(covariance).all()
-        if not (finite and (covariance.diagonal() > 0.0).all()):
-            raise NumericalError("update gives a non-finite belief or a non-positive variance")
+        """An update's result, or a view of one stacked arm, unchecked: the
+        update that made it has checked it once (:func:`posterior_update`)."""
         posterior = object.__new__(cls)
         posterior.mean, posterior.covariance = mean, covariance
         posterior.noise_variance, posterior.update_count = noise_variance, update_count
@@ -268,10 +258,10 @@ def posterior_update(
     for bit; k = 0 returns ``beliefs`` itself.  The result equals the per-arm
     fold of single-row updates up to rounding.  Arms of any but an integer
     dtype (bool included) raise InputError, so 1.7 or True never truncates to
-    arm 1.  Shapes and the arm range are checked up front, and the updated
-    arms only for finite fields and a positive diagonal: a non-finite row, an
-    overflow or an innovation that does not factor (the arm is named) raises
-    NumericalError.
+    arm 1.  Shapes (DimError), then finite contexts and rewards (InputError)
+    and the arm range are checked up front, and the updated arms only for
+    finite fields and a positive diagonal: an overflow or an innovation that
+    does not factor (the arm is named) raises NumericalError.
     """
     if isinstance(beliefs, ArmPosterior):  # the N = 1 case
         rewards = np.asarray(rewards, dtype=np.float64)
@@ -290,6 +280,8 @@ def posterior_update(
             f"contexts {contexts.shape}, rewards {rewards.shape} and arms {arms.shape} "
             f"do not fit d={d}"
         )
+    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
+        raise InputError("observation contexts and rewards must be finite")
     if not k:
         return beliefs
     rows = np.argsort(arms, kind="stable")

@@ -153,15 +153,11 @@ def observe_feedback(
 
     Row i of ``contexts`` was routed to arm ``chosen[i]`` and earned
     ``rewards[i]``.  One :func:`rmrouter.gaussian.posterior_update`, which
-    checks the shapes and the arm range, gives each arm its rows in batch
-    order.  Arms that received no row keep their beliefs bit for bit.  A
-    non-finite row, or a non-integer arm (bool included), raises InputError
-    before any arm changes.
+    checks the shapes, finite values and the arm range, gives each arm its
+    rows in batch order.  Arms that received no row keep their beliefs bit
+    for bit.  A non-finite row, or a non-integer arm (bool included), raises
+    InputError before any arm changes.
     """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if not (np.isfinite(contexts).all() and np.isfinite(rewards).all()):
-        raise InputError("observation contexts and rewards must be finite")
     beliefs = posterior_update(state.beliefs, contexts, rewards, chosen)
     return OnlineRouterState(beliefs, state.prior_variance, state.prior_mode, state.step + 1)
 

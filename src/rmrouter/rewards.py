@@ -58,12 +58,13 @@ def dpo_loss(
 def batch_baseline_array(losses: Sequence[float] | np.ndarray) -> np.ndarray:
     """Centered rewards: batch mean loss minus each pair's own loss (sum ~ 0).
 
-    The mean is Python's left-to-right ``sum``, not numpy's pairwise one.
+    The mean is a left-to-right sum (``np.cumsum``), not numpy's pairwise
+    one nor the compensated ``sum`` of Python 3.12 and later.
     """
     losses = np.asarray(losses, dtype=np.float64)
     if losses.shape[0] == 0:
         raise InputError("cannot compute a batch baseline over an empty batch")
-    return sum(losses.tolist()) / losses.shape[0] - losses
+    return np.cumsum(losses)[-1] / losses.shape[0] - losses
 
 
 class RewardHistory:

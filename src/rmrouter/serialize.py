@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from typing import Any
@@ -131,13 +132,23 @@ def _lines(path: str | os.PathLike) -> Iterator[str]:
         raise FormatError(f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # how a JSON text writes a surrogate
+
+
 def _parse(text: str, path: str | os.PathLike, line: int | None = None) -> Any:
     """The one JSON parse rule: FormatError for all that ``json.loads`` refuses: bad
-    syntax, an integer past Python's digit limit, nesting past the recursion limit."""
+    syntax, an integer past Python's digit limit, nesting past the recursion limit;
+    and for a string holding a lone surrogate, which no UTF-8 text can hold."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # a valid pair is one code point once parsed
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")  # fails on a lone one
+    except UnicodeError as exc:  # a ValueError, so caught first
+        message = f"lone surrogate {exc.object[exc.start]!r}"
+        raise FormatError(f"invalid JSON in {path}: {message}", line=line) from exc
     except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid JSON in {path}: {exc}", line=line) from exc
+    return doc
 
 
 def read_json(path: str | os.PathLike) -> Any:

@@ -1060,8 +1060,18 @@ class TestDamagedFiles:
         capsys.readouterr()
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: text to encode is not valid Unicode") and err.count("\n") == 1
+        assert err.startswith("error: invalid JSON in ") and err.count("\n") == 1
+        assert "lone surrogate '\\ud800' (line 1)" in err
         assert not (tmp_path / "model.json").exists()
+
+    def test_lone_surrogate_in_model_meta_exits_2(self, tmp_path, capsys):
+        # inspect prints train_meta's values, and a lone surrogate cannot be printed
+        doc = model_doc()
+        doc["train_meta"] = {"seed": "\ud800", "epochs": 1, "final_loss": 0.5}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # the escape "\ud800"
+        assert main(["inspect", str(path)]) == 2
+        self.assert_one_error_line(capsys)
 
     def test_non_utf8_summary_exits_2(self, tmp_path, capsys):
         path, out = tmp_path / "summary.csv", tmp_path / "report.csv"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestMakePrior:
 
 class TestSampling:
     def test_zero_covariance_rejected(self):
-        # the jitter retry would factor it, so the constructor checks it first
+        # the floor alone would factor it, so the constructor checks it first
         with pytest.raises(NonPSDError, match="zero"):
             ArmPosterior(mean=np.array([0.5]), covariance=np.zeros((1, 1)), noise_variance=1.0)
         doc = posterior_to_dict(make_prior(2))
@@ -287,12 +288,18 @@ class TestPosteriorUpdate:
         assert posterior_update(stack, np.zeros((0, 2)), [], []) is stack
 
     def test_non_finite_observations_rejected(self):
-        # only shapes are checked up front; a non-finite row never yields a posterior
+        # refused before any arithmetic, so no numpy warning comes first
         post = make_prior(1, np.zeros(1), 1.0, 1.0)
-        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-            posterior_update(post, [[1.0]], [float("nan")])
-        with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-            posterior_update(post, [[float("inf")]], [1.0])
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for contexts, rewards in (([[1.0]], [bad]), ([[bad]], [1.0])):
+                with warnings.catch_warnings(), pytest.raises(InputError, match="finite"):
+                    warnings.simplefilter("error")
+                    posterior_update(post, contexts, rewards)
+
+    def test_shapes_are_checked_before_finiteness(self):
+        post = make_prior(2, np.zeros(2), 1.0, 1.0)
+        with pytest.raises(DimError):
+            posterior_update(post, [[float("nan")]], [float("inf")])
 
 
 class TestSerialization:
@@ -549,6 +556,34 @@ class TestStackedBeliefs:
             for ours, want in pairs:
                 assert np.max(np.abs(ours - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_arms=st.integers(2, 6),
+        d=st.integers(1, 24),
+        extra=st.integers(1, 2 * GAIN_ROWS),
+        assignment=st.sampled_from(["one arm", "all arms", "skip arms"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_updated_covariance_is_exactly_symmetric(
+        self, n_arms, d, extra, assignment, seed
+    ):
+        # the downdate cov -= W^T W promises C_ij == C_ji bit for bit, for one arm
+        # taking k > GAIN_ROWS rows, rows over every arm and arms with no row
+        rng = np.random.default_rng(seed)
+        beliefs = random_beliefs(rng, n_arms, d, 1.0)
+        k = GAIN_ROWS + extra
+        if assignment == "one arm":
+            arms = np.full(k, rng.integers(0, n_arms))
+        elif assignment == "all arms":
+            arms = rng.permutation(np.arange(k) % n_arms)
+        else:
+            arms = rng.choice(np.arange(0, n_arms, 2), size=k)
+        for _ in range(2):  # the second update starts from updated covariances
+            contexts = rng.standard_normal((k, d))
+            beliefs = posterior_update(beliefs, contexts, rng.standard_normal(k), arms)
+            for covariance in beliefs.covariances:
+                assert np.array_equal(covariance, covariance.T)
+
     @settings(deadline=None, max_examples=40)
     @given(
         n_arms=st.integers(1, 6),
@@ -591,7 +626,7 @@ class TestStackedBeliefs:
     def test_innovation_failure_names_the_arm(self):
         # arm 2's covariance is indefinite along its row (an unchecked belief, as
         # a loaded or corrupted state could hold): its block of the second
-        # window's innovation, 1 + h.cov.h = -1, fails even after the jitter, and
+        # window's innovation, 1 + h.cov.h = -1, does not factor, and
         # the failing pivot, a sorted row of that window, maps back to arm 2
         good = make_prior(2)
         bad = ArmPosterior._updated(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0, 0)

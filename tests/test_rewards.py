@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import struct
 import warnings
 
@@ -83,6 +85,17 @@ class TestBatchBaseline:
             size = int(rng.integers(1, 65))
             total = batch_baseline_array(rng.normal(0.6, 0.3, size=size)).sum()
             assert abs(total) < 1e-9 * size
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64))
+    def test_mean_is_the_left_to_right_fold(self, losses):
+        # not Python 3.12's compensated sum(): rewards must not depend on the interpreter
+        mean = functools.reduce(operator.add, losses, 0.0) / len(losses)
+        assert batch_baseline_array(losses).tolist() == [mean - loss for loss in losses]
+
+    def test_mean_is_not_compensated(self):
+        # left to right, 1e16 + 1.0 rounds back to 1e16, so the mean is 0, not 1/3
+        assert batch_baseline_array([1e16, 1.0, -1e16]).tolist() == [-1e16, -1.0, 1e16]
 
 
 def quantile_normalize(r, history):

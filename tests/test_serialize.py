@@ -182,6 +182,7 @@ DAMAGED = {
     "deep-nesting": (b"[" * 200_000 + b"]" * 200_000 + b"\n", "invalid JSON in .*recursion"),
     "long-integer": (b'{"a": ' + b"1" * 5000 + b"}\n", "invalid JSON in .*digits"),
     "syntax": (b'{"a": }\n', "invalid JSON in .*Expecting value"),
+    "lone-surrogate": (b'{"a": ["x\\ud800"]}\n', "invalid JSON in .*lone surrogate"),
 }
 JSON_READERS = {"read_json": read_json, "iter_jsonl": lambda path: list(iter_jsonl(path))}
 
@@ -207,6 +208,24 @@ def test_non_utf8_csv_is_a_format_error(tmp_path):
     path.write_bytes(b"# comment\na,b\n1,\xff\n")
     with pytest.raises(FormatError, match="is not UTF-8 text"):
         list(iter_csv(path))
+
+
+@pytest.mark.parametrize(
+    "text", [r'{"\ud800": 1}', r'[[{"a": "\uDFFF"}]]', r'"\udbff\u0041"', r'"\ude00\ud83d"'],
+    ids=["key", "nested", "high-alone", "pair-reversed"],
+)
+def test_lone_surrogate_is_a_format_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match="lone surrogate"):
+        read_json(path)
+
+
+def test_surrogate_pair_and_escaped_backslash_read_back(tmp_path):
+    # a valid pair is one code point; "\\ud800" is a backslash and five letters
+    path = tmp_path / "doc.json"
+    path.write_text(r'{"pair": "\ud83d\ude00", "text": "\\ud800"}', encoding="utf-8")
+    assert read_json(path) == {"pair": "\U0001F600", "text": "\\ud800"}
 
 
 def test_jsonl_errors_name_the_path_and_line(tmp_path):
